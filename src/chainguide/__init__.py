@@ -15,7 +15,6 @@ from .models import (
     ModelConstants,
     RateModel,
     build_model,
-    drift,
     estimate_constants,
     hamiltonian,
     isaacs_gap,
@@ -41,8 +40,7 @@ from .value import (
 )
 from .guide import (
     GuideState,
-    guide_advance_first,
-    guide_advance_second,
+    guide_advance,
     init_guide,
     integrate_characteristic,
 )
@@ -51,8 +49,6 @@ from .strategy import (
     Partition,
     TrajectoryRecord,
     extremal_controls,
-    make_first_player_strategy,
-    make_second_player_strategy,
     run_episode,
     run_episodes,
 )
@@ -70,18 +66,17 @@ from .harness import (
 __all__ = [
     "__version__",
     "LatticeState", "SimplexPoint", "enumerate_lattice", "round_to_lattice",
-    "ControlGrid", "ModelConstants", "RateModel", "build_model", "drift",
+    "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "register_model",
     "validate_rate_model",
     "Distribution", "PathSample", "dynkin_residual", "empirical_transition",
     "lattice_space", "master_evolve", "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "eval_value",
     "solve_value", "verify_supersolution",
-    "GuideState", "guide_advance_first", "guide_advance_second", "init_guide",
+    "GuideState", "guide_advance", "init_guide",
     "integrate_characteristic",
     "ControlWithGuideStrategy", "Partition", "TrajectoryRecord",
-    "extremal_controls", "make_first_player_strategy",
-    "make_second_player_strategy", "run_episode", "run_episodes",
+    "extremal_controls", "run_episode", "run_episodes",
     "ExperimentResult", "Scenario", "emit_results", "run_corollary_experiment",
     "run_lemma1_check", "run_lemma2_check", "run_oracle_check",
     "run_theorem1_experiment",

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import estimate_constants
-from .simplex import LatticeState, single_jump_neighbors
+from .models import resolve_k
+from .simplex import LatticeState, project_rows, rk4_step, single_jump_neighbors
 from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
@@ -91,11 +91,7 @@ def _as_policy(control) -> Callable:
 
 
 def _dominating_rate(model, total, rate_bound):
-    k = rate_bound
-    if k is None:
-        k = model.declared_k
-    if k is None:
-        k = estimate_constants(model).constants.k
+    k = resolve_k(model) if rate_bound is None else rate_bound
     return k, (model.dimension - 1) * k * total
 
 
@@ -207,12 +203,13 @@ def tv_distance(a, b):
 
 
 class _ForwardOperator:
-    """Precomputed jump bookkeeping for one lattice; applies the generator."""
+    """Precomputed jump bookkeeping for one lattice and constant controls; applies the generator."""
 
-    def __init__(self, model, space):
+    def __init__(self, model, space, u, v):
         self.model = model
         self.space = space
-        self.total = space.resolution
+        self.u = u
+        self.v = v
         self.xs = space.nodes
         counts = space.counts
         d = model.dimension
@@ -227,27 +224,28 @@ class _ForwardOperator:
                 moved[:, j] += 1
                 self.pairs.append((i, j, valid, space.node_index(moved)))
 
-    def rates(self, t, u, v):
+    def rates(self, t):
         """counts_i * Q_ij for every state and ordered pair, as a list."""
-        q = self.model.rate_matrix_multi(t, self.xs, u, v)
+        # q may omit the state axis when the rates do not depend on the state
+        q = self.model.rate_matrix(t, self.xs, self.u, self.v)
         out = []
         counts = self.space.counts
         for i, j, valid, to_idx in self.pairs:
-            out.append((valid, to_idx, counts[:, i] * q[:, i, j]))
+            out.append((valid, to_idx, counts[:, i] * q[..., i, j]))
         return out
 
-    def apply(self, t, p, u, v):
+    def apply(self, t, p):
         out = np.zeros_like(p)
-        for valid, to_idx, rate in self.rates(t, u, v):
+        for valid, to_idx, rate in self.rates(t):
             flux = rate * p
             out -= flux
             np.add.at(out, to_idx, flux[valid])
         return out
 
-    def generator_on(self, t, fvals, u, v):
+    def generator_on(self, t, fvals):
         """(L f)(z) for every state z at time t."""
         out = np.zeros_like(fvals)
-        for valid, to_idx, rate in self.rates(t, u, v):
+        for valid, to_idx, rate in self.rates(t):
             diff = np.zeros_like(fvals)
             diff[valid] = fvals[to_idx] - fvals[valid]
             out += rate * diff
@@ -255,8 +253,8 @@ class _ForwardOperator:
 
 
 def default_ode_step(model, total, rate_bound=None):
-    k = rate_bound if rate_bound is not None else model.declared_k
-    if k is None or k <= 0.0:
+    k = resolve_k(model) if rate_bound is None else rate_bound
+    if k <= 0.0:
         return 0.01
     return min(0.01, 0.1 / (total * k))
 
@@ -270,7 +268,7 @@ def master_evolve(model, t0, t1, dist0, u, v, ode_step=None):
     if t1 < t0:
         raise ValueError("need t1 >= t0")
     space = dist0.space
-    op = _ForwardOperator(model, space)
+    op = _ForwardOperator(model, space, u, v)
     h = ode_step if ode_step is not None else default_ode_step(model, space.resolution)
     span = t1 - t0
     if span == 0.0:
@@ -280,11 +278,7 @@ def master_evolve(model, t0, t1, dist0, u, v, ode_step=None):
     p = dist0.probs.copy()
     t = t0
     for _ in range(steps):
-        k1 = op.apply(t, p, u, v)
-        k2 = op.apply(t + 0.5 * dt, p + 0.5 * dt * k1, u, v)
-        k3 = op.apply(t + 0.5 * dt, p + 0.5 * dt * k2, u, v)
-        k4 = op.apply(t + dt, p + dt * k3, u, v)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = rk4_step(op.apply, t, p, dt)
         t += dt
     if p.min() < -NEGATIVE_PROB_TOL:
         raise IntegrationError(
@@ -292,8 +286,7 @@ def master_evolve(model, t0, t1, dist0, u, v, ode_step=None):
     drift = abs(p.sum() - 1.0)
     if drift > PROB_SUM_TOL:
         raise IntegrationError(f"probability mass drifted by {drift:.3e}")
-    np.maximum(p, 0.0, out=p)
-    p /= p.sum()
+    project_rows(p)
     return Distribution(space, p)
 
 
@@ -308,7 +301,7 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     if not isinstance(y, LatticeState):
         y = LatticeState(y)
     space = lattice_space(model.dimension, y.total)
-    op = _ForwardOperator(model, space)
+    op = _ForwardOperator(model, space, u, v)
     fvals = np.array([float(f(x)) for x in space.nodes])
     span = t1 - t0
     if span <= 0.0:
@@ -320,15 +313,10 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     p = Distribution.point_mass(space, y).probs
     times = t0 + dt * np.arange(steps + 1)
     integrand = np.empty(steps + 1)
-    integrand[0] = p @ op.generator_on(times[0], fvals, u, v)
+    integrand[0] = p @ op.generator_on(times[0], fvals)
     for step in range(steps):
-        t = times[step]
-        k1 = op.apply(t, p, u, v)
-        k2 = op.apply(t + 0.5 * dt, p + 0.5 * dt * k1, u, v)
-        k3 = op.apply(t + 0.5 * dt, p + 0.5 * dt * k2, u, v)
-        k4 = op.apply(t + dt, p + dt * k3, u, v)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        integrand[step + 1] = p @ op.generator_on(times[step + 1], fvals, u, v)
+        p = rk4_step(op.apply, times[step], p, dt)
+        integrand[step + 1] = p @ op.generator_on(times[step + 1], fvals)
     # composite Simpson over the stored (even) grid
     integral = (dt / 3.0) * (integrand[0] + integrand[-1]
                              + 4.0 * integrand[1:-1:2].sum()

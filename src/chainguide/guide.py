@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import estimate_constants
-from .simplex import ProjectionError, as_coords
+from .models import resolve_k, role_grids
+from .simplex import ProjectionError, as_coords, project_rows, rk4_step
 from .value import monotonicity_tolerance
 
 GUIDE_PROJECTION_LIMIT = 1e-6
@@ -77,30 +77,27 @@ def integrate_characteristic(model, t0, t1, x0, u_schedule, v_schedule, ode_step
     x = as_coords(x0, model.dimension)[None, :].copy()
     if span == 0.0:
         return x[0]
+
+    def velocity(t, state):
+        return model.drift(t, state, u_fn(t), v_fn(t))
+
+    return _flow(velocity, t0, t1, x, ode_step, "characteristic")[0]
+
+
+def _flow(velocity, t0, t1, states, ode_step, what):
+    """RK4 rows over [t0, t1], each step followed by a clip-and-renormalize projection."""
+    span = float(t1) - float(t0)
     steps = max(1, int(np.ceil(span / ode_step)))
     dt = span / steps
     t = float(t0)
     worst = 0.0
-
-    def vel(stage_t, state):
-        return model.drift_control_values(stage_t, state,
-                                          np.array([u_fn(stage_t)]),
-                                          np.array([v_fn(stage_t)]))
-
     for _ in range(steps):
-        k1 = vel(t, x)
-        k2 = vel(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = vel(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = vel(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        before = x.copy()
-        np.maximum(x, 0.0, out=x)
-        x /= x.sum(axis=1, keepdims=True)
-        worst = max(worst, float(np.linalg.norm(x - before)))
+        states = rk4_step(velocity, t, states, dt)
+        worst = max(worst, project_rows(states))
         t += dt
     if worst > GUIDE_PROJECTION_LIMIT:
-        raise ProjectionError(f"characteristic left the simplex by {worst:.3e}")
-    return x[0]
+        raise ProjectionError(f"{what} left the simplex by {worst:.3e}")
+    return states
 
 
 @dataclass(frozen=True)
@@ -151,14 +148,9 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
     """
     guides = np.asarray(guides, dtype=float)
     n, d = guides.shape
-    if role == "first":
-        own_values = model.u_grid.values()
-        fixed_values = model.v_grid.values()[fixed_idx]
-    elif role == "second":
-        own_values = model.v_grid.values()
-        fixed_values = model.u_grid.values()[fixed_idx]
-    else:
-        raise ValueError("role must be 'first' or 'second'")
+    own_grid, fixed_grid = role_grids(model, role)
+    own_values = own_grid.values()
+    fixed_values = fixed_grid.values()[fixed_idx]
     family = CandidateFamily.build(own_values.size, lam_points)
     nc = family.count
     span = float(t1) - float(t0)
@@ -172,25 +164,10 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
     lam = np.tile(family.weight, n)
     fixed = np.repeat(fixed_values, nc)
 
-    steps = max(1, int(np.ceil(span / ode_step)))
-    dt = span / steps
-    t = float(t0)
-    worst = 0.0
-    for _ in range(steps):
-        k1 = _hull_drift(model, t, states, mix_a, mix_b, lam, fixed, role)
-        k2 = _hull_drift(model, t + 0.5 * dt, states + 0.5 * dt * k1,
-                         mix_a, mix_b, lam, fixed, role)
-        k3 = _hull_drift(model, t + 0.5 * dt, states + 0.5 * dt * k2,
-                         mix_a, mix_b, lam, fixed, role)
-        k4 = _hull_drift(model, t + dt, states + dt * k3, mix_a, mix_b, lam, fixed, role)
-        states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        before = states.copy()
-        np.maximum(states, 0.0, out=states)
-        states /= states.sum(axis=1, keepdims=True)
-        worst = max(worst, float(np.max(np.linalg.norm(states - before, axis=1))))
-        t += dt
-    if worst > GUIDE_PROJECTION_LIMIT:
-        raise ProjectionError(f"guide hull trajectory left the simplex by {worst:.3e}")
+    def velocity(t, x):
+        return _hull_drift(model, t, x, mix_a, mix_b, lam, fixed, role)
+
+    states = _flow(velocity, t0, t1, states, ode_step, "guide hull trajectory")
 
     value_start = field.eval_batch(t0, guides)
     end_values = field.eval_batch(t1, states).reshape(n, nc)
@@ -210,45 +187,35 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
 
 def _hull_drift(model, t, states, mix_a, mix_b, lam, fixed, role):
     if role == "first":
-        da = model.drift_control_values(t, states, mix_a, fixed)
-        db = model.drift_control_values(t, states, mix_b, fixed)
+        da = model.drift(t, states, mix_a, fixed)
+        db = model.drift(t, states, mix_b, fixed)
     else:
-        da = model.drift_control_values(t, states, fixed, mix_a)
-        db = model.drift_control_values(t, states, fixed, mix_b)
+        da = model.drift(t, states, fixed, mix_a)
+        db = model.drift(t, states, fixed, mix_b)
     return lam[:, None] * da + (1.0 - lam[:, None]) * db
 
 
 def _default_step_slack(field, model, t0, t1, constants):
-    k_bound = constants.k if constants is not None else (
-        model.declared_k if model.declared_k is not None
-        else estimate_constants(model).constants.k)
-    eps = monotonicity_tolerance(field, k_bound)
+    eps = monotonicity_tolerance(field, resolve_k(model, constants))
     return eps * (t1 - t0) / field.horizon
 
 
-def guide_advance_first(field, model, t_star, t_plus, w_star, v_star,
-                        slack=None, constants=None, ode_step=0.01, lam_points=9):
-    """Player-1 guide update: ride the u-hull with v fixed, keep value from rising."""
-    v_idx = model.v_grid.index_of(v_star) if not isinstance(v_star, (int, np.integer)) else int(v_star)
+def guide_advance(field, model, t_star, t_plus, w_star, reply, role,
+                  slack=None, constants=None, ode_step=0.01, lam_points=9):
+    """One guide update with the opponent's announced ``reply`` held fixed.
+
+    Role "first" rides the u-hull with v = ``reply`` and keeps the value
+    from rising; role "second" rides the v-hull with u = ``reply`` and
+    keeps it from falling. ``reply`` is a grid value, or a grid index when
+    given as an integer.
+    """
+    if not isinstance(reply, (int, np.integer)):
+        reply = role_grids(model, role)[1].index_of(reply)
     if slack is None:
         slack = _default_step_slack(field, model, t_star, t_plus, constants)
     w = as_coords(w_star, model.dimension)
     endpoints, v0, v1, violation, cand = advance_guides(
-        field, model, t_star, t_plus, w[None, :], np.array([v_idx]), "first",
-        slack=slack, ode_step=ode_step, lam_points=lam_points)
-    return GuideStep(GuideState(endpoints[0], t_plus), float(v0[0]), float(v1[0]),
-                     bool(violation[0]), int(cand[0]))
-
-
-def guide_advance_second(field, model, t_star, t_plus, w_star, u_star,
-                         slack=None, constants=None, ode_step=0.01, lam_points=9):
-    """Player-2 guide update: ride the v-hull with u fixed, keep value from falling."""
-    u_idx = model.u_grid.index_of(u_star) if not isinstance(u_star, (int, np.integer)) else int(u_star)
-    if slack is None:
-        slack = _default_step_slack(field, model, t_star, t_plus, constants)
-    w = as_coords(w_star, model.dimension)
-    endpoints, v0, v1, violation, cand = advance_guides(
-        field, model, t_star, t_plus, w[None, :], np.array([u_idx]), "second",
+        field, model, t_star, t_plus, w[None, :], np.array([reply]), role,
         slack=slack, ode_step=ode_step, lam_points=lam_points)
     return GuideStep(GuideState(endpoints[0], t_plus), float(v0[0]), float(v1[0]),
                      bool(violation[0]), int(cand[0]))

@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,23 +29,25 @@ from .chain import (
 )
 from .guide import advance_guides
 from .models import (
+    ModelConstants,
+    RateModel,
     build_model,
     coupling_allowance,
     coupling_constants,
     estimate_constants,
+    role_grids,
 )
 from .simplex import LatticeState, round_to_lattice
 from .strategy import (
     ConstantPolicy,
+    ControlWithGuideStrategy,
     GreedyPolicy,
     Partition,
     RandomPolicy,
     extremal_indices,
-    make_first_player_strategy,
-    make_second_player_strategy,
     run_episodes,
 )
-from .value import build_simplex_grid, solve_value
+from .value import ValueField, build_simplex_grid, solve_value
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -177,14 +179,11 @@ def adversary_label(spec):
 def _build_adversary(spec, field, model, constants, adversary_role):
     kind = spec["kind"]
     if kind == "extremal":
-        if adversary_role == "second":
-            return make_second_player_strategy(field, model, constants)
-        return make_first_player_strategy(field, model, constants)
+        return ControlWithGuideStrategy(field, model, adversary_role, constants)
     if kind == "constant":
         return ConstantPolicy(spec["value"])
     if kind == "random":
-        grid = model.v_grid if adversary_role == "second" else model.u_grid
-        return RandomPolicy(grid)
+        return RandomPolicy(role_grids(model, adversary_role)[0])
     if kind == "greedy":
         return GreedyPolicy(model, adversary_role)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
@@ -193,21 +192,35 @@ def _build_adversary(spec, field, model, constants, adversary_role):
 # -- experiment trial fan-out -----------------------------------------------------
 
 
-def _run_trial_block(scenario_dict, config_index, m_steps, particle_count,
+class _ExperimentSetup(NamedTuple):
+    """What every trial block of one experiment shares: built and solved once."""
+
+    scenario: Scenario
+    model: RateModel
+    constants: ModelConstants
+    field: ValueField
+
+
+# the setup of the experiment a pool worker serves; set once per worker process
+_worker_setup = None
+
+
+def _init_worker(setup):
+    global _worker_setup
+    _worker_setup = setup
+
+
+def _run_trial_block(setup, config_index, m_steps, particle_count,
                      adversary_spec, role, lo, hi):
-    """Run trials [lo, hi) of one configuration; used by worker processes."""
-    scenario = Scenario.from_dict(scenario_dict)
-    model = build_model(scenario.model, scenario.model_params)
-    constants = estimate_constants(model, seed=scenario.seed).constants
-    grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
-    field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
+    """Run trials [lo, hi) of one configuration."""
+    scenario, model, constants, field = setup
     y = round_to_lattice(scenario.initial_state, particle_count)
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
     if role == "first":
-        player1 = make_first_player_strategy(field, model, constants)
+        player1 = ControlWithGuideStrategy(field, model, "first", constants)
         player2 = _build_adversary(adversary_spec, field, model, constants, "second")
     else:
-        player2 = make_second_player_strategy(field, model, constants)
+        player2 = ControlWithGuideStrategy(field, model, "second", constants)
         player1 = _build_adversary(adversary_spec, field, model, constants, "first")
     rngs = [np.random.default_rng([scenario.seed, config_index, trial])
             for trial in range(lo, hi)]
@@ -217,23 +230,23 @@ def _run_trial_block(scenario_dict, config_index, m_steps, particle_count,
 
 
 def _worker_entry(args):
-    return _run_trial_block(*args)
+    return _run_trial_block(_worker_setup, *args)
 
 
-def _collect_trials(scenario, config_index, m_steps, particle_count,
+def _collect_trials(setup, config_index, m_steps, particle_count,
                     adversary_spec, role, workers, pool):
-    trials = scenario.trials
+    trials = setup.scenario.trials
     payoffs = np.empty(trials)
     viol1 = np.empty(trials)
     viol2 = np.empty(trials)
     chunk = math.ceil(trials / max(workers, 1))
     tasks = [
-        (scenario.to_dict(), config_index, m_steps, particle_count,
-         adversary_spec, role, lo, min(lo + chunk, trials))
+        (config_index, m_steps, particle_count, adversary_spec, role,
+         lo, min(lo + chunk, trials))
         for lo in range(0, trials, chunk)
     ]
     if pool is None:
-        results = [_worker_entry(task) for task in tasks]
+        results = [_run_trial_block(setup, *task) for task in tasks]
     else:
         results = pool.map(_worker_entry, tasks)
     for lo, block_payoffs, block_v1, block_v2 in results:
@@ -284,9 +297,12 @@ def _run_bound_experiment(scenario, role, workers):
     d_const = c_gain * model.horizon
     r_const = constants.r
 
+    setup = _ExperimentSetup(scenario, model, constants, field)
     pool = None
     if workers > 1:
-        pool = multiprocessing.get_context("fork").Pool(workers)
+        # forked workers inherit the setup instead of rebuilding or unpickling it
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=_init_worker, initargs=(setup,))
     rows = []
     gap_groups = {}
     try:
@@ -298,7 +314,7 @@ def _run_bound_experiment(scenario, role, workers):
                     y = round_to_lattice(scenario.initial_state, particle_count)
                     val0 = field.eval(scenario.start_time, y.coords())
                     payoffs, viol1, viol2 = _collect_trials(
-                        scenario, config_index, m_steps, particle_count, adv,
+                        setup, config_index, m_steps, particle_count, adv,
                         role, workers, pool)
                     n = payoffs.size
                     mean = float(np.sum(payoffs) / n)
@@ -547,9 +563,9 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
             i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
             j_off = rng.integers(0, d - 1, size=active.size)
             j_sel = j_off + (j_off >= i_sel)
-            rates = model.rate_matrix_grid_multi(t[active], xs)
+            rates = model.rate_matrix_multi(t[active], xs, u_vals[u_idx], v_vals[v_idx[active]])
             rows = np.arange(active.size)
-            q = rates[rows, u_idx, v_idx[active], i_sel, j_sel]
+            q = rates[rows, i_sel, j_sel]
             if np.any(q > k_bound * (1.0 + 1e-9)):
                 raise RuntimeError("rate exceeded its declared bound during thinning")
             accept = rng.random(active.size) * k_bound < q
@@ -836,7 +852,7 @@ def run_simulate(scenario):
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
     y = round_to_lattice(scenario.initial_state, total)
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
-    player1 = make_first_player_strategy(field, model, constants)
+    player1 = ControlWithGuideStrategy(field, model, "first", constants)
     player2 = _build_adversary(adv, field, model, constants, "second")
     rngs = [np.random.default_rng([scenario.seed, 0, i]) for i in range(episodes)]
     batch = run_episodes(model, y, partition, player1, player2, rngs,

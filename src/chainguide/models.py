@@ -5,9 +5,12 @@ system (a Kolmogorov matrix: nonnegative off-diagonals, zero row sums), the
 control grids of both players, and the terminal payoff. Player 1 (control u)
 minimizes the expected terminal payoff, player 2 (control v) maximizes it.
 
-Vectorized evaluation hooks exist because the simulation and solver hot
-paths evaluate rates at thousands of states per call; the scalar
-``rate_matrix`` is the only method a custom model must implement.
+A custom model implements two hooks, ``rate_matrix(t, x, u, v)`` and
+``terminal_payoff(x)``, both broadcasting over leading axes, so that one
+statement of the rates serves the single-candidate calls of the simulator
+and the thousands of states per call of the solver and guide paths. The
+grid, per-row and drift forms are derived from them; ``drift`` may be
+overridden with a closed form when the derived one is too slow.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex import as_coords, random_simplex_points
+from .simplex import as_coords, project_rows, random_simplex_points
 
 ROW_SUM_TOL = 1e-12
 
@@ -117,10 +120,18 @@ class ModelConstants:
 class RateModel:
     """Base class for controlled rate-matrix models.
 
-    Subclasses must set ``dimension``, ``horizon``, ``u_grid``, ``v_grid``
-    and implement ``rate_matrix`` and ``terminal_payoff``. The *_multi
-    hooks have correct (slow) defaults that loop over the scalar evaluator;
-    override them for models that are evaluated in bulk.
+    Subclasses set ``dimension``, ``horizon``, ``u_grid`` and ``v_grid``
+    and implement ``rate_matrix`` and ``terminal_payoff``. Both broadcast
+    over leading axes: t, u and v are scalars or arrays of a leading shape
+    S and x has shape S + (d,). ``rate_matrix`` returns S + (d, d) and may
+    leave out or keep at size 1 the axes its rates do not depend on;
+    ``terminal_payoff`` returns S. Every other form (the grid form, the
+    per-row form and the drift xQ) is derived from these two hooks.
+
+    ``drift`` may be overridden with a closed form for speed. A subclass
+    that redefines ``rate_matrix`` without redefining ``drift`` gets the
+    derived drift back, so an inherited closed form never describes other
+    rates than the model's own.
 
     Optional exact-constant declarations (``declared_k`` etc.) take
     precedence over sampled estimates; ``gamma_rate`` declares
@@ -137,75 +148,69 @@ class RateModel:
     declared_r: Optional[float] = None
     gamma_rate: Optional[float] = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "rate_matrix" in vars(cls) and "drift" not in vars(cls):
+            cls.drift = RateModel.drift
+
     # -- required -----------------------------------------------------------
     def rate_matrix(self, t, x, u, v):
-        """Rate matrix Q(t, x, u, v) as a (d, d) array; x is a coordinate vector."""
+        """Rate matrix Q(t, x, u, v), broadcast over leading axes: S + (d, d)."""
         raise NotImplementedError
 
     def terminal_payoff(self, x):
+        """Terminal payoff of x, broadcast over leading axes: S."""
         raise NotImplementedError
 
-    # -- vectorized defaults -------------------------------------------------
-    def rate_matrix_grid(self, t, x):
-        """Q over the full control grids: (nu, nv, d, d)."""
-        uu = self.u_grid.values()
-        vv = self.v_grid.values()
-        d = self.dimension
-        out = np.empty((uu.size, vv.size, d, d))
-        for a, u in enumerate(uu):
-            for b, v in enumerate(vv):
-                out[a, b] = self.rate_matrix(t, x, u, v)
-        return out
+    # -- optional -----------------------------------------------------------
+    def drift(self, t, x, u, v):
+        """Velocity xQ(t, x, u, v) of the normalized state: S + (d,)."""
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,...ij->...j", x, self.rate_matrix(t, x, u, v))
+
+    # -- derived forms ------------------------------------------------------
+    def rate_matrix_multi(self, t, xs, u, v):
+        """Q at many states: (n, d, d); t, u and v scalar or per row."""
+        xs = np.asarray(xs, dtype=float)
+        return np.broadcast_to(self.rate_matrix(t, xs, u, v), xs.shape + xs.shape[-1:])
 
     def rate_matrix_grid_multi(self, t, xs):
-        """Q over the grids at many states: (n, nu, nv, d, d); t scalar or (n,)."""
-        xs = np.asarray(xs, dtype=float)
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (xs.shape[0],))
-        out = np.empty((xs.shape[0], len(self.u_grid), len(self.v_grid),
-                        self.dimension, self.dimension))
-        for i in range(xs.shape[0]):
-            out[i] = self.rate_matrix_grid(ts[i], xs[i])
-        return out
-
-    def rate_matrix_multi(self, t, xs, u, v):
-        """Q at one control pair for many states: (n, d, d); t scalar or (n,)."""
-        xs = np.asarray(xs, dtype=float)
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (xs.shape[0],))
-        out = np.empty((xs.shape[0], self.dimension, self.dimension))
-        for i in range(xs.shape[0]):
-            out[i] = self.rate_matrix(ts[i], xs[i], u, v)
-        return out
+        """Q over the control grids at many states: (n, nu, nv, d, d); t scalar or (n,)."""
+        args, shape = self._grid_args(t, xs)
+        return np.broadcast_to(self.rate_matrix(*args), shape + (self.dimension,) * 2)
 
     def drift_grid_multi(self, t, xs):
-        """xQ over the grids at many states: (n, nu, nv, d)."""
-        xs = np.asarray(xs, dtype=float)
-        rates = self.rate_matrix_grid_multi(t, xs)
-        return np.einsum("ni,nuvij->nuvj", xs, rates)
+        """xQ over the control grids at many states: (n, nu, nv, d); t scalar or (n,)."""
+        args, shape = self._grid_args(t, xs)
+        return np.broadcast_to(self.drift(*args), shape + (self.dimension,))
 
-    def drift_control_values(self, t, xs, u_vals, v_vals):
-        """xQ at per-row control values: (n, d); t scalar or (n,)."""
+    def _grid_args(self, t, xs):
         xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        us = np.broadcast_to(np.asarray(u_vals, dtype=float), (n,))
-        vs = np.broadcast_to(np.asarray(v_vals, dtype=float), (n,))
-        out = np.empty((n, self.dimension))
-        for i in range(n):
-            out[i] = xs[i] @ self.rate_matrix(ts[i], xs[i], us[i], vs[i])
-        return out
+        uu = self.u_grid.values()
+        vv = self.v_grid.values()
+        args = (np.asarray(t, dtype=float)[..., None, None], xs[:, None, None, :], uu[:, None], vv)
+        return args, (xs.shape[0], uu.size, vv.size)
 
-    def terminal_payoff_multi(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.terminal_payoff(x) for x in xs])
+
+def role_grids(model, role):
+    """(own, opponent) control grids of a player: role "first" plays u, "second" plays v."""
+    if role == "first":
+        return model.u_grid, model.v_grid
+    if role == "second":
+        return model.v_grid, model.u_grid
+    raise ValueError("role must be 'first' or 'second'")
+
+
+def resolve_k(model, constants=None):
+    """The rate bound K: ``constants.k``, else the declared bound, else a sampled estimate."""
+    if constants is not None:
+        return constants.k
+    if model.declared_k is not None:
+        return model.declared_k
+    return estimate_constants(model).constants.k
 
 
 # -- derived quantities --------------------------------------------------------
-
-
-def drift(model, t, x, u, v):
-    """Instantaneous velocity xQ(t, x, u, v) of the normalized state."""
-    coords = as_coords(x, model.dimension)
-    return coords @ model.rate_matrix(t, coords, u, v)
 
 
 def control_surface(model, t, x, xi):
@@ -356,8 +361,7 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
     noise = rng.standard_normal((m - half, d))
     noise -= noise.mean(axis=1, keepdims=True)
     nearby = y1[half:] + spec.fd_spacing * noise
-    np.maximum(nearby, 0.0, out=nearby)
-    nearby /= nearby.sum(axis=1, keepdims=True)
+    project_rows(nearby)
     y2[half:] = nearby
     tp = rng.uniform(0.0, model.horizon, size=m)
     gap = np.linalg.norm(y1 - y2, axis=1)
@@ -371,8 +375,8 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
     witnesses["l"] = (float(tp[idx[0]]), y1[idx[0]].copy(), y2[idx[0]].copy(),
                       model.u_grid[idx[1]], model.v_grid[idx[2]])
 
-    s1 = model.terminal_payoff_multi(y1)
-    s2 = model.terminal_payoff_multi(y2)
+    s1 = model.terminal_payoff(y1)
+    s2 = model.terminal_payoff(y2)
     payoff_slopes = np.abs(s1 - s2) / np.where(ok, gap, np.inf)
     flat = int(np.argmax(payoff_slopes))
     sampled_r = float(payoff_slopes[flat])
@@ -452,26 +456,10 @@ class ZeroModel(RateModel):
         self.payoff_coordinate = int(payoff_coordinate)
 
     def rate_matrix(self, t, x, u, v):
-        return np.zeros((self.dimension, self.dimension))
-
-    def rate_matrix_grid_multi(self, t, xs):
-        n = np.asarray(xs).shape[0]
-        return np.zeros((n, 2, 2, self.dimension, self.dimension))
-
-    def rate_matrix_multi(self, t, xs, u, v):
-        return np.zeros((np.asarray(xs).shape[0], self.dimension, self.dimension))
-
-    def drift_grid_multi(self, t, xs):
-        return np.zeros((np.asarray(xs).shape[0], 2, 2, self.dimension))
-
-    def drift_control_values(self, t, xs, u_vals, v_vals):
-        return np.zeros_like(np.asarray(xs, dtype=float))
+        return np.zeros(np.broadcast(u, v).shape + (self.dimension, self.dimension))
 
     def terminal_payoff(self, x):
-        return float(x[self.payoff_coordinate])
-
-    def terminal_payoff_multi(self, xs):
-        return np.asarray(xs, dtype=float)[:, self.payoff_coordinate].copy()
+        return np.asarray(x, dtype=float)[..., self.payoff_coordinate]
 
 
 class TwoTypeModel(RateModel):
@@ -502,48 +490,27 @@ class TwoTypeModel(RateModel):
         self.gamma_rate = 0.0
 
     def rate_matrix(self, t, x, u, v):
-        return np.array([[-u, u], [v, -v]], dtype=float)
+        # rates depend on the controls only; the simulator calls this per
+        # thinning candidate, so the leading shape is taken from u and v alone
+        q = np.empty(np.broadcast(u, v).shape + (2, 2))
+        q[..., 0, 0] = -u
+        q[..., 0, 1] = u
+        q[..., 1, 0] = v
+        q[..., 1, 1] = -v
+        return q
 
-    def rate_matrix_grid_multi(self, t, xs):
-        n = np.asarray(xs).shape[0]
-        uu = self.u_grid.values()
-        vv = self.v_grid.values()
-        out = np.zeros((n, uu.size, vv.size, 2, 2))
-        out[:, :, :, 0, 0] = -uu[None, :, None]
-        out[:, :, :, 0, 1] = uu[None, :, None]
-        out[:, :, :, 1, 0] = vv[None, None, :]
-        out[:, :, :, 1, 1] = -vv[None, None, :]
-        return out
-
-    def rate_matrix_multi(self, t, xs, u, v):
-        n = np.asarray(xs).shape[0]
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = -u
-        out[:, 0, 1] = u
-        out[:, 1, 0] = v
-        out[:, 1, 1] = -v
-        return out
-
-    def drift_grid_multi(self, t, xs):
-        xs = np.asarray(xs, dtype=float)
-        uu = self.u_grid.values()
-        vv = self.v_grid.values()
-        flow = -xs[:, 0, None, None] * uu[None, :, None] + xs[:, 1, None, None] * vv[None, None, :]
+    def drift(self, t, x, u, v):
+        # closed form of xQ: the derived einsum form is far slower on the
+        # guide and value-solve paths
+        x = np.asarray(x, dtype=float)
+        flow = -x[..., 0] * u + x[..., 1] * v
         out = np.empty(flow.shape + (2,))
         out[..., 0] = flow
         out[..., 1] = -flow
         return out
 
-    def drift_control_values(self, t, xs, u_vals, v_vals):
-        xs = np.asarray(xs, dtype=float)
-        flow = -xs[:, 0] * u_vals + xs[:, 1] * v_vals
-        return np.stack([flow, -flow], axis=-1)
-
     def terminal_payoff(self, x):
-        return float(x[0])
-
-    def terminal_payoff_multi(self, xs):
-        return np.asarray(xs, dtype=float)[:, 0].copy()
+        return np.asarray(x, dtype=float)[..., 0]
 
 
 class ThreeTypeRotorModel(RateModel):
@@ -581,68 +548,23 @@ class ThreeTypeRotorModel(RateModel):
         return 0.5 + 0.5 * c * c
 
     def rate_matrix(self, t, x, u, v):
-        q = np.zeros((3, 3))
-        q[0, 1] = u * self._pulse(t)
-        q[1, 2] = 0.3 + 0.5 * u * x[0]
-        q[1, 0] = 0.2 * v * (1.0 - x[2])
-        q[2, 0] = v * self._counter_pulse(t)
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
+        x = np.asarray(x, dtype=float)
+        q01 = u * self._pulse(t)
+        q12 = 0.3 + 0.5 * u * x[..., 0]
+        q10 = 0.2 * v * (1.0 - x[..., 2])
+        q20 = v * self._counter_pulse(t)
+        q = np.zeros(np.broadcast(q01, q12, q10, q20).shape + (3, 3))
+        q[..., 0, 1] = q01
+        q[..., 1, 2] = q12
+        q[..., 1, 0] = q10
+        q[..., 2, 0] = q20
+        q[..., 0, 0] = -q[..., 0, 1]
+        q[..., 1, 1] = -(q[..., 1, 0] + q[..., 1, 2])
+        q[..., 2, 2] = -q[..., 2, 0]
         return q
 
-    def rate_matrix_grid_multi(self, t, xs):
-        xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        uu = self.u_grid.values()
-        vv = self.v_grid.values()
-        out = np.zeros((n, uu.size, vv.size, 3, 3))
-        pulse = self._pulse(ts)[:, None, None]
-        counter = self._counter_pulse(ts)[:, None, None]
-        out[:, :, :, 0, 1] = uu[None, :, None] * pulse
-        out[:, :, :, 1, 2] = 0.3 + 0.5 * uu[None, :, None] * xs[:, 0, None, None]
-        out[:, :, :, 1, 0] = 0.2 * vv[None, None, :] * (1.0 - xs[:, 2, None, None])
-        out[:, :, :, 2, 0] = vv[None, None, :] * counter
-        out[:, :, :, 0, 0] = -out[:, :, :, 0, 1]
-        out[:, :, :, 1, 1] = -(out[:, :, :, 1, 0] + out[:, :, :, 1, 2])
-        out[:, :, :, 2, 2] = -out[:, :, :, 2, 0]
-        return out
-
-    def rate_matrix_multi(self, t, xs, u, v):
-        xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        out = np.zeros((n, 3, 3))
-        out[:, 0, 1] = u * self._pulse(ts)
-        out[:, 1, 2] = 0.3 + 0.5 * u * xs[:, 0]
-        out[:, 1, 0] = 0.2 * v * (1.0 - xs[:, 2])
-        out[:, 2, 0] = v * self._counter_pulse(ts)
-        out[:, 0, 0] = -out[:, 0, 1]
-        out[:, 1, 1] = -(out[:, 1, 0] + out[:, 1, 2])
-        out[:, 2, 2] = -out[:, 2, 0]
-        return out
-
-    def drift_control_values(self, t, xs, u_vals, v_vals):
-        xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        us = np.broadcast_to(np.asarray(u_vals, dtype=float), (n,))
-        vs = np.broadcast_to(np.asarray(v_vals, dtype=float), (n,))
-        f01 = xs[:, 0] * us * self._pulse(ts)
-        f12 = xs[:, 1] * (0.3 + 0.5 * us * xs[:, 0])
-        f10 = xs[:, 1] * 0.2 * vs * (1.0 - xs[:, 2])
-        f20 = xs[:, 2] * vs * self._counter_pulse(ts)
-        out = np.empty((n, 3))
-        out[:, 0] = f10 + f20 - f01
-        out[:, 1] = f01 - f12 - f10
-        out[:, 2] = f12 - f20
-        return out
-
     def terminal_payoff(self, x):
-        return float(x[2])
-
-    def terminal_payoff_multi(self, xs):
-        return np.asarray(xs, dtype=float)[:, 2].copy()
+        return np.asarray(x, dtype=float)[..., 2]
 
 
 # -- registry ---------------------------------------------------------------------

@@ -48,12 +48,25 @@ def project_to_simplex(coords, limit=PROJECTION_LIMIT):
 
 
 def project_rows(points):
-    """In-place clip+renormalize for a batch of row vectors; returns max displacement."""
-    before = points.copy()
+    """In-place clip+renormalize for a batch of row vectors.
+
+    Returns how far the rows were off the simplex: the largest clipped
+    negative coordinate or deviation of a row total from 1.
+    """
+    lowest = float(points.min())
     np.maximum(points, 0.0, out=points)
     total = points.sum(axis=-1, keepdims=True)
     points /= total
-    return float(np.max(np.linalg.norm(points - before, axis=-1)))
+    return max(-lowest, float(np.max(np.abs(total - 1.0))))
+
+
+def rk4_step(rate, t, y, dt):
+    """One classic fourth-order Runge-Kutta step of dy/dt = rate(t, y)."""
+    k1 = rate(t, y)
+    k2 = rate(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rate(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rate(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)

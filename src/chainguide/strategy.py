@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .chain import simulate_chain
-from .guide import advance_guides
-from .models import estimate_constants
-from .simplex import LatticeState, as_coords
+from .guide import advance_guides, guide_advance, init_guide
+from .models import resolve_k, role_grids
+from .simplex import LatticeState, as_coords, project_rows
 from .value import monotonicity_tolerance
 
 
@@ -89,24 +89,18 @@ def extremal_indices(model, t, xs, guides, role):
     return own, reply
 
 
-def extremal_controls(model, t_star, x_star, w_star):
-    """Player-1 extremal pair (u*, v*) at one position.
+def extremal_controls(model, t_star, x_star, w_star, role):
+    """Extremal pair (own control, announced reply) of one player at one position.
 
-    u* attains min over u of max over v of the displacement growth rate,
-    v* attains max over v of min over u of the same quantity.
+    Role "first" returns (u*, v*): u* attains min over u of max over v of
+    the displacement growth rate, v* attains max over v of min over u of
+    the same quantity. Role "second" returns (v*, u*) by the mirrored rules.
     """
     xs = as_coords(x_star, model.dimension)[None, :]
     ws = as_coords(w_star, model.dimension)[None, :]
-    own, reply = extremal_indices(model, t_star, xs, ws, "first")
-    return model.u_grid[int(own[0])], model.v_grid[int(reply[0])]
-
-
-def extremal_controls_second(model, t_star, x_star, w_star):
-    """Player-2 extremal pair (v*, u*): the mirrored selection rules."""
-    xs = as_coords(x_star, model.dimension)[None, :]
-    ws = as_coords(w_star, model.dimension)[None, :]
-    own, reply = extremal_indices(model, t_star, xs, ws, "second")
-    return model.v_grid[int(own[0])], model.u_grid[int(reply[0])]
+    own, reply = extremal_indices(model, t_star, xs, ws, role)
+    own_grid, reply_grid = role_grids(model, role)
+    return own_grid[int(own[0])], reply_grid[int(reply[0])]
 
 
 # -- strategies ----------------------------------------------------------------
@@ -131,43 +125,28 @@ class ControlWithGuideStrategy:
         self.role = role
         self.ode_step = float(ode_step)
         self.lam_points = int(lam_points)
-        k_bound = (constants.k if constants is not None else
-                   model.declared_k if model.declared_k is not None else
-                   estimate_constants(model).constants.k)
-        self.value_slack = float(monotonicity_tolerance(field, k_bound))
+        self.value_slack = float(monotonicity_tolerance(field, resolve_k(model, constants)))
 
     @property
     def own_grid(self):
-        return self.model.u_grid if self.role == "first" else self.model.v_grid
+        return role_grids(self.model, self.role)[0]
 
     def step_slack(self, t_star, t_plus):
         return self.value_slack * (t_plus - t_star) / self.field.horizon
 
     # scalar interface ---------------------------------------------------------
     def control(self, t, x, w):
-        xs = as_coords(x, self.model.dimension)[None, :]
-        ws = as_coords(w, self.model.dimension)[None, :]
-        own, _ = extremal_indices(self.model, t, xs, ws, self.role)
-        return self.own_grid[int(own[0])]
+        return extremal_controls(self.model, t, x, w, self.role)[0]
 
     def init_guide(self, s, y):
-        from .guide import init_guide
-
         return init_guide(s, y)
 
     def update_guide(self, t_plus, t, x, w):
         """Announced-reply selection followed by the monotone hull advance."""
-        xs = as_coords(x, self.model.dimension)[None, :]
-        ws = as_coords(w, self.model.dimension)[None, :]
-        _, reply = extremal_indices(self.model, t, xs, ws, self.role)
-        endpoints, v0, v1, violated, cand = advance_guides(
-            self.field, self.model, t, t_plus, ws, reply, self.role,
-            slack=self.step_slack(t, t_plus),
-            ode_step=self.ode_step, lam_points=self.lam_points)
-        from .guide import GuideState, GuideStep
-
-        return GuideStep(GuideState(endpoints[0], t_plus), float(v0[0]),
-                         float(v1[0]), bool(violated[0]), int(cand[0]))
+        _, reply = extremal_controls(self.model, t, x, w, self.role)
+        return guide_advance(self.field, self.model, t, t_plus, w, reply, self.role,
+                             slack=self.step_slack(t, t_plus),
+                             ode_step=self.ode_step, lam_points=self.lam_points)
 
     # batch interface used by the episode runner -------------------------------
     def select_batch(self, t, xs, guides):
@@ -179,16 +158,6 @@ class ControlWithGuideStrategy:
             self.field, self.model, t, t_plus, guides, reply_idx, self.role,
             slack=self.step_slack(t, t_plus),
             ode_step=self.ode_step, lam_points=self.lam_points)
-
-
-def make_first_player_strategy(field, model, constants=None, **kwargs):
-    """Extremal-shift control with guide for the minimizing player."""
-    return ControlWithGuideStrategy(field, model, "first", constants, **kwargs)
-
-
-def make_second_player_strategy(field, model, constants=None, **kwargs):
-    """Extremal-shift control with guide for the maximizing player."""
-    return ControlWithGuideStrategy(field, model, "second", constants, **kwargs)
 
 
 # -- plain control policies -----------------------------------------------------
@@ -233,12 +202,10 @@ class GreedyPolicy(ControlPolicy):
     def step_values(self, t, counts, h, rngs):
         xs = counts * h
         drifts = self.model.drift_grid_multi(t, xs)
-        n, nu, nv, d = drifts.shape
         probes = xs[:, None, None, :] + self.probe * drifts
-        np.maximum(probes, 0.0, out=probes)
-        probes /= probes.sum(axis=-1, keepdims=True)
-        gains = (self.model.terminal_payoff_multi(probes.reshape(-1, d)).reshape(n, nu, nv)
-                 - self.model.terminal_payoff_multi(xs)[:, None, None])
+        project_rows(probes)
+        gains = (self.model.terminal_payoff(probes)
+                 - self.model.terminal_payoff(xs)[:, None, None])
         if self.role == "second":
             idx = np.argmax(gains.min(axis=1), axis=1)
             return self.model.v_grid.values()[idx]
@@ -405,7 +372,7 @@ def run_episodes(model, y, partition, player1, player2, rngs,
                 rec_g2v[:, k] = g2v
                 rec_f2[:, k] = flags2
 
-    payoffs = model.terminal_payoff_multi(counts * h)
+    payoffs = model.terminal_payoff(counts * h)
     batch = EpisodeBatch(
         payoffs=payoffs,
         violation_fraction1=viol1 / steps,

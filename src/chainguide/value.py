@@ -15,12 +15,13 @@ import json
 from dataclasses import dataclass
 import numpy as np
 
-from .models import estimate_constants
+from .models import resolve_k
 from .simplex import (
     LatticeCapError,
     ProjectionError,
     as_coords,
     enumerate_lattice_counts,
+    project_rows,
     random_simplex_points,
 )
 
@@ -216,7 +217,7 @@ def solve_value(model, n_t, grid, constants=None, projection_limit=1e-6):
     d = model.dimension
     if grid.dimension != d:
         raise ValueError("grid dimension does not match the model")
-    k_bound = constants.k if constants is not None else _rate_bound(model)
+    k_bound = resolve_k(model, constants)
     delta = model.horizon / n_t
     if delta * k_bound * np.sqrt(d) > 1.0 or delta * (d - 1) * k_bound > 1.0:
         raise ValueError(
@@ -225,35 +226,20 @@ def solve_value(model, n_t, grid, constants=None, projection_limit=1e-6):
     nodes = grid.nodes
     n_nodes = grid.node_count
     table = np.empty((n_t + 1, n_nodes))
-    table[n_t] = model.terminal_payoff_multi(nodes)
+    table[n_t] = model.terminal_payoff(nodes)
     nu = len(model.u_grid)
     nv = len(model.v_grid)
     for k in range(n_t - 1, -1, -1):
         drifts = model.drift_grid_multi(times[k], nodes)
         shifted = nodes[:, None, None, :] + delta * drifts
         flat = shifted.reshape(-1, d)
-        worst = _project_rows_checked(flat, projection_limit)
+        worst = project_rows(flat)
         vals = grid.interpolate(table[k + 1], flat).reshape(n_nodes, nu, nv)
         table[k] = vals.max(axis=2).min(axis=1)
         if worst > projection_limit:
             raise ProjectionError(
                 f"drift left the simplex by {worst:.3e} at slice {k}")
     return ValueField(grid, times, table)
-
-
-def _project_rows_checked(points, limit):
-    before_neg = points.min()
-    np.maximum(points, 0.0, out=points)
-    totals = points.sum(axis=1, keepdims=True)
-    worst_total = float(np.max(np.abs(totals - 1.0)))
-    points /= totals
-    return max(float(-min(before_neg, 0.0)), worst_total)
-
-
-def _rate_bound(model):
-    if model.declared_k is not None:
-        return model.declared_k
-    return estimate_constants(model).constants.k
 
 
 def monotonicity_tolerance(field, k_bound, c_scale=5.0):
@@ -289,26 +275,17 @@ def verify_supersolution(field, model, samples=200, step=0.01, seed=0,
     tolerance. Reports violations; a genuine supersolution surrogate on an
     adequate grid yields none.
     """
+    from .guide import CandidateFamily  # guide imports this module
+
     rng = np.random.default_rng(seed)
     d = model.dimension
     if tolerance is None:
-        k_bound = constants.k if constants is not None else _rate_bound(model)
-        tolerance = monotonicity_tolerance(field, k_bound)
+        tolerance = monotonicity_tolerance(field, resolve_k(model, constants))
     horizon = field.horizon
     ts = rng.uniform(0.0, max(horizon - step, 0.0), size=samples)
     xs = random_simplex_points(rng, samples, d)
-    u_vals = model.u_grid.values()
-    lam = np.linspace(0.0, 1.0, lam_points)
-    # candidate u weights: pure grid points then adjacent-pair mixtures
-    cand_u1 = list(range(len(u_vals)))
-    cand_u2 = list(range(len(u_vals)))
-    cand_lam = [1.0] * len(u_vals)
-    for a in range(len(u_vals) - 1):
-        for w in lam:
-            cand_u1.append(a)
-            cand_u2.append(a + 1)
-            cand_lam.append(float(w))
-    nc = len(cand_lam)
+    family = CandidateFamily.build(len(model.u_grid), lam_points)
+    weight = family.weight[:, None]
     violations = 0
     checked = 0
     worst = -np.inf
@@ -319,11 +296,9 @@ def verify_supersolution(field, model, samples=200, step=0.01, seed=0,
         drifts = model.drift_grid_multi(t0, x0[None, :])[0]  # (nu, nv, d)
         for b in range(len(model.v_grid)):
             du = drifts[:, b, :]
-            mixed = (np.asarray(cand_lam)[:, None] * du[cand_u1]
-                     + (1.0 - np.asarray(cand_lam))[:, None] * du[cand_u2])
+            mixed = weight * du[family.first_idx] + (1.0 - weight) * du[family.second_idx]
             endpoints = x0[None, :] + step * mixed
-            np.maximum(endpoints, 0.0, out=endpoints)
-            endpoints /= endpoints.sum(axis=1, keepdims=True)
+            project_rows(endpoints)
             vals = field.eval_batch(t0 + step, endpoints)
             slack = float(vals.min() - base)
             worst = max(worst, slack)

@@ -155,9 +155,6 @@ def test_master_evolve_flags_bad_steps():
         def rate_matrix(self, t, x, u, v):
             return 40.0 * super().rate_matrix(t, x, u, v)
 
-        def rate_matrix_multi(self, t, xs, u, v):
-            return 40.0 * super().rate_matrix_multi(t, xs, u, v)
-
     model = StiffModel()
     space = lattice_space(2, 8)
     dist = Distribution.point_mass(space, LatticeState([8, 0]))
@@ -171,6 +168,37 @@ def test_simulator_matches_master_equation_tv():
     emp, _ = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     space = emp.space
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(space, y), 1.0, 0.0)
+    assert tv_distance(emp, oracle) <= 0.02
+
+
+class DoubledTwoType(TwoTypeModel):
+    """Redefines rate_matrix only: every derived form must follow it."""
+
+    def __init__(self):
+        super().__init__()
+        self.declared_k = 2.0
+        self.declared_l = 4.0
+
+    def rate_matrix(self, t, x, u, v):
+        return 2.0 * super().rate_matrix(t, x, u, v)
+
+
+def test_rate_matrix_override_reaches_every_form():
+    model = DoubledTwoType()
+    base = TwoTypeModel()
+    rng = np.random.default_rng(3)
+    xs = rng.dirichlet(np.ones(2), size=6)
+    ts = rng.uniform(0.0, 1.0, size=6)
+    us = rng.choice(base.u_grid.points, size=6)
+    vs = rng.choice(base.v_grid.points, size=6)
+    assert np.allclose(model.rate_matrix_multi(ts, xs, us, vs),
+                       2.0 * base.rate_matrix_multi(ts, xs, us, vs))
+    assert np.allclose(model.drift(ts, xs, us, vs), 2.0 * base.drift(ts, xs, us, vs))
+    assert np.allclose(model.drift_grid_multi(ts, xs), 2.0 * base.drift_grid_multi(ts, xs))
+    # the simulator reads rate_matrix and the oracle the per-row form
+    y = LatticeState([4, 0])
+    emp, _ = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
+    oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
 
 

@@ -4,8 +4,7 @@ import pytest
 from chainguide.guide import (
     CandidateFamily,
     GuideState,
-    guide_advance_first,
-    guide_advance_second,
+    guide_advance,
     init_guide,
     integrate_characteristic,
 )
@@ -76,7 +75,7 @@ def test_guide_advance_first_descends_value(two_type_field):
     # from the all-type-1 corner the exact value is preserved along u = 1 and
     # falls along anything the scheme might prefer; the numeric field may
     # wobble within the per-step slack but must not be flagged
-    step = guide_advance_first(field, model, 0.0, 0.01, np.array([1.0, 0.0]), 1.0)
+    step = guide_advance(field, model, 0.0, 0.01, np.array([1.0, 0.0]), 1.0, "first")
     assert not step.violation
     assert step.value_end <= step.value_start + 1e-4
     assert step.state.w[0] == pytest.approx(saturated_mix_fraction(1.0, 0.01), abs=1e-4)
@@ -85,7 +84,7 @@ def test_guide_advance_first_descends_value(two_type_field):
 def test_guide_advance_second_climbs_value(two_type_field):
     model, field = two_type_field
     # from the all-type-2 corner player 2 pushes mass back toward type 1
-    step = guide_advance_second(field, model, 0.0, 0.01, np.array([0.0, 1.0]), 1.0)
+    step = guide_advance(field, model, 0.0, 0.01, np.array([0.0, 1.0]), 1.0, "second")
     assert not step.violation
     assert step.value_end >= step.value_start - 1e-4
     assert step.state.w[0] == pytest.approx(0.01, abs=1e-4)
@@ -96,7 +95,7 @@ def test_guide_advance_zero_model_stays_put():
     grid = build_simplex_grid(2, 20)
     field = solve_value(model, 20, grid)
     w0 = np.array([0.35, 0.65])
-    step = guide_advance_first(field, model, 0.0, 0.05, w0, 0.0)
+    step = guide_advance(field, model, 0.0, 0.05, w0, 0.0, "first")
     assert np.allclose(step.state.w, w0, atol=1e-12)
     assert not step.violation
     assert step.value_end == pytest.approx(step.value_start, abs=1e-12)
@@ -107,7 +106,7 @@ def test_guide_constant_field_picks_lowest_index(two_type_field):
     grid = build_simplex_grid(2, 30)
     times = np.linspace(0.0, 1.0, 31)
     flat = ValueField(grid, times, np.full((31, grid.node_count), 0.4))
-    step = guide_advance_first(flat, model, 0.0, 0.02, np.array([0.6, 0.4]), 0.5)
+    step = guide_advance(flat, model, 0.0, 0.02, np.array([0.6, 0.4]), 0.5, "first")
     # every candidate ties at 0.4, so the first pure control (u = 0) wins
     assert step.candidate == 0
     expect = integrate_characteristic(model, 0.0, 0.02, np.array([0.6, 0.4]), 0.0, 0.5)
@@ -124,7 +123,7 @@ def test_guide_speed_bound(two_type_field):
         dt = rng.uniform(0.002, 0.05)
         t0 = rng.uniform(0.0, 1.0 - dt)
         v_star = rng.choice(model.v_grid.points)
-        step = guide_advance_first(field, model, t0, t0 + dt, w, v_star)
+        step = guide_advance(field, model, t0, t0 + dt, w, v_star, "first")
         assert np.linalg.norm(step.state.w - w) <= k * np.sqrt(2) * dt + 1e-9
 
 
@@ -136,7 +135,7 @@ def test_guide_violation_flagged_not_fatal(two_type_field):
     # corner the adversary's v = 1 pushes x1 (and hence the field) up no
     # matter which u-mixture the hull offers
     frozen = ValueField(grid, times, np.tile(grid.nodes[:, 0], (41, 1)))
-    step = guide_advance_first(frozen, model, 0.0, 0.2, np.array([0.0, 1.0]), 1.0,
+    step = guide_advance(frozen, model, 0.0, 0.2, np.array([0.0, 1.0]), 1.0, "first",
                                slack=0.0)
     assert step.violation
     assert step.value_end > step.value_start
@@ -150,8 +149,8 @@ def test_mirror_symmetry_of_guide_advances(two_type_field):
     mirror_table = 1.0 - field.table[:, ::-1]
     mirror = ValueField(field.grid, field.times, mirror_table)
     w = np.array([0.8, 0.2])
-    a = rev = guide_advance_second(field, model, 0.2, 0.22, w, 1.0)
-    b = guide_advance_first(mirror, model, 0.2, 0.22, w[::-1], 1.0)
+    a = rev = guide_advance(field, model, 0.2, 0.22, w, 1.0, "second")
+    b = guide_advance(mirror, model, 0.2, 0.22, w[::-1], 1.0, "first")
     assert b.candidate == a.candidate
     assert np.allclose(b.state.w, a.state.w[::-1], atol=1e-9)
     assert b.value_end == pytest.approx(1.0 - a.value_end, abs=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainguide.models import (
     ControlGrid,
@@ -13,7 +14,6 @@ from chainguide.models import (
     build_model,
     control_surface,
     coupling_constants,
-    drift,
     estimate_constants,
     hamiltonian,
     isaacs_gap,
@@ -85,10 +85,10 @@ def test_validate_flags_negative_off_diagonal():
 
 def test_drift_two_type_examples():
     m = TwoTypeModel()
-    assert np.allclose(drift(m, 0.0, np.array([0.5, 0.5]), 1.0, 0.0), [-0.5, 0.5])
-    assert np.allclose(drift(m, 0.0, np.array([0.6, 0.4]), 1.0, 1.0), [-0.2, 0.2])
+    assert np.allclose(m.drift(0.0, np.array([0.5, 0.5]), 1.0, 0.0), [-0.5, 0.5])
+    assert np.allclose(m.drift(0.0, np.array([0.6, 0.4]), 1.0, 1.0), [-0.2, 0.2])
     z = ZeroModel()
-    assert np.allclose(drift(z, 0.3, np.array([0.25, 0.75]), 1.0, 1.0), [0.0, 0.0])
+    assert np.allclose(z.drift(0.3, np.array([0.25, 0.75]), 1.0, 1.0), [0.0, 0.0])
 
 
 def test_drift_sums_to_zero_and_speed_bound():
@@ -101,7 +101,7 @@ def test_drift_sums_to_zero_and_speed_bound():
             t = rng.uniform(0, m.horizon)
             u = rng.choice(m.u_grid.points)
             v = rng.choice(m.v_grid.points)
-            vel = drift(m, t, x, u, v)
+            vel = m.drift(t, x, u, v)
             assert abs(vel.sum()) <= 1e-12
             assert np.linalg.norm(vel) <= k * np.sqrt(d) + 1e-12
 
@@ -158,23 +158,79 @@ def test_isaacs_gap_zero_costate():
 
 
 def test_vectorized_hooks_match_scalar():
+    # the derived forms against plain loops over scalar calls of the two hooks
     rng = np.random.default_rng(23)
-    for m in (TwoTypeModel(), ThreeTypeRotorModel()):
+    for m in (ZeroModel(), TwoTypeModel(), ThreeTypeRotorModel()):
         xs = rng.dirichlet(np.ones(m.dimension), size=17)
         ts = rng.uniform(0, m.horizon, size=17)
         grid = m.rate_matrix_grid_multi(ts, xs)
+        drifts = m.drift_grid_multi(ts, xs)
+        assert grid.shape == (17, len(m.u_grid), len(m.v_grid), m.dimension, m.dimension)
         for i in (0, 5, 16):
             for a, u in enumerate(m.u_grid.points):
                 for b, v in enumerate(m.v_grid.points):
-                    assert np.allclose(grid[i, a, b], m.rate_matrix(ts[i], xs[i], u, v), atol=1e-15)
+                    q = m.rate_matrix(ts[i], xs[i], u, v)
+                    assert np.allclose(grid[i, a, b], q, atol=1e-15)
+                    assert np.allclose(drifts[i, a, b], xs[i] @ q, atol=1e-15)
         u_vals = rng.choice(m.u_grid.points, size=17)
         v_vals = rng.choice(m.v_grid.points, size=17)
-        fast = m.drift_control_values(ts, xs, u_vals, v_vals)
-        slow = RateModel.drift_control_values(m, ts, xs, u_vals, v_vals)
-        assert np.allclose(fast, slow, atol=1e-14)
+        rows = m.rate_matrix_multi(ts, xs, u_vals, v_vals)
+        fast = m.drift(ts, xs, u_vals, v_vals)
+        for i in range(17):
+            q = m.rate_matrix(ts[i], xs[i], u_vals[i], v_vals[i])
+            assert np.allclose(rows[i], q, atol=1e-15)
+            assert np.allclose(fast[i], xs[i] @ q, atol=1e-14)
         single = m.rate_matrix_multi(ts, xs, u_vals[0], v_vals[0])
         for i in (0, 16):
             assert np.allclose(single[i], m.rate_matrix(ts[i], xs[i], u_vals[0], v_vals[0]))
+        payoffs = m.terminal_payoff(xs)
+        assert payoffs.shape == (17,)
+        assert all(payoffs[i] == m.terminal_payoff(xs[i]) for i in range(17))
+
+
+BUNDLED_MODELS = (ZeroModel(), ZeroModel(dimension=3), TwoTypeModel(), ThreeTypeRotorModel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_forms_equal_direct_broadcast_call(data):
+    m = data.draw(st.sampled_from(BUNDLED_MODELS))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    weights = np.array(data.draw(st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=m.dimension,
+                 max_size=m.dimension), min_size=n, max_size=n))) + 1e-3
+    xs = weights / weights.sum(axis=1, keepdims=True)
+    ts = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=m.horizon),
+                                     min_size=n, max_size=n)))
+    d = m.dimension
+    uu, vv = m.u_grid.values(), m.v_grid.values()
+    nu, nv = uu.size, vv.size
+
+    # grid forms against one direct call on the flattened (state, u, v) rows
+    t_rows = np.repeat(ts, nu * nv)
+    x_rows = np.repeat(xs, nu * nv, axis=0)
+    u_rows = np.tile(np.repeat(uu, nv), n)
+    v_rows = np.tile(vv, n * nu)
+    direct = np.broadcast_to(m.rate_matrix(t_rows, x_rows, u_rows, v_rows), (n * nu * nv, d, d))
+    np.testing.assert_allclose(m.rate_matrix_grid_multi(ts, xs).reshape(-1, d, d), direct,
+                               rtol=0, atol=1e-15)
+    reference_drift = RateModel.drift(m, t_rows, x_rows, u_rows, v_rows)
+    np.testing.assert_allclose(m.drift(t_rows, x_rows, u_rows, v_rows), reference_drift,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(m.drift_grid_multi(ts, xs).reshape(-1, d), reference_drift,
+                               rtol=0, atol=1e-15)
+
+    # per-row form, with per-row and with shared controls
+    us = uu[data.draw(st.lists(st.integers(0, nu - 1), min_size=n, max_size=n))]
+    vs = vv[data.draw(st.lists(st.integers(0, nv - 1), min_size=n, max_size=n))]
+    np.testing.assert_allclose(m.rate_matrix_multi(ts, xs, us, vs),
+                               np.broadcast_to(m.rate_matrix(ts, xs, us, vs), (n, d, d)),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(m.rate_matrix_multi(ts[0], xs, us[0], vs[0]),
+                               [m.rate_matrix(ts[0], x, us[0], vs[0]) for x in xs],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(m.terminal_payoff(xs), [m.terminal_payoff(x) for x in xs],
+                               rtol=0, atol=0)
 
 
 def test_estimate_constants_two_type():

@@ -5,15 +5,13 @@ from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaa
 from chainguide.simplex import LatticeState
 from chainguide.strategy import (
     ConstantPolicy,
+    ControlWithGuideStrategy,
     GreedyPolicy,
     Partition,
     RandomPolicy,
     TrajectoryRecord,
     displacement_surface,
     extremal_controls,
-    extremal_controls_second,
-    make_first_player_strategy,
-    make_second_player_strategy,
     run_episode,
     run_episodes,
 )
@@ -40,13 +38,13 @@ def test_partition_basics():
 def test_extremal_controls_examples():
     model = TwoTypeModel()
     # zero displacement: objective vanishes, lowest grid indices win
-    u, v = extremal_controls(model, 0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    u, v = extremal_controls(model, 0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), "first")
     assert (u, v) == (0.0, 0.0)
     # chain above guide: push down with u=1; adversary pushes up with v=1
-    u, v = extremal_controls(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]))
+    u, v = extremal_controls(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]), "first")
     assert (u, v) == (1.0, 1.0)
     # chain below guide: signs flip
-    u, v = extremal_controls(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]))
+    u, v = extremal_controls(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]), "first")
     assert (u, v) == (0.0, 0.0)
 
 
@@ -57,7 +55,7 @@ def test_extremal_controls_brute_force_certificates():
         x = rng.dirichlet(np.ones(3))
         w = rng.dirichlet(np.ones(3))
         t = rng.uniform(0, 1)
-        u_star, v_star = extremal_controls(model, t, x, w)
+        u_star, v_star = extremal_controls(model, t, x, w, "first")
         s = displacement_surface(model, t, x[None, :], (x - w)[None, :])[0]
         ui = model.u_grid.index_of(u_star)
         vi = model.v_grid.index_of(v_star)
@@ -76,26 +74,27 @@ def test_extremal_selection_scale_invariant():
         x = rng.dirichlet(np.ones(2))
         w = rng.dirichlet(np.ones(2))
         t = rng.uniform(0, 1)
-        base = extremal_controls(model, t, x, w)
-        shrunk = extremal_controls(model, t, x, x + 0.013 * (w - x) / max(np.linalg.norm(w - x), 1e-12))
+        base = extremal_controls(model, t, x, w, "first")
+        nearby = x + 0.013 * (w - x) / max(np.linalg.norm(w - x), 1e-12)
+        shrunk = extremal_controls(model, t, x, nearby, "first")
         assert base == shrunk
 
 
 def test_second_player_selection_mirrors():
     model = TwoTypeModel()
     # chain above player 2's guide: she pulls x1 down with v=0 and expects u=0
-    v, u = extremal_controls_second(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]))
+    v, u = extremal_controls(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]), "second")
     assert v == 0.0
     assert u == 0.0
     # chain below: push up with v=1, anticipated u=1
-    v, u = extremal_controls_second(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]))
+    v, u = extremal_controls(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]), "second")
     assert v == 1.0
     assert u == 1.0
 
 
 def test_strategy_selector_matches_displacement_sign(two_type_setup):
     model, field = two_type_setup
-    strat = make_first_player_strategy(field, model)
+    strat = ControlWithGuideStrategy(field, model, "first")
     # equal start: lowest-index control
     assert strat.control(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
     # chain above guide: drain type 1
@@ -108,7 +107,7 @@ def test_strategy_selector_matches_displacement_sign(two_type_setup):
 
 def test_strategy_role_enforced(two_type_setup):
     model, field = two_type_setup
-    strat = make_second_player_strategy(field, model)
+    strat = ControlWithGuideStrategy(field, model, "second")
     with pytest.raises(ValueError):
         run_episode(model, LatticeState([5, 5]), Partition.uniform(0, 1, 5),
                     strat, 1.0, np.random.default_rng(0))
@@ -117,7 +116,7 @@ def test_strategy_role_enforced(two_type_setup):
 def test_zero_model_episode_is_static():
     model = ZeroModel()
     field = solve_value(model, 10, build_simplex_grid(2, 10))
-    strat = make_first_player_strategy(field, model)
+    strat = ControlWithGuideStrategy(field, model, "first")
     record = run_episode(model, LatticeState([3, 1]), Partition.uniform(0, 1, 10),
                         strat, 0.0, np.random.default_rng(1))
     assert np.all(record.counts == [3, 1])
@@ -128,7 +127,7 @@ def test_zero_model_episode_is_static():
 
 def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
     model, field = two_type_setup
-    strat = make_first_player_strategy(field, model)
+    strat = ControlWithGuideStrategy(field, model, "first")
     record = run_episode(model, LatticeState([20, 0]), Partition.uniform(0, 1, 50),
                         strat, ConstantPolicy(1.0), np.random.default_rng(5),
                         record_jumps=True)
@@ -143,8 +142,8 @@ def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
 
 def test_batched_episodes_match_sequential_runs(two_type_setup):
     model, field = two_type_setup
-    strat1 = make_first_player_strategy(field, model)
-    strat2 = make_second_player_strategy(field, model)
+    strat1 = ControlWithGuideStrategy(field, model, "first")
+    strat2 = ControlWithGuideStrategy(field, model, "second")
     y = LatticeState([16, 4])
     partition = Partition.uniform(0.0, 1.0, 25)
 
@@ -162,8 +161,8 @@ def test_batched_episodes_match_sequential_runs(two_type_setup):
 
 def test_both_guides_private_and_recorded(two_type_setup):
     model, field = two_type_setup
-    strat1 = make_first_player_strategy(field, model)
-    strat2 = make_second_player_strategy(field, model)
+    strat1 = ControlWithGuideStrategy(field, model, "first")
+    strat2 = ControlWithGuideStrategy(field, model, "second")
     record = run_episode(model, LatticeState([10, 10]), Partition.uniform(0, 1, 20),
                         strat1, strat2, np.random.default_rng(9))
     assert record.guide1 is not None and record.guide2 is not None
@@ -202,8 +201,8 @@ def test_mean_payoff_tracks_value(two_type_setup):
     # a light statistical pull: with both extremal-shift strategies the mean
     # payoff should sit near the game value
     model, field = two_type_setup
-    strat1 = make_first_player_strategy(field, model)
-    strat2 = make_second_player_strategy(field, model)
+    strat1 = ControlWithGuideStrategy(field, model, "first")
+    strat2 = ControlWithGuideStrategy(field, model, "second")
     y = LatticeState([40, 0])
     partition = Partition.uniform(0.0, 1.0, 50)
     rngs = [np.random.default_rng([101, i]) for i in range(200)]
@@ -217,7 +216,7 @@ def test_mean_payoff_tracks_value(two_type_setup):
 
 def test_trajectory_record_serialization(two_type_setup):
     model, field = two_type_setup
-    strat = make_first_player_strategy(field, model)
+    strat = ControlWithGuideStrategy(field, model, "first")
     record = run_episode(model, LatticeState([8, 2]), Partition.uniform(0, 1, 5),
                         strat, 0.5, np.random.default_rng(13), record_jumps=True)
     payload = record.to_dict()

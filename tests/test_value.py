@@ -115,10 +115,7 @@ def test_value_error_shrinks_when_grids_refine():
 def test_constant_payoff_preserved():
     class FlatPayoff(TwoTypeModel):
         def terminal_payoff(self, x):
-            return 0.25
-
-        def terminal_payoff_multi(self, xs):
-            return np.full(np.asarray(xs).shape[0], 0.25)
+            return np.full(np.shape(x)[:-1], 0.25)
 
     field = solve_value(FlatPayoff(), 40, build_simplex_grid(2, 40))
     assert np.allclose(field.table, 0.25, atol=1e-12)
@@ -129,10 +126,7 @@ def test_scheme_monotone_in_terminal_payoff():
 
     class ShiftedPayoff(TwoTypeModel):
         def terminal_payoff(self, x):
-            return float(x[0]) + 0.1
-
-        def terminal_payoff_multi(self, xs):
-            return np.asarray(xs, dtype=float)[:, 0] + 0.1
+            return super().terminal_payoff(x) + 0.1
 
     grid = build_simplex_grid(2, 30)
     low = solve_value(base, 30, grid)
