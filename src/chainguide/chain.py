@@ -8,6 +8,17 @@ the dominating rate, the source type is sampled from the current mix, the
 target type uniformly, and the candidate is accepted with probability
 Q_ij / K. For enumerable lattices the forward equations are integrated
 directly and serve as the oracle the simulator is validated against.
+
+``simulate_chain`` is the one thinning kernel. It advances a batch of
+chains, an (n, d) count array, one candidate round at a time: every live
+row draws its next candidate, then source choice, the rate-bound check,
+acceptance and the count update run vectorized over the round. With one
+generator per row, row r draws from its own generator in a fixed order:
+the exponential gap, then (if the candidate falls inside the interval)
+the source uniform, the target offset ``integers(d - 1)`` and the accept
+uniform. The rates draw nothing, so a row's draws and its path do not
+depend on which other rows share its batch: batch composition never
+changes results. A single trial is the one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +36,11 @@ from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
 NEGATIVE_PROB_TOL = 1e-9
+
+
+# generators of independent trials are made this many at a time, so a large
+# trial count never holds all of its generators at once
+TRIAL_BLOCK = 512
 
 
 class RateBoundError(RuntimeError):
@@ -55,6 +71,8 @@ class PathSample:
     t1: float
     events: list = field(default_factory=list)
     candidates: int = 0
+    accepted: int = 0
+    max_rate_ratio: float = 0.0
     _final: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -83,77 +101,158 @@ class PathSample:
         return LatticeState(counts)
 
 
-def _as_policy(control) -> Callable:
-    if callable(control):
-        return control
-    value = float(control)
-    return lambda t, counts: value
+@dataclass
+class ChainBatch:
+    """A batch of chains advanced over one interval, with its thinning tallies."""
+
+    counts: np.ndarray             # (n, d) counts at the interval end: the caller's array
+    candidates: int = 0            # thinning candidates drawn
+    accepted: int = 0              # candidates accepted as jumps
+    max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
+    events: Optional[list] = None  # per-row JumpEvent lists, when recorded
 
 
-def _dominating_rate(model, total, rate_bound):
-    k = resolve_k(model) if rate_bound is None else rate_bound
-    return k, (model.dimension - 1) * k * total
+def _row_rounds(rngs, t0, t1, scale, d):
+    """Candidate rounds with one generator per row, in the draw order of a one-row run.
+
+    Row r draws from ``rngs[r]`` only: the exponential gap, then (while the
+    candidate falls before t1) the source uniform, the target offset and the
+    accept uniform. Yields (rows, times, source uniforms, target offsets,
+    accept uniforms) over the rows whose next candidate falls before t1.
+    """
+    times = [float(t0)] * len(rngs)
+    active = range(len(rngs))
+    while True:
+        rows, src, offset, accept = [], [], [], []
+        for r in active:
+            rng = rngs[r]
+            t = times[r] + rng.exponential(scale)
+            times[r] = t
+            if t < t1:
+                rows.append(r)
+                src.append(rng.random())
+                # integers(1) returns 0 without drawing, so d = 2 skips the call
+                offset.append(rng.integers(d - 1) if d > 2 else 0)
+                accept.append(rng.random())
+        if not rows:
+            return
+        active = rows
+        yield (np.array(rows), np.array([times[r] for r in rows]), np.array(src),
+               np.array(offset, dtype=np.int64), np.array(accept))
+
+
+def _shared_rounds(rng, n, t0, t1, scale, d):
+    """Candidate rounds from one generator: each round draws vectors over its rows."""
+    times = np.full(n, float(t0))
+    active = np.arange(n)
+    while True:
+        times[active] = times[active] + rng.exponential(scale, size=active.size)
+        active = active[times[active] < t1]
+        if not active.size:
+            return
+        k = active.size
+        yield active, times[active], rng.random(k), rng.integers(0, d - 1, size=k), rng.random(k)
+
+
+def _controls(policy, n):
+    """A control side as a callable (t, counts) -> value, or as n per-row values."""
+    if callable(policy):
+        return policy
+    return np.broadcast_to(np.asarray(policy, dtype=float), (n,))
+
+
+def _controls_at(side, rows, times, counts):
+    if callable(side):
+        return np.array([float(side(t, counts[r]))
+                         for r, t in zip(rows.tolist(), times.tolist())])
+    return side[rows]
 
 
 def simulate_chain(model, t0, t1, y, u_policy, v_policy, rng, rate_bound=None,
                    record_events=True):
-    """Simulate the chain over [t0, t1] from lattice state y by thinning.
+    """Simulate the chain over [t0, t1] by thinning, for one trial or a batch.
 
-    ``u_policy`` and ``v_policy`` are callables (t, counts) -> control value
-    (plain numbers are promoted to constant policies); they are consulted at
-    every candidate jump time, so piecewise-constant time variation and
-    state feedback are both supported. Raises RateBoundError if the model
-    ever produces an off-diagonal rate above the bound used for thinning.
+    One trial: ``y`` is a LatticeState (or a count vector), ``rng`` a
+    Generator, and the result a PathSample. A batch: ``y`` is an (n, d)
+    integer count array with one particle total, advanced in place, and the
+    result a ChainBatch. Its ``rng`` is either a list of n generators, where
+    row r draws exactly what a one-trial call with ``rng[r]`` draws, or one
+    shared Generator, from which every round draws one vector per quantity.
+
+    ``u_policy`` and ``v_policy`` are numbers, per-row arrays, or callables
+    (t, counts) -> control value consulted at every candidate jump time, so
+    piecewise-constant time variation and state feedback are both
+    supported. Raises RateBoundError if the model ever produces an
+    off-diagonal rate above the bound K used for thinning (``rate_bound``,
+    else the model's K) or a negative one.
     """
-    if not isinstance(y, LatticeState):
-        y = LatticeState(y)
-    if y.dimension != model.dimension:
+    single = isinstance(y, LatticeState) or np.ndim(y) == 1
+    if single:
+        if not isinstance(y, LatticeState):
+            y = LatticeState(y)
+        counts = y.counts[None, :].copy()
+        rngs = [rng]
+    else:
+        counts = y
+        rngs = rng
+        if not (isinstance(counts, np.ndarray) and np.issubdtype(counts.dtype, np.integer)):
+            raise ValueError("a batch of chains is an integer (n, d) count array")
+    n, d = counts.shape
+    if d != model.dimension:
         raise ValueError("state dimension does not match the model")
     if not t0 < t1 <= model.horizon + 1e-12:
         raise ValueError("need t0 < t1 <= horizon")
-    u_fn = _as_policy(u_policy)
-    v_fn = _as_policy(v_policy)
-    k_bound, lam = _dominating_rate(model, y.total, rate_bound)
-    path = PathSample(initial=y, t0=float(t0), t1=float(t1))
-    if lam <= 0.0:
-        return path
-    d = model.dimension
-    total = y.total
-    counts = y.counts.astype(float).copy()
-    inv_total = 1.0 / total
-    t = float(t0)
-    events = path.events
-    n_candidates = 0
-    while True:
-        t += rng.exponential(1.0 / lam)
-        if t >= t1:
-            break
-        n_candidates += 1
-        x = counts * inv_total
-        # source type from the current mix, target uniform among the rest
-        cdf = np.cumsum(x)
-        i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        i = min(i, d - 1)
-        j = int(rng.integers(d - 1))
-        if j >= i:
-            j += 1
-        u = u_fn(t, counts)
-        v = v_fn(t, counts)
-        q = float(model.rate_matrix(t, x, u, v)[i, j])
-        if q > k_bound * (1.0 + 1e-9):
-            raise RateBoundError(
-                f"rate Q[{i},{j}]={q:.6g} exceeds bound {k_bound:.6g} at t={t:.6g}, x={x}")
-        if q < 0.0:
-            raise RateBoundError(f"negative rate Q[{i},{j}]={q:.6g} at t={t:.6g}")
-        if rng.random() * k_bound < q:
-            counts[i] -= 1.0
-            counts[j] += 1.0
+    totals = counts.sum(axis=1)
+    if n and (np.any(totals != totals[0]) or np.any(counts < 0)):
+        raise ValueError("batch rows need nonnegative counts with one particle total")
+    k_bound = resolve_k(model) if rate_bound is None else rate_bound
+    total = int(totals[0]) if n else 0
+    lam = (d - 1) * k_bound * total
+    out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
+    if n and lam > 0.0:
+        shared = isinstance(rngs, np.random.Generator)
+        if shared:
+            rounds = _shared_rounds(rngs, n, t0, t1, 1.0 / lam, d)
+        else:
+            rounds = _row_rounds(rngs, t0, t1, 1.0 / lam, d)
+        u_side = _controls(u_policy, n)
+        v_side = _controls(v_policy, n)
+        inv_total = 1.0 / total
+        for rows, times, src, offset, accept_u in rounds:
+            # each layout normalizes as the one-trial and one-step loops it
+            # replaced did, so seeded outputs stay byte-identical
+            xs = counts[rows] / total if shared else counts[rows] * inv_total
+            # source type from the current mix, target uniform among the rest
+            cdf = np.cumsum(xs, axis=1)
+            draw = src * cdf[:, -1]
+            i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+            j_sel = offset + (offset >= i_sel)
+            u = _controls_at(u_side, rows, times, counts)
+            v = _controls_at(v_side, rows, times, counts)
+            q = model.rate_matrix_multi(times, xs, u, v)[np.arange(rows.size), i_sel, j_sel]
+            bad = (q > k_bound * (1.0 + 1e-9)) | (q < 0.0)
+            if bad.any():
+                b = int(np.flatnonzero(bad)[0])
+                raise RateBoundError(
+                    f"rate Q[{i_sel[b]},{j_sel[b]}]={q[b]:.6g} outside [0, {k_bound:.6g}] "
+                    f"at t={times[b]:.6g}, x={xs[b]}")
+            hit = np.flatnonzero(accept_u * k_bound < q)
+            r_acc, i_acc, j_acc = rows[hit], i_sel[hit], j_sel[hit]
+            counts[r_acc, i_acc] -= 1
+            counts[r_acc, j_acc] += 1
             if record_events:
-                events.append(JumpEvent(t, i, j))
-    path.candidates = n_candidates
-    if not record_events:
-        path._final = counts.astype(np.int64)
-    return path
+                for r, t, i, j in zip(r_acc.tolist(), times[hit].tolist(),
+                                      i_acc.tolist(), j_acc.tolist()):
+                    out.events[r].append(JumpEvent(t, i, j))
+            out.candidates += rows.size
+            out.accepted += hit.size
+            out.max_rate_ratio = max(out.max_rate_ratio, float(q.max()) / k_bound)
+    if not single:
+        return out
+    return PathSample(initial=y, t0=float(t0), t1=float(t1),
+                      events=out.events[0] if record_events else [],
+                      candidates=out.candidates, accepted=out.accepted,
+                      max_rate_ratio=out.max_rate_ratio, _final=counts[0])
 
 
 @dataclass
@@ -326,6 +425,22 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     return abs(expected_end - start - integral)
 
 
+def _trial_finals(model, t0, t1, y, u_policy, v_policy, trials, seed, rate_bound):
+    """Final counts of independent trials, (trials, d), in blocks of TRIAL_BLOCK.
+
+    Trial i draws from its own generator keyed by (seed, i), so results do
+    not depend on execution order or on the block size.
+    """
+    k_bound = resolve_k(model) if rate_bound is None else rate_bound
+    finals = np.tile(y.counts, (trials, 1))
+    for lo in range(0, trials, TRIAL_BLOCK):
+        hi = min(lo + TRIAL_BLOCK, trials)
+        rngs = [np.random.default_rng([seed, trial]) for trial in range(lo, hi)]
+        simulate_chain(model, t0, t1, finals[lo:hi], u_policy, v_policy, rngs,
+                       rate_bound=k_bound, record_events=False)
+    return finals
+
+
 def sample_final_distribution(model, t0, t1, y, u_policy, v_policy, trials, seed,
                               rate_bound=None):
     """Empirical law of the chain state at t1 over independent trials.
@@ -335,14 +450,9 @@ def sample_final_distribution(model, t0, t1, y, u_policy, v_policy, trials, seed
     """
     if not isinstance(y, LatticeState):
         y = LatticeState(y)
+    finals = _trial_finals(model, t0, t1, y, u_policy, v_policy, trials, seed, rate_bound)
     space = lattice_space(model.dimension, y.total)
-    hits = np.zeros(space.node_count, dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        path = simulate_chain(model, t0, t1, y, u_policy, v_policy, rng,
-                              rate_bound=rate_bound, record_events=True)
-        idx = int(space.node_index(path.final_counts()[None, :])[0])
-        hits[idx] += 1
+    hits = np.bincount(space.node_index(finals), minlength=space.node_count)
     return Distribution(space, hits / trials), hits
 
 
@@ -365,6 +475,8 @@ def empirical_transition(model, t_star, xi, delta, u, v_policy, trials, seed,
     """Estimate single-jump transition probabilities by simulation."""
     if not isinstance(xi, LatticeState):
         xi = LatticeState(xi)
+    finals = _trial_finals(model, t_star, t_star + delta, xi, u, v_policy, trials, seed,
+                           rate_bound)
     neighbors = {(i, j): nb for i, j, nb in single_jump_neighbors(xi)}
     keys = {}
     for (i, j), nb in neighbors.items():
@@ -373,11 +485,8 @@ def empirical_transition(model, t_star, xi, delta, u, v_policy, trials, seed,
     stay = 0
     hits = {pair: 0 for pair in neighbors}
     other = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        path = simulate_chain(model, t_star, t_star + delta, xi, u, v_policy, rng,
-                              rate_bound=rate_bound)
-        key = path.final_counts().astype(np.int64).tobytes()
+    for final in finals:
+        key = final.tobytes()
         if key == origin_key:
             stay += 1
         elif key in keys:

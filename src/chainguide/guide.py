@@ -206,11 +206,10 @@ def guide_advance(field, model, t_star, t_plus, w_star, reply, role,
 
     Role "first" rides the u-hull with v = ``reply`` and keeps the value
     from rising; role "second" rides the v-hull with u = ``reply`` and
-    keeps it from falling. ``reply`` is a grid value, or a grid index when
-    given as an integer.
+    keeps it from falling. ``reply`` is a value on the opponent's grid, also
+    when given as an integer.
     """
-    if not isinstance(reply, (int, np.integer)):
-        reply = role_grids(model, role)[1].index_of(reply)
+    reply = role_grids(model, role)[1].index_of(reply)
     if slack is None:
         slack = _default_step_slack(field, model, t_star, t_plus, constants)
     w = as_coords(w_star, model.dimension)

@@ -25,6 +25,7 @@ from .chain import (
     lattice_space,
     master_evolve,
     sample_final_distribution,
+    simulate_chain,
     tv_distance,
 )
 from .guide import advance_guides
@@ -535,44 +536,18 @@ LEMMA2_COLUMNS = [
 
 def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
                                w_plus, trials, rng):
-    """Vectorized thinned one-step simulation of E||X(t0+delta) - w_plus||^2.
+    """Thinned one-step simulation of E||X(t0+delta) - w_plus||^2 over ``trials`` chains.
 
     ``v_idx`` is a per-trial array of grid indices (the adversary control is
-    constant within the step). Randomness for the whole block comes from one
-    generator in a fixed round order, so the estimate is reproducible for a
-    fixed generator state.
+    constant within the step). All trials share the generator ``rng``, each
+    candidate round drawing one vector per quantity, so the estimate is
+    reproducible for a fixed generator state.
     """
-    d = model.dimension
-    total = int(counts0.sum())
-    lam = (d - 1) * k_bound * total
-    counts = np.tile(counts0.astype(float), (trials, 1))
-    u_vals = model.u_grid.values()
-    v_vals = model.v_grid.values()
-    if lam > 0.0:
-        t = np.full(trials, float(t0))
-        active = np.arange(trials)
-        end = t0 + delta
-        while active.size:
-            t[active] = t[active] + rng.exponential(1.0 / lam, size=active.size)
-            active = active[t[active] < end]
-            if not active.size:
-                break
-            xs = counts[active] / total
-            cdf = np.cumsum(xs, axis=1)
-            draw = rng.random(active.size) * cdf[:, -1]
-            i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
-            j_off = rng.integers(0, d - 1, size=active.size)
-            j_sel = j_off + (j_off >= i_sel)
-            rates = model.rate_matrix_multi(t[active], xs, u_vals[u_idx], v_vals[v_idx[active]])
-            rows = np.arange(active.size)
-            q = rates[rows, i_sel, j_sel]
-            if np.any(q > k_bound * (1.0 + 1e-9)):
-                raise RuntimeError("rate exceeded its declared bound during thinning")
-            accept = rng.random(active.size) * k_bound < q
-            acc = rows[accept]
-            counts[active[acc], i_sel[acc]] -= 1.0
-            counts[active[acc], j_sel[acc]] += 1.0
-    sq = np.sum((counts / total - w_plus) ** 2, axis=1)
+    counts = np.tile(np.asarray(counts0, dtype=np.int64), (trials, 1))
+    simulate_chain(model, t0, t0 + delta, counts, model.u_grid.values()[u_idx],
+                   model.v_grid.values()[v_idx], rng, rate_bound=k_bound,
+                   record_events=False)
+    sq = np.sum((counts / int(np.sum(counts0)) - w_plus) ** 2, axis=1)
     mean = float(np.sum(sq) / trials)
     sem = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, sem

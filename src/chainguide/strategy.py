@@ -265,12 +265,15 @@ class TrajectoryRecord:
 
 @dataclass
 class EpisodeBatch:
-    """Per-trial episode outcomes plus aggregate guide diagnostics."""
+    """Per-trial episode outcomes plus aggregate guide and thinning diagnostics."""
 
     payoffs: np.ndarray
     violation_fraction1: np.ndarray
     violation_fraction2: np.ndarray
     records: Optional[list] = None
+    candidates: int = 0            # thinning candidates over all trials and steps
+    accepted: int = 0              # of which accepted as jumps
+    max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
 
 
 def run_episodes(model, y, partition, player1, player2, rngs,
@@ -326,6 +329,9 @@ def run_episodes(model, y, partition, player1, player2, rngs,
         if rec_g2 is not None:
             rec_g2[:, 0] = guides2
 
+    k_bound = resolve_k(model) if rate_bound is None else rate_bound
+    candidates = accepted = 0
+    max_rate_ratio = 0.0
     for k in range(steps):
         t0 = float(times[k])
         t1 = float(times[k + 1])
@@ -340,16 +346,16 @@ def run_episodes(model, y, partition, player1, player2, rngs,
         else:
             v_vals = side2.step_values(t0, counts, h, rngs)
 
-        # chain advances under the step controls, one trial at a time from
-        # that trial's own generator
-        for i in range(n):
-            path = simulate_chain(model, t0, t1, LatticeState(counts[i]),
-                                  float(u_vals[i]), float(v_vals[i]), rngs[i],
-                                  rate_bound=rate_bound,
-                                  record_events=record_jumps)
-            counts[i] = path.final_counts()
-            if record_jumps:
-                rec_jumps[i].extend(path.events)
+        # the chain advances under the step controls, each trial drawing
+        # from its own generator
+        chains = simulate_chain(model, t0, t1, counts, u_vals, v_vals, rngs,
+                                rate_bound=k_bound, record_events=record_jumps)
+        candidates += chains.candidates
+        accepted += chains.accepted
+        max_rate_ratio = max(max_rate_ratio, chains.max_rate_ratio)
+        if record_jumps:
+            for jumps, events in zip(rec_jumps, chains.events):
+                jumps.extend(events)
 
         # guide updates read the pre-step chain state
         if strat1 is not None:
@@ -377,6 +383,9 @@ def run_episodes(model, y, partition, player1, player2, rngs,
         payoffs=payoffs,
         violation_fraction1=viol1 / steps,
         violation_fraction2=viol2 / steps,
+        candidates=candidates,
+        accepted=accepted,
+        max_rate_ratio=max_rate_ratio,
     )
     if recording:
         batch.records = [

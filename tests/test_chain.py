@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainguide.chain import (
+    ChainBatch,
     Distribution,
     IntegrationError,
     JumpEvent,
@@ -17,7 +19,7 @@ from chainguide.chain import (
     simulate_chain,
     tv_distance,
 )
-from chainguide.models import TwoTypeModel, ZeroModel
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
 from chainguide.simplex import LatticeState
 
 
@@ -252,3 +254,112 @@ def test_empirical_transition_leading_order():
     assert abs(p_exact - delta * 2.0) <= 4.0 * delta ** 2
     # mass two or more jumps away is second order in the duration
     assert table.other_prob <= 10.0 * (delta * 4.0) ** 2 + 3 * table.other_se
+
+
+def _reference_one_trial(model, t0, t1, start, u, v, rng):
+    """The one-trial thinning loop the batched kernel replaced: (final counts, candidates)."""
+    d = model.dimension
+    k = model.declared_k
+    counts = np.asarray(start, dtype=float).copy()
+    inv_total = 1.0 / counts.sum()
+    lam = (d - 1) * k * counts.sum()
+    t, candidates = float(t0), 0
+    while True:
+        t += rng.exponential(1.0 / lam)
+        if t >= t1:
+            break
+        candidates += 1
+        x = counts * inv_total
+        cdf = np.cumsum(x)
+        i = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), d - 1)
+        j = int(rng.integers(d - 1))
+        j += j >= i
+        if rng.random() * k < float(model.rate_matrix(t, x, u, v)[i, j]):
+            counts[i] -= 1.0
+            counts[j] += 1.0
+    return counts.astype(np.int64), candidates
+
+
+def _one_row_runs(model, t0, t1, starts, us, vs, seeds):
+    finals, candidates = [], 0
+    for start, u, v, seed in zip(starts, us, vs, seeds):
+        path = simulate_chain(model, t0, t1, LatticeState(start), u, v,
+                              np.random.default_rng(seed), record_events=False)
+        finals.append(path.final_counts())
+        candidates += path.candidates
+    return np.array(finals), candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_composition_never_changes_results(data):
+    model = data.draw(st.sampled_from([TwoTypeModel(), ThreeTypeRotorModel()]))
+    d = model.dimension
+    n = data.draw(st.integers(1, 6))
+    total = data.draw(st.integers(1, 12))
+    starts = []
+    for _ in range(n):
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=d - 1,
+                                         max_size=d - 1)))
+        starts.append(np.diff([0, *cuts, total]))
+    starts = np.array(starts, dtype=np.int64)
+    us = np.array(data.draw(st.lists(st.sampled_from(model.u_grid.points),
+                                     min_size=n, max_size=n)))
+    vs = np.array(data.draw(st.lists(st.sampled_from(model.v_grid.points),
+                                     min_size=n, max_size=n)))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+    t0 = data.draw(st.floats(0.0, 0.5))
+    t1 = t0 + data.draw(st.floats(0.01, 0.5))
+    expect, expect_candidates = _one_row_runs(model, t0, t1, starts, us, vs, seeds)
+    reference = [_reference_one_trial(model, t0, t1, start, u, v, np.random.default_rng(s))
+                 for start, u, v, s in zip(starts, us, vs, seeds)]
+    assert np.array_equal(expect, [final for final, _ in reference])
+    assert expect_candidates == sum(c for _, c in reference)
+
+    counts = starts.copy()
+    batch = simulate_chain(model, t0, t1, counts, us, vs,
+                           [np.random.default_rng(s) for s in seeds], record_events=False)
+    assert isinstance(batch, ChainBatch)
+    assert np.array_equal(counts, expect)
+    assert batch.candidates == expect_candidates
+    assert 0 <= batch.accepted <= batch.candidates
+
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=3))) | {n})
+    lo, split_candidates = 0, 0
+    counts = starts.copy()
+    for hi in cuts:
+        part = simulate_chain(model, t0, t1, counts[lo:hi], us[lo:hi], vs[lo:hi],
+                              [np.random.default_rng(s) for s in seeds[lo:hi]],
+                              record_events=False)
+        split_candidates += part.candidates
+        lo = hi
+    assert np.array_equal(counts, expect)
+    assert split_candidates == expect_candidates
+
+
+def test_batch_tallies_and_events():
+    model = TwoTypeModel()
+    counts = np.array([[3, 1], [0, 4], [2, 2]], dtype=np.int64)
+    rngs = [np.random.default_rng([4, r]) for r in range(3)]
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, rngs)
+    # u = v = K = 1: every candidate has rate exactly K and is accepted
+    assert batch.accepted == batch.candidates > 0
+    assert batch.max_rate_ratio == 1.0
+    assert sum(len(events) for events in batch.events) == batch.accepted
+    for r, start in enumerate([[3, 1], [0, 4], [2, 2]]):
+        path = PathSample(LatticeState(start), 0.0, 1.0, events=batch.events[r])
+        assert np.array_equal(path.final_counts(), counts[r])
+
+
+def test_batch_rejects_mixed_totals():
+    with pytest.raises(ValueError):
+        simulate_chain(TwoTypeModel(), 0.0, 1.0, np.array([[1, 1], [2, 1]]), 1.0, 1.0,
+                       [np.random.default_rng(0), np.random.default_rng(1)])
+
+
+def test_sample_final_distribution_rate_bound_error():
+    model = TwoTypeModel()
+    model.declared_k = 0.5  # lie: actual rates reach 1.0
+    with pytest.raises(RateBoundError):
+        sample_final_distribution(model, 0.0, 1.0, LatticeState([5, 5]), 1.0, 1.0,
+                                  trials=50, seed=1)

@@ -154,3 +154,16 @@ def test_mirror_symmetry_of_guide_advances(two_type_field):
     assert b.candidate == a.candidate
     assert np.allclose(b.state.w, a.state.w[::-1], atol=1e-9)
     assert b.value_end == pytest.approx(1.0 - a.value_end, abs=1e-9)
+
+
+def test_guide_advance_reads_integer_reply_as_grid_value():
+    # the reply is always a grid value: reply=1 is v=1, not grid index 1 (v=0.5)
+    model = TwoTypeModel()
+    field = solve_value(model, 40, build_simplex_grid(2, 40))
+    w = np.array([0.0, 1.0])
+    by_int = guide_advance(field, model, 0.0, 0.05, w, 1, "first")
+    by_float = guide_advance(field, model, 0.0, 0.05, w, 1.0, "first")
+    assert np.array_equal(by_int.state.w, by_float.state.w)
+    assert by_int.state.w[0] == pytest.approx(0.0476, abs=1e-3)
+    with pytest.raises(ValueError):
+        guide_advance(field, model, 0.0, 0.05, w, 2, "first")

@@ -18,7 +18,13 @@ from chainguide.harness import (
     run_theorem1_experiment,
     run_value,
 )
-from chainguide.models import TwoTypeModel, coupling_constants, estimate_constants
+from chainguide.chain import RateBoundError, simulate_chain
+from chainguide.models import (
+    ThreeTypeRotorModel,
+    TwoTypeModel,
+    coupling_constants,
+    estimate_constants,
+)
 from chainguide.simplex import LatticeState
 
 
@@ -148,6 +154,56 @@ def test_one_step_kernel_coincident_start_noise_only():
                                     1.0, 1.0, w_plus)
     assert exact > 0.0
     assert abs(mc_mean - exact) <= 3.5 * mc_sem
+
+
+def _reference_one_step_counts(model, k_bound, t0, delta, counts0, u_idx, v_idx, rng):
+    """The shared-generator one-step loop the batched kernel replaced: final counts."""
+    d = model.dimension
+    total = int(counts0.sum())
+    lam = (d - 1) * k_bound * total
+    counts = np.tile(counts0.astype(float), (v_idx.size, 1))
+    t = np.full(v_idx.size, float(t0))
+    active = np.arange(v_idx.size)
+    while active.size:
+        t[active] = t[active] + rng.exponential(1.0 / lam, size=active.size)
+        active = active[t[active] < t0 + delta]
+        if not active.size:
+            break
+        xs = counts[active] / total
+        cdf = np.cumsum(xs, axis=1)
+        draw = rng.random(active.size) * cdf[:, -1]
+        i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+        j_off = rng.integers(0, d - 1, size=active.size)
+        j_sel = j_off + (j_off >= i_sel)
+        rates = model.rate_matrix_multi(t[active], xs, model.u_grid.values()[u_idx],
+                                        model.v_grid.values()[v_idx[active]])
+        q = rates[np.arange(active.size), i_sel, j_sel]
+        acc = np.flatnonzero(rng.random(active.size) * k_bound < q)
+        counts[active[acc], i_sel[acc]] -= 1.0
+        counts[active[acc], j_sel[acc]] += 1.0
+    return counts
+
+
+@pytest.mark.parametrize("model, counts0", [
+    (TwoTypeModel(), np.array([12, 8])),
+    (ThreeTypeRotorModel(), np.array([7, 9, 4])),
+])
+def test_one_step_kernel_reproduces_shared_stream(model, counts0):
+    v_idx = np.random.default_rng(5).integers(0, len(model.v_grid), size=400)
+    expect = _reference_one_step_counts(model, model.declared_k, 0.3, 0.05, counts0, 1,
+                                        v_idx, np.random.default_rng(9))
+    counts = np.tile(counts0, (400, 1))
+    simulate_chain(model, 0.3, 0.3 + 0.05, counts, model.u_grid[1], model.v_grid.values()[v_idx],
+                   np.random.default_rng(9), rate_bound=model.declared_k, record_events=False)
+    assert np.array_equal(counts, expect)
+
+
+def test_one_step_kernel_rate_bound_error():
+    model = TwoTypeModel()
+    v_idx = np.full(500, 2, dtype=np.int64)  # v = 1 exceeds the claimed bound
+    with pytest.raises(RateBoundError):
+        _one_step_squared_distance(model, 0.5, 0.1, 0.02, np.array([10, 10]), 2, v_idx,
+                                   np.array([0.5, 0.5]), 500, np.random.default_rng(2))
 
 
 def test_lemma2_check_small():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from chainguide import models
+from chainguide.chain import RateBoundError
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap
 from chainguide.simplex import LatticeState
 from chainguide.strategy import (
@@ -225,3 +227,50 @@ def test_trajectory_record_serialization(two_type_setup):
     assert len(payload["controls_u"]) == 5
     assert "guide1" in payload and "guide2" not in payload
     assert isinstance(payload["payoff"], float)
+
+
+class SampledKTwoType(TwoTypeModel):
+    """Declares no rate bound, so K must be sampled."""
+
+    def __init__(self):
+        super().__init__()
+        self.declared_k = None
+
+
+def test_rate_bound_resolved_once_per_run(monkeypatch):
+    calls = []
+    real = models.estimate_constants
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "estimate_constants", counting)
+    rngs = [np.random.default_rng([2, i]) for i in range(5)]
+    run_episodes(SampledKTwoType(), LatticeState([3, 2]), Partition.uniform(0.0, 1.0, 20),
+                 1.0, 0.5, rngs)
+    assert len(calls) <= 1
+
+
+def test_run_episodes_rate_bound_error():
+    model = TwoTypeModel()
+    model.declared_k = 0.5  # lie: actual rates reach 1.0
+    rngs = [np.random.default_rng([1, i]) for i in range(10)]
+    with pytest.raises(RateBoundError):
+        run_episodes(model, LatticeState([5, 5]), Partition.uniform(0.0, 1.0, 10),
+                     1.0, 1.0, rngs)
+
+
+def test_episode_batch_thinning_tallies():
+    model = TwoTypeModel()
+    partition = Partition.uniform(0.0, 1.0, 10)
+    rngs = [np.random.default_rng([6, i]) for i in range(8)]
+    batch = run_episodes(model, LatticeState([6, 2]), partition, 1.0, 0.5, rngs)
+    # candidates arrive at rate (d-1) K M = 8 over unit time, per trial
+    assert 0 < batch.accepted <= batch.candidates
+    assert batch.candidates == pytest.approx(8 * 8, rel=0.5)
+    assert batch.max_rate_ratio == 1.0
+    singles = [run_episodes(model, LatticeState([6, 2]), partition, 1.0, 0.5,
+                            [np.random.default_rng([6, i])]) for i in range(8)]
+    assert batch.candidates == sum(s.candidates for s in singles)
+    assert batch.accepted == sum(s.accepted for s in singles)

@@ -1,0 +1,58 @@
+"""The benchmark's tracer still sees the thinning kernel on every chain path.
+
+``perfbench/spans.py`` wraps ``chain.simulate_chain`` wherever chainguide
+binds it and sums each result's ``candidates``. A chain path that stopped
+going through that name would leave the traced per-call percentiles empty.
+The tracer module is only imported here; the benchmark is not run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from chainguide import chain, harness, strategy
+from chainguide.models import TwoTypeModel, estimate_constants
+from chainguide.simplex import LatticeState
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+def _episodes():
+    rngs = [np.random.default_rng([1, i]) for i in range(4)]
+    strategy.run_episodes(TwoTypeModel(), LatticeState([6, 2]),
+                          strategy.Partition.uniform(0.0, 1.0, 5), 1.0, 0.5, rngs)
+
+
+def _terminal_law():
+    chain.sample_final_distribution(TwoTypeModel(), 0.0, 1.0, LatticeState([3, 1]),
+                                    1.0, 0.0, trials=20, seed=3)
+
+
+def _one_step():
+    model = TwoTypeModel()
+    k = estimate_constants(model, seed=0).constants.k
+    harness._one_step_squared_distance(model, k, 0.1, 0.05, np.array([5, 5]), 2,
+                                       np.full(30, 2, dtype=np.int64),
+                                       np.array([0.5, 0.5]), 30, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("path", [_episodes, _terminal_law, _one_step])
+def test_chain_paths_call_the_traced_kernel(tracer, path):
+    path()
+    stat = tracer.get("chain.simulate_chain")
+    assert stat.calls > 0
+    assert type(stat.amount) is int and stat.amount > 0
+    assert len(stat.durations) == stat.calls
