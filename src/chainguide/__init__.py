@@ -9,7 +9,7 @@ against exact small-instance oracles.
 
 __version__ = "0.1.0"
 
-from .simplex import LatticeState, SimplexPoint, enumerate_lattice, round_to_lattice
+from .simplex import LatticeState, enumerate_lattice, round_to_lattice
 from .models import (
     ControlGrid,
     ModelConstants,
@@ -34,21 +34,14 @@ from .value import (
     SimplexGrid,
     ValueField,
     build_simplex_grid,
-    eval_value,
     solve_value,
     verify_supersolution,
 )
-from .guide import (
-    GuideState,
-    guide_advance,
-    init_guide,
-    integrate_characteristic,
-)
+from .guide import integrate_characteristic
 from .strategy import (
     ControlWithGuideStrategy,
     Partition,
     TrajectoryRecord,
-    extremal_controls,
     run_episode,
     run_episodes,
 )
@@ -65,18 +58,17 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "LatticeState", "SimplexPoint", "enumerate_lattice", "round_to_lattice",
+    "LatticeState", "enumerate_lattice", "round_to_lattice",
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "register_model",
     "validate_rate_model",
     "Distribution", "PathSample", "dynkin_residual", "empirical_transition",
     "lattice_space", "master_evolve", "simulate_chain",
-    "SimplexGrid", "ValueField", "build_simplex_grid", "eval_value",
-    "solve_value", "verify_supersolution",
-    "GuideState", "guide_advance", "init_guide",
+    "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
+    "verify_supersolution",
     "integrate_characteristic",
     "ControlWithGuideStrategy", "Partition", "TrajectoryRecord",
-    "extremal_controls", "run_episode", "run_episodes",
+    "run_episode", "run_episodes",
     "ExperimentResult", "Scenario", "emit_results", "run_corollary_experiment",
     "run_lemma1_check", "run_lemma2_check", "run_oracle_check",
     "run_theorem1_experiment",

@@ -17,41 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import resolve_k, role_grids
-from .simplex import ProjectionError, as_coords, project_rows, rk4_step
-from .value import monotonicity_tolerance
+from .models import role_grids
+from .simplex import PROJECTION_LIMIT, ProjectionError, as_coords, project_rows, rk4_step
 
-GUIDE_PROJECTION_LIMIT = 1e-6
-
-
-@dataclass(frozen=True)
-class GuideState:
-    """Guide position and the correction time it belongs to."""
-
-    w: np.ndarray
-    t: float
-
-    def __init__(self, w, t):
-        arr = np.asarray(w, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "w", arr)
-        object.__setattr__(self, "t", float(t))
-
-
-@dataclass(frozen=True)
-class GuideStep:
-    """One guide advance plus its value bookkeeping."""
-
-    state: GuideState
-    value_start: float
-    value_end: float
-    violation: bool
-    candidate: int
-
-
-def init_guide(s, y):
-    """Start the guide exactly on the chain's initial state."""
-    return GuideState(as_coords(y), s)
+ODE_STEP = 0.01   # RK4 step of the guide flow
+LAM_POINTS = 9    # evenly spaced weights per adjacent-pair mixture of the hull family
 
 
 def _as_schedule(control):
@@ -61,13 +31,13 @@ def _as_schedule(control):
     return lambda t: value
 
 
-def integrate_characteristic(model, t0, t1, x0, u_schedule, v_schedule, ode_step=0.01):
+def integrate_characteristic(model, t0, t1, x0, u_schedule, v_schedule, ode_step=ODE_STEP):
     """Integrate the deterministic flow dx/dt = x Q(t, x, u(t), v(t)).
 
     Schedules are callables of time (constants are promoted); they are
     sampled at the stage times of a fourth-order fixed-step integrator.
     Every step ends with a clip-and-renormalize projection; a displacement
-    above 1e-6 raises, since the exact flow never leaves the simplex.
+    above PROJECTION_LIMIT raises, since the exact flow never leaves the simplex.
     """
     u_fn = _as_schedule(u_schedule)
     v_fn = _as_schedule(v_schedule)
@@ -95,7 +65,7 @@ def _flow(velocity, t0, t1, states, ode_step, what):
         states = rk4_step(velocity, t, states, dt)
         worst = max(worst, project_rows(states))
         t += dt
-    if worst > GUIDE_PROJECTION_LIMIT:
+    if worst > PROJECTION_LIMIT:
         raise ProjectionError(f"{what} left the simplex by {worst:.3e}")
     return states
 
@@ -114,11 +84,11 @@ class CandidateFamily:
     weight: np.ndarray
 
     @staticmethod
-    def build(grid_size, lam_points=9):
+    def build(grid_size):
         first = list(range(grid_size))
         second = list(range(grid_size))
         weight = [1.0] * grid_size
-        lams = np.linspace(0.0, 1.0, lam_points)
+        lams = np.linspace(0.0, 1.0, LAM_POINTS)
         for a in range(grid_size - 1):
             for lam in lams:
                 first.append(a)
@@ -131,8 +101,7 @@ class CandidateFamily:
         return self.weight.size
 
 
-def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
-                   slack, ode_step=0.01, lam_points=9):
+def advance_guides(field, model, t0, t1, guides, fixed_idx, role, slack):
     """Advance a batch of guides over [t0, t1] with the opposing control fixed.
 
     ``guides`` is (n, d); ``fixed_idx`` gives each row's announced opposing
@@ -151,7 +120,7 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
     own_grid, fixed_grid = role_grids(model, role)
     own_values = own_grid.values()
     fixed_values = fixed_grid.values()[fixed_idx]
-    family = CandidateFamily.build(own_values.size, lam_points)
+    family = CandidateFamily.build(own_values.size)
     nc = family.count
     span = float(t1) - float(t0)
     if span <= 0.0:
@@ -167,7 +136,7 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role,
     def velocity(t, x):
         return _hull_drift(model, t, x, mix_a, mix_b, lam, fixed, role)
 
-    states = _flow(velocity, t0, t1, states, ode_step, "guide hull trajectory")
+    states = _flow(velocity, t0, t1, states, ODE_STEP, "guide hull trajectory")
 
     value_start = field.eval_batch(t0, guides)
     end_values = field.eval_batch(t1, states).reshape(n, nc)
@@ -193,28 +162,3 @@ def _hull_drift(model, t, states, mix_a, mix_b, lam, fixed, role):
         da = model.drift(t, states, fixed, mix_a)
         db = model.drift(t, states, fixed, mix_b)
     return lam[:, None] * da + (1.0 - lam[:, None]) * db
-
-
-def _default_step_slack(field, model, t0, t1, constants):
-    eps = monotonicity_tolerance(field, resolve_k(model, constants))
-    return eps * (t1 - t0) / field.horizon
-
-
-def guide_advance(field, model, t_star, t_plus, w_star, reply, role,
-                  slack=None, constants=None, ode_step=0.01, lam_points=9):
-    """One guide update with the opponent's announced ``reply`` held fixed.
-
-    Role "first" rides the u-hull with v = ``reply`` and keeps the value
-    from rising; role "second" rides the v-hull with u = ``reply`` and
-    keeps it from falling. ``reply`` is a value on the opponent's grid, also
-    when given as an integer.
-    """
-    reply = role_grids(model, role)[1].index_of(reply)
-    if slack is None:
-        slack = _default_step_slack(field, model, t_star, t_plus, constants)
-    w = as_coords(w_star, model.dimension)
-    endpoints, v0, v1, violation, cand = advance_guides(
-        field, model, t_star, t_plus, w[None, :], np.array([reply]), role,
-        slack=slack, ode_step=ode_step, lam_points=lam_points)
-    return GuideStep(GuideState(endpoints[0], t_plus), float(v0[0]), float(v1[0]),
-                     bool(violation[0]), int(cand[0]))

@@ -75,9 +75,28 @@ _SIMULATE_KEYS = {"episodes", "record_jumps", "adversary_index",
 
 
 def _check_keys(mapping, allowed, where):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be a mapping")
     unknown = set(mapping) - allowed
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return ((_is_int(value) or isinstance(value, (float, np.floating)))
+            and math.isfinite(value))
+
+
+def _positive_ints(value, name):
+    if _is_int(value):
+        value = [int(value)]
+    if not (isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)):
+        raise ScenarioError(f"{name} must be a non-empty list of positive integers")
+    return value
 
 
 @dataclass
@@ -101,21 +120,39 @@ class Scenario:
     simulate: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.particle_counts, (int, np.integer)):
-            self.particle_counts = [int(self.particle_counts)]
-        if isinstance(self.partition_steps, (int, np.integer)):
-            self.partition_steps = [int(self.partition_steps)]
-        if min(self.particle_counts) < 1 or min(self.partition_steps) < 1:
-            raise ScenarioError("particle counts and partition steps must be positive")
-        if self.trials < 1:
-            raise ScenarioError("trial count must be positive")
+        self.particle_counts = _positive_ints(self.particle_counts, "particle_counts")
+        self.partition_steps = _positive_ints(self.partition_steps, "partition_steps")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ScenarioError("trials must be a positive integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ScenarioError("seed must be a nonnegative integer")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ScenarioError("out must be a path prefix string")
+        if not isinstance(self.model_params, dict):
+            raise ScenarioError("model_params must be a mapping")
+        try:
+            model = build_model(self.model, self.model_params)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"cannot build model {self.model!r}: {exc}") from exc
+        state = self.initial_state
+        if not (isinstance(state, (list, tuple)) and len(state) >= 2
+                and all(_is_number(c) and c >= 0 for c in state)
+                and abs(sum(state) - 1.0) <= 1e-6):
+            raise ScenarioError("initial_state must be nonnegative numbers summing to 1")
+        if not (_is_number(self.start_time) and 0 <= self.start_time < model.horizon):
+            raise ScenarioError(f"start_time must lie in [0, {model.horizon})")
         _check_keys(self.value_grid, _VALUE_GRID_KEYS, "value_grid")
+        n_x, n_t = (self.value_grid.get(key) for key in ("n_x", "n_t"))
+        if not (_is_int(n_x) and n_x >= 2 and _is_int(n_t) and n_t >= 1):
+            raise ScenarioError("value_grid needs integers n_x >= 2 and n_t >= 1")
+        if not isinstance(self.adversaries, list):
+            raise ScenarioError("adversaries must be a list")
         for adv in self.adversaries:
             _check_keys(adv, _ADVERSARY_KEYS, "adversaries")
             if adv.get("kind") not in ("extremal", "constant", "random", "greedy"):
                 raise ScenarioError(f"unknown adversary kind {adv.get('kind')!r}")
-            if adv["kind"] == "constant" and "value" not in adv:
-                raise ScenarioError("constant adversary needs a 'value'")
+            if adv["kind"] == "constant" and not _is_number(adv.get("value")):
+                raise ScenarioError("constant adversary needs a numeric 'value'")
         _check_keys(self.lemma1, _LEMMA1_KEYS, "lemma1")
         _check_keys(self.lemma2, _LEMMA2_KEYS, "lemma2")
         _check_keys(self.oracle, _ORACLE_KEYS, "oracle")
@@ -158,6 +195,14 @@ class Scenario:
             "oracle": self.oracle,
             "simulate": self.simulate,
         }
+
+
+def _start_state(scenario, model, total):
+    """The scenario's start mix rounded onto the lattice of ``total`` particles."""
+    if len(scenario.initial_state) != model.dimension:
+        raise ScenarioError(f"initial_state has {len(scenario.initial_state)} coordinates, "
+                            f"model {scenario.model!r} has {model.dimension} types")
+    return round_to_lattice(scenario.initial_state, total)
 
 
 @dataclass
@@ -215,7 +260,7 @@ def _run_trial_block(setup, config_index, m_steps, particle_count,
                      adversary_spec, role, lo, hi):
     """Run trials [lo, hi) of one configuration."""
     scenario, model, constants, field = setup
-    y = round_to_lattice(scenario.initial_state, particle_count)
+    y = _start_state(scenario, model, particle_count)
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
     if role == "first":
         player1 = ControlWithGuideStrategy(field, model, "first", constants)
@@ -292,6 +337,7 @@ def run_corollary_experiment(scenario, workers=1):
 def _run_bound_experiment(scenario, role, workers):
     model = build_model(scenario.model, scenario.model_params)
     constants = estimate_constants(model, seed=scenario.seed).constants
+    starts = {m: _start_state(scenario, model, m) for m in scenario.particle_counts}
     grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
     field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
     _, c_gain = coupling_constants(model, constants)
@@ -312,8 +358,7 @@ def _run_bound_experiment(scenario, role, workers):
             for particle_count in scenario.particle_counts:
                 for adv in scenario.adversaries:
                     h = 1.0 / particle_count
-                    y = round_to_lattice(scenario.initial_state, particle_count)
-                    val0 = field.eval(scenario.start_time, y.coords())
+                    val0 = field.eval(scenario.start_time, starts[particle_count].coords())
                     payoffs, viol1, viol2 = _collect_trials(
                         setup, config_index, m_steps, particle_count, adv,
                         role, workers, pool)
@@ -439,7 +484,7 @@ def run_lemma1_check(scenario):
     if "state" in cfg:
         xi = LatticeState(cfg["state"])
     else:
-        xi = round_to_lattice(scenario.initial_state, total)
+        xi = _start_state(scenario, model, total)
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
@@ -718,7 +763,7 @@ def run_oracle_check(scenario):
     t0 = scenario.start_time
     rows = []
 
-    y = round_to_lattice(scenario.initial_state, total)
+    y = _start_state(scenario, model, total)
     empirical, _ = sample_final_distribution(
         model, t0, t0 + elapsed, y, u, v, trials, seed=scenario.seed,
         rate_bound=constants.k)
@@ -729,7 +774,7 @@ def run_oracle_check(scenario):
                  "tolerance": tv_tol, "ok": bool(tv <= tv_tol)})
 
     if cfg.get("unit_check", True):
-        y1 = round_to_lattice(scenario.initial_state, 1)
+        y1 = _start_state(scenario, model, 1)
         emp1, hits = sample_final_distribution(
             model, t0, t0 + elapsed, y1, u, v, trials, seed=scenario.seed + 1,
             rate_bound=constants.k)
@@ -753,7 +798,7 @@ def run_oracle_check(scenario):
     dyn_tol = float(dyn.get("tolerance", 1e-8))
     residual = dynkin_residual(
         model, lambda x: x[coord], t0, t0 + dyn_elapsed,
-        round_to_lattice(scenario.initial_state, dyn_total), u, v,
+        _start_state(scenario, model, dyn_total), u, v,
         ode_step=float(dyn.get("ode_step", 0.002)))
     rows.append({"check": "expectation_identity_residual", "statistic": residual,
                  "tolerance": dyn_tol, "ok": bool(residual <= dyn_tol)})
@@ -784,10 +829,10 @@ def run_value(scenario, export_field=None):
     constants = estimate_constants(model, seed=scenario.seed).constants
     n_x = scenario.value_grid["n_x"]
     n_t = scenario.value_grid["n_t"]
+    y = _start_state(scenario, model, scenario.particle_counts[0])
     field = solve_value(model, n_t, build_simplex_grid(model.dimension, n_x), constants)
     report = verify_supersolution(field, model, samples=200, step=model.horizon / n_t,
                                   seed=scenario.seed, constants=constants)
-    y = round_to_lattice(scenario.initial_state, scenario.particle_counts[0])
     val0 = field.eval(scenario.start_time, y.coords())
     if export_field:
         os.makedirs(os.path.dirname(os.path.abspath(export_field)), exist_ok=True)
@@ -818,14 +863,14 @@ def run_simulate(scenario):
     cfg = scenario.simulate
     model = build_model(scenario.model, scenario.model_params)
     constants = estimate_constants(model, seed=scenario.seed).constants
+    total = int(cfg.get("particle_count", scenario.particle_counts[0]))
+    y = _start_state(scenario, model, total)
     grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
     field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
     episodes = int(cfg.get("episodes", 5))
     record_jumps = bool(cfg.get("record_jumps", True))
-    total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
-    y = round_to_lattice(scenario.initial_state, total)
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
     player1 = ControlWithGuideStrategy(field, model, "first", constants)
     player2 = _build_adversary(adv, field, model, constants, "second")

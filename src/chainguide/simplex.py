@@ -12,8 +12,6 @@ from math import comb
 
 import numpy as np
 
-CLIP_SLACK = 1e-12       # negative coordinates tolerated before clipping
-SUM_TOL = 1e-10          # coordinates must sum to 1 within this after construction
 PROJECTION_LIMIT = 1e-6  # larger displacements indicate a real simplex exit
 
 
@@ -23,28 +21,6 @@ class ProjectionError(ValueError):
 
 class LatticeCapError(ValueError):
     """Requested lattice enumeration exceeds the configured state-count cap."""
-
-
-def project_to_simplex(coords, limit=PROJECTION_LIMIT):
-    """Clip small negatives and renormalize; return (projected, displacement).
-
-    Raises ProjectionError if the input is farther than `limit` from its
-    projection (Euclidean distance), which indicates the caller's dynamics
-    genuinely left the simplex rather than drifted by round-off.
-    """
-    arr = np.asarray(coords, dtype=float)
-    clipped = np.maximum(arr, 0.0)
-    total = clipped.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise ProjectionError("cannot project a point with non-positive mass onto the simplex")
-    out = clipped / total
-    displacement = np.linalg.norm(out - arr, axis=-1)
-    worst = float(np.max(displacement))
-    if worst > limit:
-        raise ProjectionError(
-            f"projection displacement {worst:.3e} exceeds limit {limit:.1e}"
-        )
-    return out, displacement
 
 
 def project_rows(points):
@@ -69,44 +45,9 @@ def rk4_step(rate, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector: the normalized population state.
-
-    Construction clips coordinates down to -1e-12 of numerical slack and
-    renormalizes; anything farther outside the simplex raises.
-    """
-
-    coords: np.ndarray
-
-    def __init__(self, coords):
-        arr = np.asarray(coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("simplex point needs a 1-d vector of length >= 2")
-        if np.min(arr) < -PROJECTION_LIMIT:
-            raise ProjectionError(f"coordinate {np.min(arr):.3e} is too negative")
-        projected, _ = project_to_simplex(arr)
-        if abs(projected.sum() - 1.0) > SUM_TOL:
-            raise ProjectionError("coordinates do not sum to 1 after renormalization")
-        projected.flags.writeable = False
-        object.__setattr__(self, "coords", projected)
-
-    @property
-    def dimension(self):
-        return self.coords.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplexPoint):
-            return NotImplemented
-        return np.array_equal(self.coords, other.coords)
-
-
 def as_coords(x, d=None):
-    """Accept a SimplexPoint or array-like; return a float ndarray of coordinates."""
-    arr = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
+    """Return an array-like point as a float ndarray of coordinates."""
+    arr = np.asarray(x, dtype=float)
     if d is not None and arr.shape[-1] != d:
         raise ValueError(f"expected a point of dimension {d}, got {arr.shape[-1]}")
     return arr
@@ -142,9 +83,6 @@ class LatticeState:
     def spacing(self):
         """Lattice spacing h = 1/total."""
         return 1.0 / self.total
-
-    def to_point(self):
-        return SimplexPoint(self.counts / self.total)
 
     def coords(self):
         return self.counts / self.total

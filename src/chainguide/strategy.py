@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .chain import simulate_chain
-from .guide import advance_guides, guide_advance, init_guide
+from .guide import advance_guides
 from .models import resolve_k, role_grids
-from .simplex import LatticeState, as_coords, project_rows
+from .simplex import LatticeState, project_rows
 from .value import monotonicity_tolerance
 
 
@@ -89,42 +89,28 @@ def extremal_indices(model, t, xs, guides, role):
     return own, reply
 
 
-def extremal_controls(model, t_star, x_star, w_star, role):
-    """Extremal pair (own control, announced reply) of one player at one position.
-
-    Role "first" returns (u*, v*): u* attains min over u of max over v of
-    the displacement growth rate, v* attains max over v of min over u of
-    the same quantity. Role "second" returns (v*, u*) by the mirrored rules.
-    """
-    xs = as_coords(x_star, model.dimension)[None, :]
-    ws = as_coords(w_star, model.dimension)[None, :]
-    own, reply = extremal_indices(model, t_star, xs, ws, role)
-    own_grid, reply_grid = role_grids(model, role)
-    return own_grid[int(own[0])], reply_grid[int(reply[0])]
-
-
 # -- strategies ----------------------------------------------------------------
 
 
 class ControlWithGuideStrategy:
     """Extremal-shift control with a deterministic guide for one player.
 
-    Bundles the three ingredients of stepwise play: a control selector
-    (t, x, w) -> control, a guide updater (t_plus, t, x, w) -> GuideState,
-    and a guide initializer (s, y) -> GuideState. The object itself is
-    immutable and stateless; the episode runner owns the guide positions,
-    so one strategy instance can serve any number of concurrent episodes.
+    Both calls take a batch of n trials (one trial is n = 1).
+    ``select_batch(t, xs, guides)`` picks, for each row, the grid control
+    that shifts the chain state toward its guide against the worst reply,
+    and the reply the guide update then holds fixed.
+    ``advance_batch(t_plus, t, guides, reply_idx)`` rides each guide along
+    the value-monotone drift hull over [t, t_plus]. The object is immutable
+    and stateless; the episode runner owns the guide positions, so one
+    strategy instance can serve any number of concurrent episodes.
     """
 
-    def __init__(self, field, model, role, constants=None,
-                 ode_step=0.01, lam_points=9):
+    def __init__(self, field, model, role, constants=None):
         if role not in ("first", "second"):
             raise ValueError("role must be 'first' or 'second'")
         self.field = field
         self.model = model
         self.role = role
-        self.ode_step = float(ode_step)
-        self.lam_points = int(lam_points)
         self.value_slack = float(monotonicity_tolerance(field, resolve_k(model, constants)))
 
     @property
@@ -134,30 +120,15 @@ class ControlWithGuideStrategy:
     def step_slack(self, t_star, t_plus):
         return self.value_slack * (t_plus - t_star) / self.field.horizon
 
-    # scalar interface ---------------------------------------------------------
-    def control(self, t, x, w):
-        return extremal_controls(self.model, t, x, w, self.role)[0]
-
-    def init_guide(self, s, y):
-        return init_guide(s, y)
-
-    def update_guide(self, t_plus, t, x, w):
-        """Announced-reply selection followed by the monotone hull advance."""
-        _, reply = extremal_controls(self.model, t, x, w, self.role)
-        return guide_advance(self.field, self.model, t, t_plus, w, reply, self.role,
-                             slack=self.step_slack(t, t_plus),
-                             ode_step=self.ode_step, lam_points=self.lam_points)
-
-    # batch interface used by the episode runner -------------------------------
     def select_batch(self, t, xs, guides):
+        """Own control values (n,), their grid indices and the reply indices."""
         own, reply = extremal_indices(self.model, t, xs, guides, self.role)
         return self.own_grid.values()[own], own, reply
 
     def advance_batch(self, t_plus, t, guides, reply_idx):
-        return advance_guides(
-            self.field, self.model, t, t_plus, guides, reply_idx, self.role,
-            slack=self.step_slack(t, t_plus),
-            ode_step=self.ode_step, lam_points=self.lam_points)
+        """``advance_guides`` over [t, t_plus] at this strategy's step slack."""
+        return advance_guides(self.field, self.model, t, t_plus, guides, reply_idx,
+                              self.role, slack=self.step_slack(t, t_plus))
 
 
 # -- plain control policies -----------------------------------------------------

@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass
 import numpy as np
 
+from .guide import CandidateFamily
 from .models import resolve_k
 from .simplex import (
-    LatticeCapError,
+    PROJECTION_LIMIT,
     ProjectionError,
     as_coords,
     enumerate_lattice_counts,
@@ -27,6 +28,7 @@ from .simplex import (
 
 FORMAT_NAME = "chainguide-value-field"
 FORMAT_VERSION = 1
+MONOTONICITY_SCALE = 5.0  # scheme-error constant of the monotonicity tolerance
 
 
 class SimplexGrid:
@@ -131,6 +133,19 @@ class ValueField:
     times: np.ndarray
     table: np.ndarray  # (len(times), node_count)
 
+    def __post_init__(self):
+        # _bracket reads a time slice off a uniform step, so the times must be one
+        self.times = np.asarray(self.times, dtype=float)
+        self.table = np.asarray(self.table, dtype=float)
+        steps = np.diff(self.times)
+        if (self.times.ndim != 1 or self.times.size < 2 or not np.all(np.isfinite(steps))
+                or np.any(steps <= 0.0) or np.ptp(steps) > 1e-9 * steps[0]):
+            raise ValueError("value-field times must be strictly increasing and evenly spaced")
+        if self.table.shape != (self.times.size, self.grid.node_count):
+            raise ValueError("value table shape does not match the grids")
+        if not np.all(np.isfinite(self.table)):
+            raise ValueError("value table has non-finite entries")
+
     @property
     def horizon(self):
         return float(self.times[-1])
@@ -187,11 +202,7 @@ class ValueField:
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported value-field version {payload.get('version')!r}")
         grid = SimplexGrid(payload["dimension"], payload["resolution"])
-        times = np.asarray(payload["times"], dtype=float)
-        table = np.asarray(payload["values"], dtype=float)
-        if table.shape != (times.size, grid.node_count):
-            raise ValueError("value table shape does not match the grids")
-        return ValueField(grid, times, table)
+        return ValueField(grid, payload["times"], payload["values"])
 
     @staticmethod
     def load(path):
@@ -199,12 +210,7 @@ class ValueField:
             return ValueField.from_dict(json.load(fh))
 
 
-def eval_value(field, t, x):
-    """Interpolated value at (t, x): barycentric in space, linear in time."""
-    return field.eval(t, x)
-
-
-def solve_value(model, n_t, grid, constants=None, projection_limit=1e-6):
+def solve_value(model, n_t, grid, constants=None):
     """Backward min-max recursion for the game value on the grid.
 
     The time step must be small enough that Euler shifts stay within
@@ -236,18 +242,18 @@ def solve_value(model, n_t, grid, constants=None, projection_limit=1e-6):
         worst = project_rows(flat)
         vals = grid.interpolate(table[k + 1], flat).reshape(n_nodes, nu, nv)
         table[k] = vals.max(axis=2).min(axis=1)
-        if worst > projection_limit:
+        if worst > PROJECTION_LIMIT:
             raise ProjectionError(
                 f"drift left the simplex by {worst:.3e} at slice {k}")
     return ValueField(grid, times, table)
 
 
-def monotonicity_tolerance(field, k_bound, c_scale=5.0):
+def monotonicity_tolerance(field, k_bound):
     """Scheme-error allowance for treating the numeric field as a super/subsolution."""
     d = field.grid.dimension
     n_x = field.grid.resolution
     n_t = field.slice_count
-    return c_scale * k_bound * np.sqrt(d) * (1.0 / n_x + field.horizon / n_t)
+    return MONOTONICITY_SCALE * k_bound * np.sqrt(d) * (1.0 / n_x + field.horizon / n_t)
 
 
 @dataclass
@@ -266,7 +272,7 @@ class MonotonicityReport:
 
 
 def verify_supersolution(field, model, samples=200, step=0.01, seed=0,
-                         tolerance=None, constants=None, lam_points=9):
+                         tolerance=None, constants=None):
     """Check that every adversary move admits a value-non-increasing response.
 
     For sampled (t, x) and each v on the grid, searches player-1 responses
@@ -275,8 +281,6 @@ def verify_supersolution(field, model, samples=200, step=0.01, seed=0,
     tolerance. Reports violations; a genuine supersolution surrogate on an
     adequate grid yields none.
     """
-    from .guide import CandidateFamily  # guide imports this module
-
     rng = np.random.default_rng(seed)
     d = model.dimension
     if tolerance is None:
@@ -284,7 +288,7 @@ def verify_supersolution(field, model, samples=200, step=0.01, seed=0,
     horizon = field.horizon
     ts = rng.uniform(0.0, max(horizon - step, 0.0), size=samples)
     xs = random_simplex_points(rng, samples, d)
-    family = CandidateFamily.build(len(model.u_grid), lam_points)
+    family = CandidateFamily.build(len(model.u_grid))
     weight = family.weight[:, None]
     violations = 0
     checked = 0

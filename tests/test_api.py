@@ -1,0 +1,23 @@
+"""The public surface: the exported names and the README's library example."""
+
+import re
+from pathlib import Path
+
+import chainguide
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in chainguide.__all__ if not hasattr(chainguide, name)]
+    assert missing == []
+    assert len(set(chainguide.__all__)) == len(chainguide.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    payoff, value = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= payoff <= 1.0
+    assert 0.0 <= value <= 1.0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainguide.cli import main
 
 
@@ -26,6 +28,28 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     code = main(["experiment", "--scenario", str(path)])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": "nope"},
+    {"value_grid": {"n_x": 50}},
+    {"initial_state": [0.2, 0.3, 0.5]},
+    {"trials": "5"},
+    {"particle_counts": []},
+    {"model_params": {"bogus": 1}},
+    {"seed": -1},
+    {"start_time": 1.0},
+    {"initial_state": [0.7, 0.7]},
+    {"adversaries": [{"kind": "constant", "value": "x"}]},
+], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
+        "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
+        "start-at-horizon", "state-not-a-mix", "string-constant-value"])
+def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
+    scen = write_scenario(tmp_path, **overrides)
+    for command in ("value", "experiment", "oracle"):
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_missing_file(tmp_path):

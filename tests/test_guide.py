@@ -1,14 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainguide.guide import (
-    CandidateFamily,
-    GuideState,
-    guide_advance,
-    init_guide,
-    integrate_characteristic,
-)
-from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
+from chainguide.guide import LAM_POINTS, CandidateFamily, advance_guides, integrate_characteristic
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, role_grids
+from chainguide.strategy import ControlWithGuideStrategy
 from chainguide.value import ValueField, build_simplex_grid, solve_value
 
 
@@ -22,12 +20,18 @@ def two_type_field():
     return model, solve_value(model, 150, build_simplex_grid(2, 150))
 
 
-def test_init_guide_is_identity():
-    g = init_guide(0.0, np.array([1.0, 0.0]))
-    assert g.t == 0.0
-    assert np.array_equal(g.w, [1.0, 0.0])
-    g = init_guide(0.5, np.array([0.25, 0.75]))
-    assert np.array_equal(g.w, [0.25, 0.75])
+def advance_one(field, model, t0, t1, w, reply, role, slack=None):
+    """One-row ``advance_guides`` with the opponent's reply given as a grid value.
+
+    Without a ``slack`` the strategy's per-step slack is used. Returns
+    (endpoint, value_start, value_end, violation, candidate) of the row.
+    """
+    if slack is None:
+        slack = ControlWithGuideStrategy(field, model, role).step_slack(t0, t1)
+    reply_idx = role_grids(model, role)[1].index_of(reply)
+    out = advance_guides(field, model, t0, t1, np.asarray(w, dtype=float)[None, :],
+                         np.array([reply_idx]), role, slack)
+    return tuple(part[0] for part in out)
 
 
 def test_characteristic_zero_model_is_constant():
@@ -63,8 +67,9 @@ def test_characteristic_three_type_stays_on_simplex():
 
 
 def test_candidate_family_layout():
-    fam = CandidateFamily.build(3, lam_points=9)
+    fam = CandidateFamily.build(3)
     # three pure controls first, then two adjacent pairs with nine weights
+    assert LAM_POINTS == 9
     assert fam.count == 3 + 2 * 9
     assert list(fam.weight[:3]) == [1.0, 1.0, 1.0]
     assert fam.first_idx[0] == fam.second_idx[0] == 0
@@ -75,19 +80,19 @@ def test_guide_advance_first_descends_value(two_type_field):
     # from the all-type-1 corner the exact value is preserved along u = 1 and
     # falls along anything the scheme might prefer; the numeric field may
     # wobble within the per-step slack but must not be flagged
-    step = guide_advance(field, model, 0.0, 0.01, np.array([1.0, 0.0]), 1.0, "first")
-    assert not step.violation
-    assert step.value_end <= step.value_start + 1e-4
-    assert step.state.w[0] == pytest.approx(saturated_mix_fraction(1.0, 0.01), abs=1e-4)
+    w, v0, v1, violation, _ = advance_one(field, model, 0.0, 0.01, [1.0, 0.0], 1.0, "first")
+    assert not violation
+    assert v1 <= v0 + 1e-4
+    assert w[0] == pytest.approx(saturated_mix_fraction(1.0, 0.01), abs=1e-4)
 
 
 def test_guide_advance_second_climbs_value(two_type_field):
     model, field = two_type_field
     # from the all-type-2 corner player 2 pushes mass back toward type 1
-    step = guide_advance(field, model, 0.0, 0.01, np.array([0.0, 1.0]), 1.0, "second")
-    assert not step.violation
-    assert step.value_end >= step.value_start - 1e-4
-    assert step.state.w[0] == pytest.approx(0.01, abs=1e-4)
+    w, v0, v1, violation, _ = advance_one(field, model, 0.0, 0.01, [0.0, 1.0], 1.0, "second")
+    assert not violation
+    assert v1 >= v0 - 1e-4
+    assert w[0] == pytest.approx(0.01, abs=1e-4)
 
 
 def test_guide_advance_zero_model_stays_put():
@@ -95,10 +100,10 @@ def test_guide_advance_zero_model_stays_put():
     grid = build_simplex_grid(2, 20)
     field = solve_value(model, 20, grid)
     w0 = np.array([0.35, 0.65])
-    step = guide_advance(field, model, 0.0, 0.05, w0, 0.0, "first")
-    assert np.allclose(step.state.w, w0, atol=1e-12)
-    assert not step.violation
-    assert step.value_end == pytest.approx(step.value_start, abs=1e-12)
+    w, v0, v1, violation, _ = advance_one(field, model, 0.0, 0.05, w0, 0.0, "first")
+    assert np.allclose(w, w0, atol=1e-12)
+    assert not violation
+    assert v1 == pytest.approx(v0, abs=1e-12)
 
 
 def test_guide_constant_field_picks_lowest_index(two_type_field):
@@ -106,12 +111,13 @@ def test_guide_constant_field_picks_lowest_index(two_type_field):
     grid = build_simplex_grid(2, 30)
     times = np.linspace(0.0, 1.0, 31)
     flat = ValueField(grid, times, np.full((31, grid.node_count), 0.4))
-    step = guide_advance(flat, model, 0.0, 0.02, np.array([0.6, 0.4]), 0.5, "first")
+    w, _, _, violation, candidate = advance_one(flat, model, 0.0, 0.02, [0.6, 0.4], 0.5,
+                                                "first")
     # every candidate ties at 0.4, so the first pure control (u = 0) wins
-    assert step.candidate == 0
+    assert candidate == 0
     expect = integrate_characteristic(model, 0.0, 0.02, np.array([0.6, 0.4]), 0.0, 0.5)
-    assert np.allclose(step.state.w, expect, atol=1e-12)
-    assert not step.violation
+    assert np.allclose(w, expect, atol=1e-12)
+    assert not violation
 
 
 def test_guide_speed_bound(two_type_field):
@@ -123,8 +129,8 @@ def test_guide_speed_bound(two_type_field):
         dt = rng.uniform(0.002, 0.05)
         t0 = rng.uniform(0.0, 1.0 - dt)
         v_star = rng.choice(model.v_grid.points)
-        step = guide_advance(field, model, t0, t0 + dt, w, v_star, "first")
-        assert np.linalg.norm(step.state.w - w) <= k * np.sqrt(2) * dt + 1e-9
+        end = advance_one(field, model, t0, t0 + dt, w, v_star, "first")[0]
+        assert np.linalg.norm(end - w) <= k * np.sqrt(2) * dt + 1e-9
 
 
 def test_guide_violation_flagged_not_fatal(two_type_field):
@@ -135,10 +141,10 @@ def test_guide_violation_flagged_not_fatal(two_type_field):
     # corner the adversary's v = 1 pushes x1 (and hence the field) up no
     # matter which u-mixture the hull offers
     frozen = ValueField(grid, times, np.tile(grid.nodes[:, 0], (41, 1)))
-    step = guide_advance(frozen, model, 0.0, 0.2, np.array([0.0, 1.0]), 1.0, "first",
-                               slack=0.0)
-    assert step.violation
-    assert step.value_end > step.value_start
+    _, v0, v1, violation, _ = advance_one(frozen, model, 0.0, 0.2, [0.0, 1.0], 1.0, "first",
+                                          slack=0.0)
+    assert violation
+    assert v1 > v0
 
 
 def test_mirror_symmetry_of_guide_advances(two_type_field):
@@ -149,21 +155,40 @@ def test_mirror_symmetry_of_guide_advances(two_type_field):
     mirror_table = 1.0 - field.table[:, ::-1]
     mirror = ValueField(field.grid, field.times, mirror_table)
     w = np.array([0.8, 0.2])
-    a = rev = guide_advance(field, model, 0.2, 0.22, w, 1.0, "second")
-    b = guide_advance(mirror, model, 0.2, 0.22, w[::-1], 1.0, "first")
-    assert b.candidate == a.candidate
-    assert np.allclose(b.state.w, a.state.w[::-1], atol=1e-9)
-    assert b.value_end == pytest.approx(1.0 - a.value_end, abs=1e-9)
+    a_w, _, a_v1, _, a_cand = advance_one(field, model, 0.2, 0.22, w, 1.0, "second")
+    b_w, _, b_v1, _, b_cand = advance_one(mirror, model, 0.2, 0.22, w[::-1], 1.0, "first")
+    assert b_cand == a_cand
+    assert np.allclose(b_w, a_w[::-1], atol=1e-9)
+    assert b_v1 == pytest.approx(1.0 - a_v1, abs=1e-9)
 
 
-def test_guide_advance_reads_integer_reply_as_grid_value():
-    # the reply is always a grid value: reply=1 is v=1, not grid index 1 (v=0.5)
-    model = TwoTypeModel()
-    field = solve_value(model, 40, build_simplex_grid(2, 40))
-    w = np.array([0.0, 1.0])
-    by_int = guide_advance(field, model, 0.0, 0.05, w, 1, "first")
-    by_float = guide_advance(field, model, 0.0, 0.05, w, 1.0, "first")
-    assert np.array_equal(by_int.state.w, by_float.state.w)
-    assert by_int.state.w[0] == pytest.approx(0.0476, abs=1e-3)
-    with pytest.raises(ValueError):
-        guide_advance(field, model, 0.0, 0.05, w, 2, "first")
+@lru_cache(maxsize=2)
+def small_field(model_cls):
+    model = model_cls()
+    n = 40 if model.dimension == 2 else 12
+    return model, solve_value(model, n, build_simplex_grid(model.dimension, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_advance_guides_rows_match_one_row_calls(data):
+    model, field = small_field(data.draw(st.sampled_from([TwoTypeModel, ThreeTypeRotorModel])))
+    role = data.draw(st.sampled_from(["first", "second"]))
+    d = model.dimension
+    n = data.draw(st.integers(1, 6))
+    weights = st.floats(0.0, 1.0, allow_nan=False)
+    guides = np.array(data.draw(st.lists(st.lists(weights, min_size=d, max_size=d)
+                                         .filter(lambda row: sum(row) > 0.01),
+                                         min_size=n, max_size=n)))
+    guides /= guides.sum(axis=1, keepdims=True)
+    replies = np.array(data.draw(st.lists(st.integers(0, len(role_grids(model, role)[1]) - 1),
+                                          min_size=n, max_size=n)))
+    t0 = data.draw(st.floats(0.0, 0.9))
+    t1 = t0 + data.draw(st.floats(0.002, 0.1))
+    slack = data.draw(st.floats(0.0, 0.01))
+    batch = advance_guides(field, model, t0, t1, guides, replies, role, slack)
+    for r in range(n):
+        row = advance_guides(field, model, t0, t1, guides[r:r + 1], replies[r:r + 1],
+                             role, slack)
+        for whole, single in zip(batch, row):
+            assert np.array_equal(whole[r:r + 1], single)

@@ -3,49 +3,53 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainguide.simplex import (
+    PROJECTION_LIMIT,
     LatticeState,
     LatticeCapError,
-    ProjectionError,
-    SimplexPoint,
     enumerate_lattice,
     enumerate_lattice_counts,
     lattice_size,
-    project_to_simplex,
+    project_rows,
     round_to_lattice,
     single_jump_neighbors,
 )
 
 
 def test_simplex_point_clips_tiny_negatives():
-    p = SimplexPoint([1.0 + 1e-13, -1e-13])
-    assert p.coords[1] == 0.0
-    assert abs(p.coords.sum() - 1.0) <= 1e-10
+    p = np.array([[1.0 + 1e-13, -1e-13]])
+    assert project_rows(p) <= 1e-12
+    assert p[0, 1] == 0.0
+    assert abs(p.sum() - 1.0) <= 1e-10
 
 
 def test_simplex_point_rejects_material_negatives():
-    with pytest.raises(ProjectionError):
-        SimplexPoint([1.1, -0.1])
+    # the returned measure is what callers hold against PROJECTION_LIMIT
+    assert project_rows(np.array([[1.1, -0.1]])) == pytest.approx(0.1)
+    assert project_rows(np.array([[1.1, -0.1]])) > PROJECTION_LIMIT
 
 
 def test_simplex_point_renormalizes():
-    p = SimplexPoint([0.3, 0.7 + 5e-8])
-    assert abs(p.coords.sum() - 1.0) <= 1e-10
+    p = np.array([[0.3, 0.7 + 5e-8]])
+    assert project_rows(p) == pytest.approx(5e-8, rel=1e-6)
+    assert abs(p.sum() - 1.0) <= 1e-10
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=5))
 def test_simplex_point_from_positive_weights(weights):
     arr = np.asarray(weights)
-    p = SimplexPoint(arr / arr.sum())
-    assert np.all(p.coords >= 0.0)
-    assert abs(p.coords.sum() - 1.0) <= 1e-10
+    p = (arr / arr.sum())[None, :]
+    assert project_rows(p) <= 1e-12
+    assert np.all(p >= 0.0)
+    assert abs(p.sum() - 1.0) <= 1e-10
 
 
 def test_project_reports_displacement():
-    out, disp = project_to_simplex(np.array([0.5, 0.5 + 1e-9]))
-    assert disp <= 1e-8
-    assert abs(out.sum() - 1.0) < 1e-15
-    with pytest.raises(ProjectionError):
-        project_to_simplex(np.array([0.5, 0.6]), limit=1e-6)
+    rows = np.array([[0.5, 0.5 + 1e-9], [0.25, 0.75]])
+    assert project_rows(rows) == pytest.approx(1e-9, rel=1e-6)
+    assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
+    # the measure is the worst row's: a clipped negative or a total off by 0.1
+    assert project_rows(np.array([[0.5, 0.5], [0.5, 0.6]])) == pytest.approx(0.1)
+    assert project_rows(np.array([[0.5, 0.5], [1.02, -0.02]])) == pytest.approx(0.02)
 
 
 def test_lattice_state_basics():

@@ -3,7 +3,7 @@ import pytest
 
 from chainguide import models
 from chainguide.chain import RateBoundError
-from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap, role_grids
 from chainguide.simplex import LatticeState
 from chainguide.strategy import (
     ConstantPolicy,
@@ -13,7 +13,7 @@ from chainguide.strategy import (
     RandomPolicy,
     TrajectoryRecord,
     displacement_surface,
-    extremal_controls,
+    extremal_indices,
     run_episode,
     run_episodes,
 )
@@ -37,17 +37,21 @@ def test_partition_basics():
         Partition([0.0])
 
 
+def pair_values(model, t, xs, guides, role):
+    """(own, reply) control values of each row, read off the two role grids."""
+    own, reply = extremal_indices(model, t, np.atleast_2d(xs), np.atleast_2d(guides), role)
+    own_grid, reply_grid = role_grids(model, role)
+    return list(zip(own_grid.values()[own], reply_grid.values()[reply]))
+
+
 def test_extremal_controls_examples():
     model = TwoTypeModel()
-    # zero displacement: objective vanishes, lowest grid indices win
-    u, v = extremal_controls(model, 0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), "first")
-    assert (u, v) == (0.0, 0.0)
-    # chain above guide: push down with u=1; adversary pushes up with v=1
-    u, v = extremal_controls(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]), "first")
-    assert (u, v) == (1.0, 1.0)
+    xs = np.array([[0.5, 0.5], [0.6, 0.4], [0.4, 0.6]])
+    # zero displacement: objective vanishes, lowest grid indices win;
+    # chain above guide: push down with u=1, adversary pushes up with v=1;
     # chain below guide: signs flip
-    u, v = extremal_controls(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]), "first")
-    assert (u, v) == (0.0, 0.0)
+    assert pair_values(model, 0.0, xs, np.full((3, 2), 0.5), "first") == [
+        (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
 
 
 def test_extremal_controls_brute_force_certificates():
@@ -57,10 +61,9 @@ def test_extremal_controls_brute_force_certificates():
         x = rng.dirichlet(np.ones(3))
         w = rng.dirichlet(np.ones(3))
         t = rng.uniform(0, 1)
-        u_star, v_star = extremal_controls(model, t, x, w, "first")
+        own, reply = extremal_indices(model, t, x[None, :], w[None, :], "first")
         s = displacement_surface(model, t, x[None, :], (x - w)[None, :])[0]
-        ui = model.u_grid.index_of(u_star)
-        vi = model.v_grid.index_of(v_star)
+        ui, vi = int(own[0]), int(reply[0])
         # optimality certificates of the two enumeration orders
         assert np.all(s[ui].max() <= s.max(axis=1) + 1e-15)
         assert np.all(s[:, vi].min() >= s.min(axis=0).max() - 1e-15)
@@ -76,35 +79,30 @@ def test_extremal_selection_scale_invariant():
         x = rng.dirichlet(np.ones(2))
         w = rng.dirichlet(np.ones(2))
         t = rng.uniform(0, 1)
-        base = extremal_controls(model, t, x, w, "first")
         nearby = x + 0.013 * (w - x) / max(np.linalg.norm(w - x), 1e-12)
-        shrunk = extremal_controls(model, t, x, nearby, "first")
-        assert base == shrunk
+        assert pair_values(model, t, x, w, "first") == pair_values(model, t, x, nearby, "first")
 
 
 def test_second_player_selection_mirrors():
     model = TwoTypeModel()
-    # chain above player 2's guide: she pulls x1 down with v=0 and expects u=0
-    v, u = extremal_controls(model, 0.0, np.array([0.6, 0.4]), np.array([0.5, 0.5]), "second")
-    assert v == 0.0
-    assert u == 0.0
+    xs = np.array([[0.6, 0.4], [0.4, 0.6]])
+    # chain above player 2's guide: she pulls x1 down with v=0 and expects u=0;
     # chain below: push up with v=1, anticipated u=1
-    v, u = extremal_controls(model, 0.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]), "second")
-    assert v == 1.0
-    assert u == 1.0
+    assert pair_values(model, 0.0, xs, np.full((2, 2), 0.5), "second") == [
+        (0.0, 0.0), (1.0, 1.0)]
 
 
 def test_strategy_selector_matches_displacement_sign(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model, "first")
-    # equal start: lowest-index control
-    assert strat.control(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-    # chain above guide: drain type 1
-    assert strat.control(0.0, np.array([0.55, 0.45]), np.array([0.5, 0.5])) == 1.0
+    # equal start: lowest-index control; chain above guide: drain type 1
+    values, _, _ = strat.select_batch(0.0, np.array([[0.5, 0.5], [0.55, 0.45]]),
+                                      np.full((2, 2), 0.5))
+    assert list(values) == [0.0, 1.0]
     # determinism
-    a = strat.control(0.3, np.array([0.7, 0.3]), np.array([0.6, 0.4]))
-    b = strat.control(0.3, np.array([0.7, 0.3]), np.array([0.6, 0.4]))
-    assert a == b
+    a = strat.select_batch(0.3, np.array([[0.7, 0.3]]), np.array([[0.6, 0.4]]))
+    b = strat.select_batch(0.3, np.array([[0.7, 0.3]]), np.array([[0.6, 0.4]]))
+    assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
 def test_strategy_role_enforced(two_type_setup):

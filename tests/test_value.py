@@ -7,7 +7,6 @@ from chainguide.value import (
     SimplexGrid,
     ValueField,
     build_simplex_grid,
-    eval_value,
     monotonicity_tolerance,
     solve_value,
     verify_supersolution,
@@ -95,10 +94,10 @@ def test_two_type_value_matches_closed_form():
     grid = build_simplex_grid(2, 200)
     field = solve_value(model, 200, grid)
     target = saturated_mix_fraction(1.0, 1.0)  # 0.567667...
-    assert eval_value(field, 0.0, np.array([1.0, 0.0])) == pytest.approx(target, abs=0.01)
-    assert eval_value(field, 0.0, np.array([0.5, 0.5])) == pytest.approx(0.5, abs=0.01)
+    assert field.eval(0.0, np.array([1.0, 0.0])) == pytest.approx(target, abs=0.01)
+    assert field.eval(0.0, np.array([0.5, 0.5])) == pytest.approx(0.5, abs=0.01)
     # interior positions and times follow the same closed form
-    assert eval_value(field, 0.4, np.array([0.8, 0.2])) == pytest.approx(
+    assert field.eval(0.4, np.array([0.8, 0.2])) == pytest.approx(
         saturated_mix_fraction(0.8, 0.6), abs=0.01)
 
 
@@ -174,6 +173,22 @@ def test_field_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "field2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_field_load_rejects_uneven_times_and_non_finite_values():
+    payload = ValueField(build_simplex_grid(2, 4), np.linspace(0.0, 1.0, 4),
+                         np.repeat(np.arange(4.0)[:, None], 5, axis=1)).to_dict()
+    assert ValueField.from_dict(payload).eval(0.5, [0.5, 0.5]) == pytest.approx(1.5)
+    # uneven slices: a uniform-step bracket would read t=0.5 as the last slice
+    with pytest.raises(ValueError, match="evenly spaced"):
+        ValueField.from_dict(dict(payload, times=[0.0, 0.1, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        ValueField.from_dict(dict(payload, times=[0.0, 0.5, 0.5, 1.0]))
+    for bad in (float("nan"), float("inf")):
+        values = [list(row) for row in payload["values"]]
+        values[2][3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ValueField.from_dict(dict(payload, values=values))
 
 
 def test_field_load_rejects_other_files(tmp_path):
