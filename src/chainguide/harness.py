@@ -64,14 +64,6 @@ _TOP_KEYS = {
     "seed", "out", "lemma1", "lemma2", "oracle", "simulate",
 }
 _VALUE_GRID_KEYS = {"n_x", "n_t"}
-_LEMMA1_KEYS = {"particle_count", "state", "u", "v", "deltas", "min_ratio"}
-_LEMMA2_KEYS = {"particle_count", "pairs", "deltas", "trials_per_pair",
-                "acceptance_delta"}
-_ORACLE_KEYS = {"particle_count", "trials", "u", "v", "elapsed", "tv_tolerance",
-                "unit_check", "dynkin"}
-_DYNKIN_KEYS = {"coordinate", "elapsed", "ode_step", "tolerance", "particle_count"}
-_SIMULATE_KEYS = {"episodes", "record_jumps", "adversary_index",
-                  "particle_count", "partition_step_count"}
 
 
 def _check_keys(mapping, allowed, where):
@@ -97,6 +89,40 @@ def _positive_ints(value, name):
     if not (isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)):
         raise ScenarioError(f"{name} must be a non-empty list of positive integers")
     return value
+
+
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_INDEX = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_DELTAS = (lambda v: isinstance(v, list) and bool(v) and all(_is_number(x) and x > 0 for x in v),
+           "a non-empty list of positive numbers")
+_COUNTS = (lambda v: (isinstance(v, list) and all(_is_int(c) and c >= 0 for c in v)
+                      and sum(v) > 0), "nonnegative integer counts with a positive total")
+_MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+
+# every key a sub-section may carry, with the check its value must pass
+_LEMMA1_SPEC = {"particle_count": _POSITIVE_INT, "state": _COUNTS, "u": _NUMBER,
+                "v": _NUMBER, "deltas": _DELTAS, "min_ratio": _NUMBER}
+_LEMMA2_SPEC = {"particle_count": _POSITIVE_INT, "pairs": _POSITIVE_INT, "deltas": _DELTAS,
+                "trials_per_pair": _POSITIVE_INT, "acceptance_delta": _NUMBER}
+_ORACLE_SPEC = {"particle_count": _POSITIVE_INT, "trials": _POSITIVE_INT, "u": _NUMBER,
+                "v": _NUMBER, "elapsed": _POSITIVE, "tv_tolerance": _NUMBER,
+                "unit_check": _FLAG, "dynkin": _MAPPING}
+_DYNKIN_SPEC = {"coordinate": _INDEX, "elapsed": _POSITIVE, "ode_step": _POSITIVE,
+                "tolerance": _NUMBER, "particle_count": _POSITIVE_INT}
+_SIMULATE_SPEC = {"episodes": _POSITIVE_INT, "record_jumps": _FLAG,
+                  "adversary_index": _INDEX, "particle_count": _POSITIVE_INT,
+                  "partition_step_count": _POSITIVE_INT}
+
+
+def _check_section(mapping, spec, where):
+    _check_keys(mapping, set(spec), where)
+    for key, value in mapping.items():
+        valid, meaning = spec[key]
+        if not valid(value):
+            raise ScenarioError(f"{where}.{key} must be {meaning}, got {value!r}")
 
 
 @dataclass
@@ -145,19 +171,26 @@ class Scenario:
         n_x, n_t = (self.value_grid.get(key) for key in ("n_x", "n_t"))
         if not (_is_int(n_x) and n_x >= 2 and _is_int(n_t) and n_t >= 1):
             raise ScenarioError("value_grid needs integers n_x >= 2 and n_t >= 1")
-        if not isinstance(self.adversaries, list):
-            raise ScenarioError("adversaries must be a list")
+        if not (isinstance(self.adversaries, list) and self.adversaries):
+            raise ScenarioError("adversaries must be a non-empty list")
         for adv in self.adversaries:
             _check_keys(adv, _ADVERSARY_KEYS, "adversaries")
             if adv.get("kind") not in ("extremal", "constant", "random", "greedy"):
                 raise ScenarioError(f"unknown adversary kind {adv.get('kind')!r}")
             if adv["kind"] == "constant" and not _is_number(adv.get("value")):
                 raise ScenarioError("constant adversary needs a numeric 'value'")
-        _check_keys(self.lemma1, _LEMMA1_KEYS, "lemma1")
-        _check_keys(self.lemma2, _LEMMA2_KEYS, "lemma2")
-        _check_keys(self.oracle, _ORACLE_KEYS, "oracle")
-        _check_keys(self.oracle.get("dynkin", {}), _DYNKIN_KEYS, "oracle.dynkin")
-        _check_keys(self.simulate, _SIMULATE_KEYS, "simulate")
+        _check_section(self.lemma1, _LEMMA1_SPEC, "lemma1")
+        _check_section(self.lemma2, _LEMMA2_SPEC, "lemma2")
+        _check_section(self.oracle, _ORACLE_SPEC, "oracle")
+        _check_section(self.oracle.get("dynkin", {}), _DYNKIN_SPEC, "oracle.dynkin")
+        _check_section(self.simulate, _SIMULATE_SPEC, "simulate")
+        if "state" in self.lemma1 and len(self.lemma1["state"]) != model.dimension:
+            raise ScenarioError(f"lemma1.state must have {model.dimension} counts")
+        if self.oracle.get("dynkin", {}).get("coordinate", 0) >= model.dimension:
+            raise ScenarioError(f"oracle.dynkin.coordinate must be below {model.dimension}")
+        if self.simulate.get("adversary_index", 0) >= len(self.adversaries):
+            raise ScenarioError(
+                f"simulate.adversary_index must be below {len(self.adversaries)}")
 
     @staticmethod
     def from_dict(payload):

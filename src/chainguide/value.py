@@ -6,13 +6,30 @@ controls of the interpolated next-slice value at the Euler-shifted point.
 The scheme is monotone because interpolation only forms convex
 combinations of node values; that property is what the guide-monotonicity
 machinery leans on, so the interpolation here is exact barycentric
-interpolation on the standard triangulation of the lattice simplex.
+interpolation on the Freudenthal-Kuhn triangulation of the lattice simplex.
+
+Nodes are enumerated lexicographically in their counts c, and a node's
+index is a sum over its cumulative counts s_k = c_0 + ... + c_k: by the
+hockey-stick identity, the nodes before c number
+
+    N - 1 - sum_{k < d-1} C(n - s_k + d - 2 - k, d - 1 - k),
+
+so one integer table rank[k, s] (with the constant N - 1 folded into row
+0) turns ``node_index`` into a gather and a sum. In cumulative
+coordinates a Kuhn simplex is walked from its base vertex floor(n * s) by
+raising one coordinate at a time, in the order of descending fractional
+parts, so each further vertex adds step[k, s] = rank[k, s + 1] - rank[k, s]
+to the index. A vertex whose raised coordinate already sat at n lies off
+the simplex; it always has barycentric weight exactly 0, and step[k, n] = 0
+keeps its index on a valid node, so no vertex needs masking.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
+
 import numpy as np
 
 from .guide import CandidateFamily
@@ -41,19 +58,34 @@ class SimplexGrid:
         self.resolution = int(resolution)
         self.counts = enumerate_lattice_counts(dimension, resolution, cap=cap)
         self.nodes = self.counts / float(resolution)
-        # big-endian radix keys are ascending because enumeration is lexicographic
-        radix = (resolution + 1) ** np.arange(dimension - 1, -1, -1, dtype=np.int64)
-        self._radix = radix
-        self._keys = self.counts @ radix
+        d, n = self.dimension, self.resolution
+        # index = sum_k rank[k, s_k] over cumulative counts s_k = c_0 + ... + c_k
+        rank = np.array([[-comb(n - s + d - 2 - k, d - 1 - k) for s in range(n + 1)]
+                         for k in range(d - 1)], dtype=np.int64)
+        rank[0] += self.node_count - 1
+        self._rank = rank
+        # index change when s_k rises by one; 0 at s_k = n keeps a stepped-out
+        # vertex on a valid node (such vertices carry weight exactly 0)
+        self._step = np.zeros_like(rank)
+        self._step[:, :n] = np.diff(rank, axis=1)
 
     @property
     def node_count(self):
         return self.counts.shape[0]
 
     def node_index(self, counts):
-        """Index of each count row in enumeration order."""
-        keys = np.asarray(counts, dtype=np.int64) @ self._radix
-        return np.searchsorted(self._keys, keys)
+        """Index of each count row in enumeration order; off-lattice rows raise."""
+        raw = np.asarray(counts)
+        if raw.ndim == 0 or raw.shape[-1] != self.dimension:
+            raise ValueError(f"count rows must have {self.dimension} entries")
+        c = raw.astype(np.int64)
+        if np.any(c != raw):
+            raise ValueError("counts must be integers")
+        if np.any(c < 0) or np.any(c.sum(axis=-1) != self.resolution):
+            raise ValueError(
+                f"counts must be nonnegative and sum to {self.resolution}")
+        s = np.cumsum(c[..., :-1], axis=-1)
+        return self._rank[np.arange(self.dimension - 1), s].sum(axis=-1)
 
     def interpolate(self, values, points):
         """Barycentric interpolation of node `values` at simplex `points` (m, d).
@@ -92,24 +124,17 @@ class SimplexGrid:
             lam[:, 1 : d - 1] = f_sorted[:, : d - 2] - f_sorted[:, 1:]
         lam[:, d - 1] = f_sorted[:, d - 2]
 
-        verts = np.empty((m, d, d - 1), dtype=np.int64)
-        verts[:, 0, :] = g
-        rows = np.arange(m)
-        for k in range(1, d):
-            verts[:, k, :] = verts[:, k - 1, :]
-            verts[rows, k, order[:, k - 1]] += 1
-
-        counts = np.empty((m, d, d), dtype=np.int64)
-        counts[:, :, 0] = verts[:, :, 0]
-        if d > 2:
-            counts[:, :, 1 : d - 1] = np.diff(verts, axis=2)
-        counts[:, :, d - 1] = n - verts[:, :, d - 2]
-        bad = counts.min(axis=2) < 0
-        if np.any(bad):
-            # out-of-range vertices only ever carry zero weight
-            lam = np.where(bad, 0.0, lam)
-            counts = np.where(bad[:, :, None], self.counts[0], counts)
-        idx = self.node_index(counts.reshape(-1, d)).reshape(m, d)
+        # flat positions of (k, g_k) in the rank and step tables; vertex 0 is
+        # the base node and vertex j raises cumulative coordinate order[:, j-1]
+        at = g + np.arange(d - 1) * (n + 1)
+        ranks = self._rank.take(at)
+        rises = self._step.take(np.take_along_axis(at, order, axis=1))
+        idx = np.empty((m, d), dtype=np.int64)
+        idx[:, 0] = ranks[:, 0]
+        for k in range(1, d - 1):
+            idx[:, 0] += ranks[:, k]
+        for j in range(1, d):
+            np.add(idx[:, j - 1], rises[:, j - 1], out=idx[:, j])
         return np.einsum("mk,mk->m", lam, values[idx])
 
 

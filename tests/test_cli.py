@@ -41,12 +41,17 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"start_time": 1.0},
     {"initial_state": [0.7, 0.7]},
     {"adversaries": [{"kind": "constant", "value": "x"}]},
+    {"lemma1": {"state": [1, 2, 3]}},
+    {"lemma2": {"deltas": "x"}},
+    {"simulate": {"adversary_index": 5}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
-        "start-at-horizon", "state-not-a-mix", "string-constant-value"])
+        "start-at-horizon", "state-not-a-mix", "string-constant-value",
+        "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
     scen = write_scenario(tmp_path, **overrides)
-    for command in ("value", "experiment", "oracle"):
+    # every command here reads the start state (check-lemma2 draws its own)
+    for command in ("value", "experiment", "oracle", "simulate", "check-lemma1"):
         assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()

@@ -1,9 +1,11 @@
-"""The benchmark's tracer still sees the thinning kernel on every chain path.
+"""The benchmark's tracer still sees the kernels it times by name.
 
 ``perfbench/spans.py`` wraps ``chain.simulate_chain`` wherever chainguide
-binds it and sums each result's ``candidates``. A chain path that stopped
-going through that name would leave the traced per-call percentiles empty.
-The tracer module is only imported here; the benchmark is not run.
+binds it and sums each result's ``candidates``; it wraps
+``SimplexGrid.interpolate`` on the class and sums the points. A chain path
+or a value reader that stopped going through those names would leave the
+traced per-layer figures empty. The tracer module is only imported here;
+the benchmark is not run.
 """
 
 import importlib.util
@@ -12,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainguide import chain, harness, strategy
-from chainguide.models import TwoTypeModel, estimate_constants
+from chainguide import chain, guide, harness, strategy, value
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, estimate_constants
 from chainguide.simplex import LatticeState
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -56,3 +58,19 @@ def test_chain_paths_call_the_traced_kernel(tracer, path):
     assert stat.calls > 0
     assert type(stat.amount) is int and stat.amount > 0
     assert len(stat.durations) == stat.calls
+
+
+def test_value_readers_call_the_traced_interpolation(tracer):
+    model = ThreeTypeRotorModel()
+    n_t = 12
+    grid = value.build_simplex_grid(3, 8)
+    field = value.solve_value(model, n_t, grid)
+    stat = tracer.get("value.interpolate")
+    # one stencil per time slice over every node and control pair
+    assert stat.calls == n_t
+    assert stat.amount == n_t * grid.node_count * len(model.u_grid) * len(model.v_grid)
+
+    calls, points = stat.calls, stat.amount
+    guides = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    guide.advance_guides(field, model, 0.1, 0.15, guides, np.array([0, 1]), "first", 0.0)
+    assert stat.calls > calls and stat.amount > points

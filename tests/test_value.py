@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chainguide.chain import Distribution, lattice_space
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel
-from chainguide.simplex import random_simplex_points
+from chainguide.simplex import project_rows, random_simplex_points
 from chainguide.value import (
     SimplexGrid,
     ValueField,
@@ -45,6 +47,126 @@ def test_grid_node_index_roundtrip():
     grid = build_simplex_grid(3, 5)
     idx = grid.node_index(grid.counts)
     assert np.array_equal(idx, np.arange(grid.node_count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 30))
+def test_node_index_inverts_enumeration(d, n):
+    grid = SimplexGrid(d, n)
+    assert np.array_equal(grid.node_index(grid.counts), np.arange(grid.node_count))
+
+
+@pytest.mark.parametrize("counts", [[0, 5], [-1, 5], [1, 1, 2], [1.5, 2.5]],
+                         ids=["wrong-total", "negative-count", "wrong-dimension",
+                              "fractional-count"])
+def test_node_index_rejects_off_lattice_counts(counts):
+    space = lattice_space(2, 4)
+    with pytest.raises(ValueError):
+        space.node_index(np.array([counts]))
+    # an off-lattice state used to read the probability of another node
+    with pytest.raises(ValueError):
+        Distribution.point_mass(space, [1, 3]).prob_of(counts)
+
+
+def _reference_interpolate(grid, values, points):
+    """The radix-key and searchsorted stencil the rank table replaced."""
+
+    def _snap(s):
+        nearest = np.rint(s)
+        return np.where(np.abs(s - nearest) < 1e-9, nearest, s)
+
+    x = np.asarray(points, dtype=float)
+    m, d = x.shape
+    n = grid.resolution
+    radix = (n + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = grid.counts @ radix
+    if d == 2:
+        s = _snap(np.clip(n * x[:, 0], 0.0, float(n)))
+        g = np.minimum(np.floor(s).astype(np.int64), n - 1)
+        f = s - g
+        return values[g] * (1.0 - f) + values[g + 1] * f
+    s = _snap(np.clip(n * np.cumsum(x[:, : d - 1], axis=1), 0.0, float(n)))
+    g = np.floor(s).astype(np.int64)
+    f = s - g
+    order = (d - 2) - np.argsort(-f[:, ::-1], axis=1, kind="stable")
+    f_sorted = np.take_along_axis(f, order, axis=1)
+    lam = np.empty((m, d))
+    lam[:, 0] = 1.0 - f_sorted[:, 0]
+    lam[:, 1 : d - 1] = f_sorted[:, : d - 2] - f_sorted[:, 1:]
+    lam[:, d - 1] = f_sorted[:, d - 2]
+    verts = np.empty((m, d, d - 1), dtype=np.int64)
+    verts[:, 0, :] = g
+    rows = np.arange(m)
+    for k in range(1, d):
+        verts[:, k, :] = verts[:, k - 1, :]
+        verts[rows, k, order[:, k - 1]] += 1
+    counts = np.empty((m, d, d), dtype=np.int64)
+    counts[:, :, 0] = verts[:, :, 0]
+    counts[:, :, 1 : d - 1] = np.diff(verts, axis=2)
+    counts[:, :, d - 1] = n - verts[:, :, d - 2]
+    bad = counts.min(axis=2) < 0
+    lam = np.where(bad, 0.0, lam)
+    counts = np.where(bad[:, :, None], grid.counts[0], counts)
+    idx = np.searchsorted(keys, counts.reshape(-1, d) @ radix).reshape(m, d)
+    return np.einsum("mk,mk->m", lam, values[idx])
+
+
+@st.composite
+def grid_points(draw):
+    """A grid and simplex points on its vertices, edges, faces, interior and near nodes."""
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, {2: 60, 3: 25, 4: 12, 5: 8}[d]))
+    grid = SimplexGrid(d, n)
+    node = st.integers(0, grid.node_count - 1)
+    unit = st.floats(0.0, 1.0)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["vertex", "edge", "face", "interior", "near"]),
+                              min_size=1, max_size=25)):
+        c = grid.counts[draw(node)]
+        if kind == "vertex":
+            points.append(c / n)
+        elif kind == "edge":
+            # towards the neighbour that moves one particle between two types
+            i, j = draw(st.permutations(range(d)))[:2]
+            step = np.zeros(d)
+            if c[i] > 0:
+                step[i], step[j] = -1.0, 1.0
+            points.append((c + draw(unit) * step) / n)
+        elif kind in ("face", "interior"):
+            w = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+            if kind == "face":
+                w[draw(st.integers(0, d - 1))] = 0.0
+            points.append(w / w.sum() if w.sum() > 0 else c / n)
+        else:
+            jitter = np.array(draw(st.lists(st.floats(-1e-12, 1e-12), min_size=d, max_size=d)))
+            points.append(c / n + jitter)
+    points = np.array(points)
+    project_rows(points)
+    return grid, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_points(), st.integers(0, 2**32 - 1))
+def test_interpolation_matches_reference_stencil_bit_for_bit(case, seed):
+    grid, points = case
+    values = np.random.default_rng(seed).standard_normal(grid.node_count)
+    got = grid.interpolate(values, points)
+    assert got.tobytes() == _reference_interpolate(grid, values, points).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_points(), st.integers(0, 2**32 - 1))
+def test_interpolation_is_affine_exact_and_convex(case, seed):
+    grid, points = case
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(grid.dimension)
+    offset = rng.standard_normal()
+    affine = grid.interpolate(grid.nodes @ coeffs + offset, points)
+    assert np.allclose(affine, points @ coeffs + offset, rtol=0.0, atol=1e-10)
+    values = rng.standard_normal(grid.node_count)
+    got = grid.interpolate(values, points)
+    assert np.all(got <= values.max() + 1e-12)
+    assert np.all(got >= values.min() - 1e-12)
 
 
 @pytest.mark.parametrize("d,n", [(2, 7), (3, 6), (4, 5)])
