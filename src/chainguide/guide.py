@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import role_grids
+from .models import as_uv, role_grids, role_sign
 from .simplex import PROJECTION_LIMIT, ProjectionError, as_coords, project_rows, rk4_step
 
 ODE_STEP = 0.01   # RK4 step of the guide flow
@@ -117,6 +117,7 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role, slack):
     """
     guides = np.asarray(guides, dtype=float)
     n, d = guides.shape
+    sign = role_sign(role)
     own_grid, fixed_grid = role_grids(model, role)
     own_values = own_grid.values()
     fixed_values = fixed_grid.values()[fixed_idx]
@@ -128,37 +129,21 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, role, slack):
 
     # tile trial rows per candidate: row r*nc + c is candidate c of trial r
     states = np.repeat(guides, nc, axis=0)
-    mix_a = np.tile(own_values[family.first_idx], n)
-    mix_b = np.tile(own_values[family.second_idx], n)
-    lam = np.tile(family.weight, n)
     fixed = np.repeat(fixed_values, nc)
+    uv_a = as_uv(role, np.tile(own_values[family.first_idx], n), fixed)
+    uv_b = as_uv(role, np.tile(own_values[family.second_idx], n), fixed)
+    lam = np.tile(family.weight, n)[:, None]
 
     def velocity(t, x):
-        return _hull_drift(model, t, x, mix_a, mix_b, lam, fixed, role)
+        return lam * model.drift(t, x, *uv_a) + (1.0 - lam) * model.drift(t, x, *uv_b)
 
     states = _flow(velocity, t0, t1, states, ODE_STEP, "guide hull trajectory")
 
     value_start = field.eval_batch(t0, guides)
     end_values = field.eval_batch(t1, states).reshape(n, nc)
-    if role == "first":
-        best = np.argmin(end_values, axis=1)
-    else:
-        best = np.argmax(end_values, axis=1)
+    best = np.argmin(sign * end_values, axis=1)
     rows = np.arange(n)
     value_end = end_values[rows, best]
     endpoints = states.reshape(n, nc, d)[rows, best]
-    if role == "first":
-        violation = value_end > value_start + slack
-    else:
-        violation = value_end < value_start - slack
+    violation = sign * value_end > sign * value_start + slack
     return endpoints, value_start, value_end, violation, best
-
-
-def _hull_drift(model, t, states, mix_a, mix_b, lam, fixed, role):
-    if role == "first":
-        da = model.drift(t, states, mix_a, fixed)
-        db = model.drift(t, states, mix_b, fixed)
-    else:
-        da = model.drift(t, states, fixed, mix_a)
-        db = model.drift(t, states, fixed, mix_b)
-    return lam[:, None] * da + (1.0 - lam[:, None]) * db

@@ -13,7 +13,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,11 +32,13 @@ from .guide import advance_guides
 from .models import (
     ModelConstants,
     RateModel,
+    as_uv,
     build_model,
     coupling_allowance,
     coupling_constants,
     estimate_constants,
     role_grids,
+    role_sign,
 )
 from .simplex import LatticeState, round_to_lattice
 from .strategy import (
@@ -106,7 +108,7 @@ _MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 _LEMMA1_SPEC = {"particle_count": _POSITIVE_INT, "state": _COUNTS, "u": _NUMBER,
                 "v": _NUMBER, "deltas": _DELTAS, "min_ratio": _NUMBER}
 _LEMMA2_SPEC = {"particle_count": _POSITIVE_INT, "pairs": _POSITIVE_INT, "deltas": _DELTAS,
-                "trials_per_pair": _POSITIVE_INT, "acceptance_delta": _NUMBER}
+                "trials_per_pair": _POSITIVE_INT}
 _ORACLE_SPEC = {"particle_count": _POSITIVE_INT, "trials": _POSITIVE_INT, "u": _NUMBER,
                 "v": _NUMBER, "elapsed": _POSITIVE, "tv_tolerance": _NUMBER,
                 "unit_check": _FLAG, "dynkin": _MAPPING}
@@ -211,23 +213,7 @@ class Scenario:
         return Scenario.from_dict(payload)
 
     def to_dict(self):
-        return {
-            "model": self.model,
-            "model_params": self.model_params,
-            "particle_counts": list(self.particle_counts),
-            "partition_steps": list(self.partition_steps),
-            "initial_state": list(self.initial_state),
-            "start_time": self.start_time,
-            "trials": self.trials,
-            "adversaries": self.adversaries,
-            "value_grid": dict(self.value_grid),
-            "seed": self.seed,
-            "out": self.out,
-            "lemma1": self.lemma1,
-            "lemma2": self.lemma2,
-            "oracle": self.oracle,
-            "simulate": self.simulate,
-        }
+        return asdict(self)
 
 
 def _start_state(scenario, model, total):
@@ -295,12 +281,11 @@ def _run_trial_block(setup, config_index, m_steps, particle_count,
     scenario, model, constants, field = setup
     y = _start_state(scenario, model, particle_count)
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
-    if role == "first":
-        player1 = ControlWithGuideStrategy(field, model, "first", constants)
-        player2 = _build_adversary(adversary_spec, field, model, constants, "second")
-    else:
-        player2 = ControlWithGuideStrategy(field, model, "second", constants)
-        player1 = _build_adversary(adversary_spec, field, model, constants, "first")
+    # as_uv is its own inverse: (player 1's role, player 2's role) -> (own, adversary's)
+    _, adversary_role = as_uv(role, "first", "second")
+    player1, player2 = as_uv(
+        role, ControlWithGuideStrategy(field, model, role, constants),
+        _build_adversary(adversary_spec, field, model, constants, adversary_role))
     rngs = [np.random.default_rng([scenario.seed, config_index, trial])
             for trial in range(lo, hi)]
     batch = run_episodes(model, y, partition, player1, player2, rngs,
@@ -376,6 +361,7 @@ def _run_bound_experiment(scenario, role, workers):
     _, c_gain = coupling_constants(model, constants)
     d_const = c_gain * model.horizon
     r_const = constants.r
+    sign = role_sign(role)
 
     setup = _ExperimentSetup(scenario, model, constants, field)
     pool = None
@@ -400,22 +386,15 @@ def _run_bound_experiment(scenario, role, workers):
                     sem = float(np.std(payoffs, ddof=1) / math.sqrt(n))
                     spread = r_const * math.sqrt(d_const * h)
                     tail = (d_const * h) ** (1.0 / 3.0)
-                    if role == "first":
-                        mean_bound = val0 + spread
-                        mean_ok = mean <= mean_bound + 2.0 * sem
-                        threshold = val0 + r_const * tail
-                        exceed_count = int(np.sum(payoffs >= threshold))
-                        gap = mean - val0
-                        own_viol = float(np.sum(viol1) / n)
-                        opp_viol = float(np.sum(viol2) / n)
-                    else:
-                        mean_bound = val0 - spread
-                        mean_ok = mean >= mean_bound - 2.0 * sem
-                        threshold = val0 - r_const * tail
-                        exceed_count = int(np.sum(payoffs <= threshold))
-                        gap = val0 - mean
-                        own_viol = float(np.sum(viol2) / n)
-                        opp_viol = float(np.sum(viol1) / n)
+                    # player 1's bounds on the player's signed payoff; negation is exact,
+                    # so role "second" gets the same figures as a separate branch would
+                    mean_bound = val0 + sign * spread
+                    mean_ok = sign * mean <= sign * mean_bound + 2.0 * sem
+                    threshold = val0 + sign * (r_const * tail)
+                    exceed_count = int(np.sum(sign * payoffs >= sign * threshold))
+                    gap = sign * (mean - val0)
+                    own_viol, opp_viol = (float(np.sum(v) / n)
+                                          for v in as_uv(role, viol1, viol2))
                     exceed_prob = exceed_count / n
                     exceed_ci = Z_95 * math.sqrt(exceed_prob * (1.0 - exceed_prob) / n)
                     # the tail bound says nothing once its right side reaches 1,

@@ -2,8 +2,16 @@
 
 A model supplies the transition-rate matrix Q(t, x, u, v) of the particle
 system (a Kolmogorov matrix: nonnegative off-diagonals, zero row sums), the
-control grids of both players, and the terminal payoff. Player 1 (control u)
-minimizes the expected terminal payoff, player 2 (control v) maximizes it.
+control grids of both players, and the terminal payoff.
+
+The role convention lives here and nowhere else: role "first" is player 1,
+who plays the u grid and minimizes the expected terminal payoff; role
+"second" is player 2, who plays the v grid and maximizes it. Player 2's
+problem is player 1's on the mirrored model (u and v swapped, payoff
+negated), so the paper's corollary for the maximizing player is its main
+theorem read through that mirror. ``role_sign``, ``as_uv`` and
+``own_axis_first`` apply the mirror exactly (negation and axis swaps round
+nothing), so every other layer states its rule once, for player 1.
 
 A custom model implements two hooks, ``rate_matrix(t, x, u, v)`` and
 ``terminal_payoff(x)``, both broadcasting over leading axes, so that one
@@ -192,13 +200,35 @@ class RateModel:
         return args, (xs.shape[0], uu.size, vv.size)
 
 
-def role_grids(model, role):
-    """(own, opponent) control grids of a player: role "first" plays u, "second" plays v."""
+# -- role convention -----------------------------------------------------------
+
+
+def role_sign(role):
+    """+1.0 for the minimizing player 1 ("first"), -1.0 for the maximizing player 2 ("second")."""
     if role == "first":
-        return model.u_grid, model.v_grid
+        return 1.0
     if role == "second":
-        return model.v_grid, model.u_grid
+        return -1.0
     raise ValueError("role must be 'first' or 'second'")
+
+
+def as_uv(role, own, opp):
+    """(u side, v side) of a player's (own, opponent) pair.
+
+    The map is its own inverse, so it also takes a (u side, v side) pair,
+    such as (player 1, player 2), to the player's (own, opponent).
+    """
+    return (own, opp) if role_sign(role) > 0 else (opp, own)
+
+
+def own_axis_first(role, surface):
+    """A (..., nu, nv) surface with the player's own control on axis -2."""
+    return surface if role_sign(role) > 0 else np.swapaxes(surface, -1, -2)
+
+
+def role_grids(model, role):
+    """(own, opponent) control grids of a player."""
+    return as_uv(role, model.u_grid, model.v_grid)
 
 
 def resolve_k(model, constants=None):

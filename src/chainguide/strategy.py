@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import simulate_chain
 from .guide import advance_guides
-from .models import resolve_k, role_grids
+from .models import own_axis_first, resolve_k, role_grids, role_sign
 from .simplex import LatticeState, project_rows
 from .value import monotonicity_tolerance
 
@@ -70,22 +70,17 @@ def displacement_surface(model, t, xs, disps):
 def extremal_indices(model, t, xs, guides, role):
     """Grid indices of the shift control and the announced reply, batched.
 
-    Role "first": own u minimizes the worst-case displacement growth
-    (min over u of max over v), the announced v maximizes the best-case
-    growth (max over v of min over u). Role "second" swaps the players.
-    Ties resolve to the lowest grid index.
+    Whatever the role, the own control minimizes the worst-case
+    displacement growth (min over own of max over reply) and the announced
+    reply maximizes the best-case growth (max over reply of min over own):
+    each player shifts the chain toward its own guide. Ties resolve to the
+    lowest grid index.
     """
     xs = np.asarray(xs, dtype=float)
     disps = xs - np.asarray(guides, dtype=float)
-    surface = displacement_surface(model, t, xs, disps)
-    if role == "first":
-        own = np.argmin(surface.max(axis=2), axis=1)
-        reply = np.argmax(surface.min(axis=1), axis=1)
-    elif role == "second":
-        own = np.argmin(surface.max(axis=1), axis=1)
-        reply = np.argmax(surface.min(axis=2), axis=1)
-    else:
-        raise ValueError("role must be 'first' or 'second'")
+    surface = own_axis_first(role, displacement_surface(model, t, xs, disps))
+    own = np.argmin(surface.max(axis=2), axis=1)
+    reply = np.argmax(surface.min(axis=1), axis=1)
     return own, reply
 
 
@@ -106,8 +101,7 @@ class ControlWithGuideStrategy:
     """
 
     def __init__(self, field, model, role, constants=None):
-        if role not in ("first", "second"):
-            raise ValueError("role must be 'first' or 'second'")
+        role_sign(role)  # rejects an unknown role
         self.field = field
         self.model = model
         self.role = role
@@ -168,6 +162,7 @@ class GreedyPolicy(ControlPolicy):
     def __init__(self, model, role, probe=1e-4):
         self.model = model
         self.role = role
+        self.sign = role_sign(role)
         self.probe = float(probe)
 
     def step_values(self, t, counts, h, rngs):
@@ -177,11 +172,10 @@ class GreedyPolicy(ControlPolicy):
         project_rows(probes)
         gains = (self.model.terminal_payoff(probes)
                  - self.model.terminal_payoff(xs)[:, None, None])
-        if self.role == "second":
-            idx = np.argmax(gains.min(axis=1), axis=1)
-            return self.model.v_grid.values()[idx]
-        idx = np.argmin(gains.max(axis=2), axis=1)
-        return self.model.u_grid.values()[idx]
+        # the player's own payoff loss, own control on axis 1
+        losses = self.sign * own_axis_first(self.role, gains)
+        idx = np.argmin(losses.max(axis=2), axis=1)
+        return role_grids(self.model, self.role)[0].values()[idx]
 
 
 def as_side(side):
@@ -261,14 +255,13 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     times = partition.times
     if times[-1] > model.horizon + 1e-12:
         raise ValueError("partition extends past the model horizon")
-    side1 = as_side(player1)
-    side2 = as_side(player2)
-    strat1 = side1 if isinstance(side1, ControlWithGuideStrategy) else None
-    strat2 = side2 if isinstance(side2, ControlWithGuideStrategy) else None
-    if strat1 is not None and strat1.role != "first":
-        raise ValueError("player1 strategy must have role 'first'")
-    if strat2 is not None and strat2.role != "second":
-        raise ValueError("player2 strategy must have role 'second'")
+    # per-player lists; player 1 goes first in every loop, so policy draws
+    # from the trial generators keep their order
+    sides = [as_side(player1), as_side(player2)]
+    strats = [s if isinstance(s, ControlWithGuideStrategy) else None for s in sides]
+    for seat, role, strat in zip(("player1", "player2"), ("first", "second"), strats):
+        if strat is not None and strat.role != role:
+            raise ValueError(f"{seat} strategy must have role {role!r}")
 
     n = len(rngs)
     d = model.dimension
@@ -277,10 +270,9 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     steps = partition.steps
     counts = np.tile(y.counts.astype(np.int64), (n, 1))
     start = y.coords()
-    guides1 = np.tile(start, (n, 1)) if strat1 is not None else None
-    guides2 = np.tile(start, (n, 1)) if strat2 is not None else None
-    viol1 = np.zeros(n, dtype=np.int64)
-    viol2 = np.zeros(n, dtype=np.int64)
+    guides = [np.tile(start, (n, 1)) if s is not None else None for s in strats]
+    viol = [np.zeros(n, dtype=np.int64) for _ in strats]
+    replies = [None, None]
 
     recording = record or record_jumps
     if recording:
@@ -288,17 +280,16 @@ def run_episodes(model, y, partition, player1, player2, rngs,
         rec_counts[:, 0] = counts
         rec_u = np.empty((n, steps))
         rec_v = np.empty((n, steps))
-        rec_g1 = np.empty((n, steps + 1, d)) if strat1 is not None else None
-        rec_g2 = np.empty((n, steps + 1, d)) if strat2 is not None else None
-        rec_g1v = np.empty((n, steps)) if strat1 is not None else None
-        rec_g2v = np.empty((n, steps)) if strat2 is not None else None
-        rec_f1 = np.zeros((n, steps), dtype=bool) if strat1 is not None else None
-        rec_f2 = np.zeros((n, steps), dtype=bool) if strat2 is not None else None
+        rec_guides = [None, None]
+        rec_values = [None, None]
+        rec_flags = [None, None]
+        for p, strat in enumerate(strats):
+            if strat is not None:
+                rec_guides[p] = np.empty((n, steps + 1, d))
+                rec_guides[p][:, 0] = guides[p]
+                rec_values[p] = np.empty((n, steps))
+                rec_flags[p] = np.zeros((n, steps), dtype=bool)
         rec_jumps = [[] for _ in range(n)] if record_jumps else None
-        if rec_g1 is not None:
-            rec_g1[:, 0] = guides1
-        if rec_g2 is not None:
-            rec_g2[:, 0] = guides2
 
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     candidates = accepted = 0
@@ -308,14 +299,14 @@ def run_episodes(model, y, partition, player1, player2, rngs,
         t1 = float(times[k + 1])
         xs = counts * h
 
-        if strat1 is not None:
-            u_vals, _, reply1 = strat1.select_batch(t0, xs, guides1)
-        else:
-            u_vals = side1.step_values(t0, counts, h, rngs)
-        if strat2 is not None:
-            v_vals, _, reply2 = strat2.select_batch(t0, xs, guides2)
-        else:
-            v_vals = side2.step_values(t0, counts, h, rngs)
+        controls = []
+        for p, (side, strat) in enumerate(zip(sides, strats)):
+            if strat is not None:
+                vals, _, replies[p] = strat.select_batch(t0, xs, guides[p])
+            else:
+                vals = side.step_values(t0, counts, h, rngs)
+            controls.append(vals)
+        u_vals, v_vals = controls
 
         # the chain advances under the step controls, each trial drawing
         # from its own generator
@@ -329,54 +320,50 @@ def run_episodes(model, y, partition, player1, player2, rngs,
                 jumps.extend(events)
 
         # guide updates read the pre-step chain state
-        if strat1 is not None:
-            guides1, _, g1v, flags1, _ = strat1.advance_batch(t1, t0, guides1, reply1)
-            viol1 += flags1
-        if strat2 is not None:
-            guides2, _, g2v, flags2, _ = strat2.advance_batch(t1, t0, guides2, reply2)
-            viol2 += flags2
+        for p, strat in enumerate(strats):
+            if strat is not None:
+                guides[p], _, guide_values, flags, _ = strat.advance_batch(
+                    t1, t0, guides[p], replies[p])
+                viol[p] += flags
+                if recording:
+                    rec_guides[p][:, k + 1] = guides[p]
+                    rec_values[p][:, k] = guide_values
+                    rec_flags[p][:, k] = flags
 
         if recording:
             rec_counts[:, k + 1] = counts
             rec_u[:, k] = u_vals
             rec_v[:, k] = v_vals
-            if strat1 is not None:
-                rec_g1[:, k + 1] = guides1
-                rec_g1v[:, k] = g1v
-                rec_f1[:, k] = flags1
-            if strat2 is not None:
-                rec_g2[:, k + 1] = guides2
-                rec_g2v[:, k] = g2v
-                rec_f2[:, k] = flags2
 
     payoffs = model.terminal_payoff(counts * h)
     batch = EpisodeBatch(
         payoffs=payoffs,
-        violation_fraction1=viol1 / steps,
-        violation_fraction2=viol2 / steps,
+        violation_fraction1=viol[0] / steps,
+        violation_fraction2=viol[1] / steps,
         candidates=candidates,
         accepted=accepted,
         max_rate_ratio=max_rate_ratio,
     )
     if recording:
-        batch.records = [
-            TrajectoryRecord(
+        batch.records = []
+        for i in range(n):
+            guide, values, flags = ([None if a is None else a[i] for a in arrays]
+                                    for arrays in (rec_guides, rec_values, rec_flags))
+            batch.records.append(TrajectoryRecord(
                 partition=partition,
                 counts=rec_counts[i],
                 total=total,
                 controls_u=rec_u[i],
                 controls_v=rec_v[i],
                 payoff=float(payoffs[i]),
-                guide1=rec_g1[i] if rec_g1 is not None else None,
-                guide2=rec_g2[i] if rec_g2 is not None else None,
-                guide1_values=rec_g1v[i] if rec_g1v is not None else None,
-                guide2_values=rec_g2v[i] if rec_g2v is not None else None,
-                violations1=rec_f1[i] if rec_f1 is not None else None,
-                violations2=rec_f2[i] if rec_f2 is not None else None,
+                guide1=guide[0],
+                guide2=guide[1],
+                guide1_values=values[0],
+                guide2_values=values[1],
+                violations1=flags[0],
+                violations2=flags[1],
                 jumps=rec_jumps[i] if record_jumps else None,
-            )
-            for i in range(n)
-        ]
+            ))
     return batch
 
 

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import chainguide
+from chainguide import harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +22,14 @@ def test_readme_library_example_runs(capsys):
     payoff, value = map(float, capsys.readouterr().out.split())
     assert 0.0 <= payoff <= 1.0
     assert 0.0 <= value <= 1.0
+
+
+def test_readme_scenario_table_lists_the_accepted_section_keys():
+    specs = {"lemma1": harness._LEMMA1_SPEC, "lemma2": harness._LEMMA2_SPEC,
+             "oracle": harness._ORACLE_SPEC, "simulate": harness._SIMULATE_SPEC}
+    rows = dict(re.findall(r"^\| `(\w+)` \| `\{(.*?)\}` \|", README.read_text(encoding="utf-8"),
+                           re.M))
+    for section, spec in specs.items():
+        # a nested sub-section is listed as name{...}
+        listed = {key.split("{")[0] for key in rows[section].split(", ")}
+        assert listed == set(spec), section

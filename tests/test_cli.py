@@ -44,10 +44,12 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"lemma1": {"state": [1, 2, 3]}},
     {"lemma2": {"deltas": "x"}},
     {"simulate": {"adversary_index": 5}},
+    {"lemma2": {"acceptance_delta": 0.01}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
-        "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index"])
+        "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
+        "unread-lemma2-acceptance-delta"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)

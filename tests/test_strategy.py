@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainguide import models
 from chainguide.chain import RateBoundError
-from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap, role_grids
+from chainguide.guide import advance_guides
+from chainguide.models import (
+    RateModel,
+    ThreeTypeRotorModel,
+    TwoTypeModel,
+    ZeroModel,
+    isaacs_gap,
+    role_grids,
+)
 from chainguide.simplex import LatticeState
 from chainguide.strategy import (
     ConstantPolicy,
@@ -17,7 +26,7 @@ from chainguide.strategy import (
     run_episode,
     run_episodes,
 )
-from chainguide.value import build_simplex_grid, solve_value
+from chainguide.value import ValueField, build_simplex_grid, solve_value
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +204,92 @@ def test_greedy_policy_pushes_payoff(two_type_setup):
     pol1 = GreedyPolicy(model, "first")
     vals = pol1.step_values(0.0, counts, 0.05, [None, None])
     assert np.all(vals == 1.0)  # u = 1 drains x1 fastest
+
+
+def test_greedy_policy_rejects_unknown_role():
+    # an unknown role must not fall back to playing player 1's grid
+    with pytest.raises(ValueError):
+        GreedyPolicy(TwoTypeModel(v_levels=(0.0, 0.25)), "Second")
+
+
+class Mirrored(RateModel):
+    """``base`` with the players' seats swapped and the payoff negated.
+
+    Player 1 of the mirror is player 2 of ``base``, so role "second" on
+    ``base`` must act exactly as role "first" on the mirror.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.dimension = base.dimension
+        self.horizon = base.horizon
+        self.u_grid, self.v_grid = base.v_grid, base.u_grid
+        self.declared_k = base.declared_k
+
+    def rate_matrix(self, t, x, u, v):
+        return self.base.rate_matrix(t, x, v, u)
+
+    def drift(self, t, x, u, v):
+        return self.base.drift(t, x, v, u)
+
+    def terminal_payoff(self, x):
+        return -self.base.terminal_payoff(x)
+
+
+LEVELS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                  min_size=2, max_size=4, unique=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([TwoTypeModel, ThreeTypeRotorModel]), LEVELS, LEVELS,
+       st.integers(0, 2**32 - 1))
+def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_levels, seed):
+    base = model_cls(u_levels=u_levels, v_levels=v_levels)
+    mirror = Mirrored(base)
+    d = base.dimension
+    rng = np.random.default_rng(seed)
+    grid = build_simplex_grid(d, 10)
+    times = np.linspace(0.0, base.horizon, 6)
+    field = ValueField(grid, times, rng.uniform(size=(times.size, grid.node_count)))
+    mirror_field = ValueField(grid, times, -field.table)
+    n, total = 4, 10
+    counts = rng.multinomial(total, rng.dirichlet(np.ones(d)), size=n)
+    xs = counts / total
+    guides = rng.dirichlet(np.ones(d), size=n)
+    t = float(rng.uniform(0.0, 0.9))
+
+    for got, want in zip(extremal_indices(base, t, xs, guides, "second"),
+                         extremal_indices(mirror, t, xs, guides, "first")):
+        assert np.array_equal(got, want)
+
+    no_rngs = [None] * n
+    assert np.array_equal(GreedyPolicy(base, "second").step_values(t, counts, 1 / total, no_rngs),
+                          GreedyPolicy(mirror, "first").step_values(t, counts, 1 / total, no_rngs))
+
+    fixed = rng.integers(len(base.u_grid), size=n)
+    slack = float(rng.uniform(0.0, 0.01))
+    ends, start, end, flags, best = advance_guides(field, base, t, t + 0.05, guides,
+                                                   fixed, "second", slack)
+    m_ends, m_start, m_end, m_flags, m_best = advance_guides(
+        mirror_field, mirror, t, t + 0.05, guides, fixed, "first", slack)
+    assert np.array_equal(ends, m_ends)
+    assert np.array_equal(flags, m_flags)
+    assert np.array_equal(best, m_best)
+    assert np.array_equal(start, -m_start)
+    assert np.array_equal(end, -m_end)
+
+    y = LatticeState(counts[0])
+    partition = Partition.uniform(0.0, base.horizon, 5)
+    batch = run_episodes(base, y, partition, RandomPolicy(base.u_grid),
+                         ControlWithGuideStrategy(field, base, "second"),
+                         [np.random.default_rng([seed, i]) for i in range(3)])
+    m_batch = run_episodes(mirror, y, partition,
+                           ControlWithGuideStrategy(mirror_field, mirror, "first"),
+                           RandomPolicy(mirror.v_grid),
+                           [np.random.default_rng([seed, i]) for i in range(3)])
+    assert np.array_equal(batch.payoffs, -m_batch.payoffs)
+    assert np.array_equal(batch.violation_fraction2, m_batch.violation_fraction1)
+    assert np.array_equal(batch.violation_fraction1, m_batch.violation_fraction2)
 
 
 def test_mean_payoff_tracks_value(two_type_setup):
