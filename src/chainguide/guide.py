@@ -5,15 +5,17 @@ noisy chain. Between control corrections it rides the convex hull of the
 drift vectors available with the opponent's announced control held fixed,
 choosing a hull trajectory that keeps the interpolated game value from
 rising (player 1) or falling (player 2). The hull is approximated by a
-finite candidate family: each pure grid control plus evenly spaced
-mixtures of adjacent pairs; one admissible monotone trajectory is all the
-construction needs, so a coarse family suffices within the tolerance
-already conceded to grid error.
+finite candidate family: each pure grid control plus mixtures of adjacent
+pairs at evenly spaced interior weights (the end weights would only repeat
+pure controls). One admissible monotone trajectory is all the construction
+needs, so a coarse family suffices within the tolerance already conceded to
+grid error. The family depends only on the grid size and is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .models import as_uv, role_grids, role_sign
 from .simplex import PROJECTION_LIMIT, ProjectionError, as_coords, project_rows, rk4_step
 
 ODE_STEP = 0.01   # RK4 step of the guide flow
-LAM_POINTS = 9    # evenly spaced weights per adjacent-pair mixture of the hull family
+LAM_POINTS = 9    # even weight grid on [0, 1] of the hull family's adjacent-pair mixtures
 
 
 def _as_schedule(control):
@@ -76,7 +78,10 @@ class CandidateFamily:
 
     Candidates are the pure grid controls (listed first, so value ties
     resolve to the lowest grid index) followed by adjacent-pair mixtures
-    with evenly spaced weights.
+    at the interior weights of an even LAM_POINTS-point grid on [0, 1].
+    The end weights 0 and 1 are left out: those mixtures are bitwise copies
+    of pure candidates and would lose every tie to them. One family serves
+    every call for a grid size, so its arrays are read-only.
     """
 
     first_idx: np.ndarray
@@ -84,17 +89,16 @@ class CandidateFamily:
     weight: np.ndarray
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def build(grid_size):
-        first = list(range(grid_size))
-        second = list(range(grid_size))
-        weight = [1.0] * grid_size
-        lams = np.linspace(0.0, 1.0, LAM_POINTS)
-        for a in range(grid_size - 1):
-            for lam in lams:
-                first.append(a)
-                second.append(a + 1)
-                weight.append(float(lam))
-        return CandidateFamily(np.asarray(first), np.asarray(second), np.asarray(weight))
+        lams = np.linspace(0.0, 1.0, LAM_POINTS)[1:-1]
+        pairs = np.arange(grid_size - 1)
+        first = np.concatenate([np.arange(grid_size), np.repeat(pairs, lams.size)])
+        second = np.concatenate([np.arange(grid_size), np.repeat(pairs + 1, lams.size)])
+        weight = np.concatenate([np.ones(grid_size), np.tile(lams, pairs.size)])
+        for arr in (first, second, weight):
+            arr.flags.writeable = False
+        return CandidateFamily(first, second, weight)
 
     @property
     def count(self):

@@ -174,7 +174,16 @@ class RateModel:
     def drift(self, t, x, u, v):
         """Velocity xQ(t, x, u, v) of the normalized state: S + (d,)."""
         x = np.asarray(x, dtype=float)
-        return np.einsum("...i,...ij->...j", x, self.rate_matrix(t, x, u, v))
+        q = self.rate_matrix(t, x, u, v)
+        d = x.shape[-1]
+        if q.shape[:-2] != x.shape[:-1]:
+            lead = np.broadcast_shapes(x.shape[:-1], q.shape[:-2])
+            x = np.broadcast_to(x, lead + (d,))
+            q = np.broadcast_to(q, lead + (d, d))
+        # one flat row axis: einsum's broadcast ("...") loop is about twice as
+        # slow on the value grid, and the flat contraction rounds identically
+        rows = np.einsum("ni,nij->nj", x.reshape(-1, d), q.reshape(-1, d, d))
+        return rows.reshape(x.shape)
 
     # -- derived forms ------------------------------------------------------
     def rate_matrix_multi(self, t, xs, u, v):

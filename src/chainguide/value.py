@@ -22,6 +22,17 @@ parts, so each further vertex adds step[k, s] = rank[k, s + 1] - rank[k, s]
 to the index. A vertex whose raised coordinate already sat at n lies off
 the simplex; it always has barycentric weight exactly 0, and step[k, n] = 0
 keeps its index on a valid node, so no vertex needs masking.
+
+The walk order needs no sort. Pairwise comparisons of the fractional parts
+give each coordinate the walk step that raises it: of columns a < b, b goes
+first when f_b >= f_a, so an exact tie raises the larger column first and
+keeps every vertex on the lattice. Vertex j is the base index plus the step
+of every column raised before j. The weights need only the descending
+fractional parts, which a network of exact max/min yields whatever the ties.
+Scaled coordinates within SNAP_ULPS ulps of the resolution of a lattice
+value are snapped onto it. That absorbs the round-off of n times a
+cumulative sum at a node and is small enough that a genuine point next to a
+node keeps its own weights, so affine functions stay reproduced there.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from .simplex import (
 FORMAT_NAME = "chainguide-value-field"
 FORMAT_VERSION = 1
 MONOTONICITY_SCALE = 5.0  # scheme-error constant of the monotonicity tolerance
+SNAP_ULPS = 4  # snap radius of interpolation, in ulps of the grid resolution
 
 
 class SimplexGrid:
@@ -92,8 +104,9 @@ class SimplexGrid:
 
         Points are assumed to lie on the simplex (clip and renormalize
         first if they might not). The result at every point is a convex
-        combination of node values, and affine functions are reproduced
-        exactly.
+        combination of node values, and affine functions are reproduced up
+        to round-off: a scaled coordinate is moved onto a lattice value only
+        within SNAP_ULPS ulps of the resolution.
         """
         x = np.asarray(points, dtype=float)
         m, d = x.shape
@@ -101,7 +114,7 @@ class SimplexGrid:
         if d != self.dimension:
             raise ValueError("point dimension does not match the grid")
         if d == 2:
-            s = _snap(np.clip(n * x[:, 0], 0.0, float(n)))
+            s = _snap(np.clip(n * x[:, 0], 0.0, float(n)), n)
             g = np.minimum(np.floor(s).astype(np.int64), n - 1)
             f = s - g
             # enumeration is lexicographic in counts = (n - s_cum..., ...); for d=2
@@ -109,39 +122,64 @@ class SimplexGrid:
             lo = values[g]
             hi = values[g + 1]
             return lo * (1.0 - f) + hi * f
-
-        s = _snap(np.clip(n * np.cumsum(x[:, : d - 1], axis=1), 0.0, float(n)))
-        g = np.floor(s).astype(np.int64)
-        f = s - g
-        # order fractional parts descending; exact ties prefer the larger
-        # column so that vertex prefixes stay monotone in cumulative coords
-        rev = f[:, ::-1]
-        order = (d - 2) - np.argsort(-rev, axis=1, kind="stable")
-        f_sorted = np.take_along_axis(f, order, axis=1)
-        lam = np.empty((m, d))
-        lam[:, 0] = 1.0 - f_sorted[:, 0]
-        if d > 2:
-            lam[:, 1 : d - 1] = f_sorted[:, : d - 2] - f_sorted[:, 1:]
-        lam[:, d - 1] = f_sorted[:, d - 2]
-
-        # flat positions of (k, g_k) in the rank and step tables; vertex 0 is
-        # the base node and vertex j raises cumulative coordinate order[:, j-1]
-        at = g + np.arange(d - 1) * (n + 1)
-        ranks = self._rank.take(at)
-        rises = self._step.take(np.take_along_axis(at, order, axis=1))
-        idx = np.empty((m, d), dtype=np.int64)
-        idx[:, 0] = ranks[:, 0]
-        for k in range(1, d - 1):
-            idx[:, 0] += ranks[:, k]
-        for j in range(1, d):
-            np.add(idx[:, j - 1], rises[:, j - 1], out=idx[:, j])
+        idx, lam = self._kuhn_stencil(x)
         return np.einsum("mk,mk->m", lam, values[idx])
 
+    def _kuhn_stencil(self, x):
+        """Vertex indices and barycentric weights, both (m, d), of points x for d >= 3."""
+        m, d = x.shape
+        n = self.resolution
+        k = d - 1
+        cum = np.empty((m, k))
+        cum[:, 0] = x[:, 0]
+        for c in range(1, k):
+            np.add(cum[:, c - 1], x[:, c], out=cum[:, c])
+        s = _snap(np.clip(n * cum, 0.0, float(n)), n)
+        g = np.floor(s).astype(np.int64)
+        f = s - g
+        # the walk raises cumulative coordinates in descending order of their
+        # fractional parts; turn[:, c] is the walk step that raises column c.
+        # An exact tie raises the larger column first, so that vertex prefixes
+        # stay monotone in cumulative coordinates
+        turn = np.zeros((m, k), dtype=np.int64)
+        for a in range(k):
+            for b in range(a + 1, k):
+                b_first = f[:, b] >= f[:, a]
+                turn[:, a] += b_first
+                turn[:, b] += ~b_first
+        # the descending fractional parts themselves do not depend on how ties
+        # are broken: an odd-even transposition network of exact max/min
+        f_sorted = f.copy()
+        for r in range(k):
+            for a in range(r % 2, k - 1, 2):
+                hi = np.maximum(f_sorted[:, a], f_sorted[:, a + 1])
+                np.minimum(f_sorted[:, a], f_sorted[:, a + 1], out=f_sorted[:, a + 1])
+                f_sorted[:, a] = hi
+        lam = np.empty((m, d))
+        lam[:, 0] = 1.0 - f_sorted[:, 0]
+        lam[:, 1:k] = f_sorted[:, : k - 1] - f_sorted[:, 1:]
+        lam[:, k] = f_sorted[:, k - 1]
 
-def _snap(s, tol=1e-9):
-    """Round scaled coordinates sitting within round-off of a lattice value."""
+        # flat positions of (c, g_c) in the rank and step tables; vertex 0 is
+        # the base node and vertex j has raised every column with turn < j
+        at = g + np.arange(k) * (n + 1)
+        ranks = self._rank.take(at)
+        steps = self._step.take(at)
+        idx = np.empty((m, d), dtype=np.int64)
+        idx[:, 0] = ranks[:, 0]
+        for c in range(1, k):
+            idx[:, 0] += ranks[:, c]
+        for j in range(1, d):
+            idx[:, j] = idx[:, 0]
+            for c in range(k):
+                idx[:, j] += steps[:, c] * (turn[:, c] < j)
+        return idx, lam
+
+
+def _snap(s, n):
+    """Round scaled coordinates in [0, n] sitting within round-off of a lattice value."""
     nearest = np.rint(s)
-    return np.where(np.abs(s - nearest) < tol, nearest, s)
+    return np.where(np.abs(s - nearest) <= SNAP_ULPS * np.spacing(float(n)), nearest, s)
 
 
 def build_simplex_grid(d, n_x, cap=10**6):

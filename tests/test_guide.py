@@ -68,11 +68,21 @@ def test_characteristic_three_type_stays_on_simplex():
 
 def test_candidate_family_layout():
     fam = CandidateFamily.build(3)
-    # three pure controls first, then two adjacent pairs with nine weights
+    # three pure controls first, then two adjacent pairs at the seven interior
+    # weights of a nine-point grid: the end weights only copy pure controls
     assert LAM_POINTS == 9
-    assert fam.count == 3 + 2 * 9
+    assert fam.count == 3 + 2 * 7
     assert list(fam.weight[:3]) == [1.0, 1.0, 1.0]
-    assert fam.first_idx[0] == fam.second_idx[0] == 0
+    assert list(fam.first_idx[:3]) == list(fam.second_idx[:3]) == [0, 1, 2]
+    interior = np.linspace(0.0, 1.0, LAM_POINTS)[1:-1]
+    assert np.array_equal(fam.weight[3:], np.tile(interior, 2))
+    assert list(fam.first_idx[3:]) == [0] * 7 + [1] * 7
+    assert list(fam.second_idx[3:]) == [1] * 7 + [2] * 7
+    # built once per grid size and shared, so nothing may write to it
+    assert CandidateFamily.build(3) is fam
+    for arr in (fam.first_idx, fam.second_idx, fam.weight):
+        assert not arr.flags.writeable
+    assert CandidateFamily.build(1).count == 1
 
 
 def test_guide_advance_first_descends_value(two_type_field):

@@ -233,6 +233,65 @@ def test_derived_forms_equal_direct_broadcast_call(data):
                                rtol=0, atol=0)
 
 
+class StatelessRotor(RateModel):
+    """Three types whose rates read only t and the controls.
+
+    ``rate_matrix`` leaves out the state axes, so its leading shape comes
+    from t, u and v alone and has fewer axes than the states it is applied to.
+    """
+
+    name = "stateless-rotor"
+    dimension = 3
+    horizon = 1.0
+
+    def __init__(self):
+        self.u_grid = ControlGrid((0.0, 0.3, 1.0))
+        self.v_grid = ControlGrid((0.1, 0.7))
+
+    def rate_matrix(self, t, x, u, v):
+        q01 = 0.3 + u * np.cos(t)
+        q12 = 0.7 * v + 0.1 * np.asarray(t)
+        q20 = u * v + 0.2
+        q = np.zeros(np.broadcast(q01, q12, q20).shape + (3, 3))
+        q[..., 0, 1], q[..., 0, 0] = q01, -q01
+        q[..., 1, 2], q[..., 1, 1] = q12, -q12
+        q[..., 2, 0], q[..., 2, 2] = q20, -q20
+        return q
+
+    def terminal_payoff(self, x):
+        return np.asarray(x, dtype=float)[..., 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_drift_is_the_broadcast_einsum_byte_for_byte(data):
+    m = data.draw(st.sampled_from(BUNDLED_MODELS + (StatelessRotor(),)))
+    d = m.dimension
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    xs = np.array(data.draw(st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=d, max_size=d),
+        min_size=n, max_size=n)))
+    ts = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=m.horizon),
+                                     min_size=n, max_size=n)))
+    uu, vv = m.u_grid.values(), m.v_grid.values()
+    us = uu[data.draw(st.lists(st.integers(0, uu.size - 1), min_size=n, max_size=n))]
+    vs = vv[data.draw(st.lists(st.integers(0, vv.size - 1), min_size=n, max_size=n))]
+
+    def reference(t, x, u, v):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,...ij->...j", x, m.rate_matrix(t, x, u, v))
+
+    grid_args, grid_shape = m._grid_args(ts, xs)
+    for args in ((ts, xs, us, vs), (ts[0], xs, us[0], vs[0]), (ts[0], xs[0], us[0], vs[0]),
+                 grid_args):
+        got, want = RateModel.drift(m, *args), reference(*args)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if type(m).drift is RateModel.drift:
+        want = np.broadcast_to(reference(*grid_args), grid_shape + (d,))
+        assert m.drift_grid_multi(ts, xs).tobytes() == want.tobytes()
+
+
 def test_estimate_constants_two_type():
     m = TwoTypeModel()
     report = estimate_constants(m, SamplingSpec(samples=2048, pair_samples=2048), seed=2)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainguide.chain import Distribution, lattice_space
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel
 from chainguide.simplex import project_rows, random_simplex_points
 from chainguide.value import (
+    SNAP_ULPS,
     SimplexGrid,
     ValueField,
     build_simplex_grid,
@@ -68,26 +69,28 @@ def test_node_index_rejects_off_lattice_counts(counts):
         Distribution.point_mass(space, [1, 3]).prob_of(counts)
 
 
-def _reference_interpolate(grid, values, points):
-    """The radix-key and searchsorted stencil the rank table replaced."""
+def _reference_snap(s, n):
+    nearest = np.rint(s)
+    return np.where(np.abs(s - nearest) <= SNAP_ULPS * np.spacing(float(n)), nearest, s)
 
-    def _snap(s):
-        nearest = np.rint(s)
-        return np.where(np.abs(s - nearest) < 1e-9, nearest, s)
 
+def _reference_stencil(grid, points):
+    """The radix-key, searchsorted and argsort stencil the rank table replaced.
+
+    For d >= 3 points (m, d) returns the vertex indices (m, d), the weights
+    (m, d) and a mask (m, d) of the vertices that step off the simplex (they
+    carry weight exactly 0 and are read at node 0).
+    """
     x = np.asarray(points, dtype=float)
     m, d = x.shape
     n = grid.resolution
     radix = (n + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
     keys = grid.counts @ radix
-    if d == 2:
-        s = _snap(np.clip(n * x[:, 0], 0.0, float(n)))
-        g = np.minimum(np.floor(s).astype(np.int64), n - 1)
-        f = s - g
-        return values[g] * (1.0 - f) + values[g + 1] * f
-    s = _snap(np.clip(n * np.cumsum(x[:, : d - 1], axis=1), 0.0, float(n)))
+    s = _reference_snap(np.clip(n * np.cumsum(x[:, : d - 1], axis=1), 0.0, float(n)), n)
     g = np.floor(s).astype(np.int64)
     f = s - g
+    # descending fractional parts; a stable sort of the reversed columns
+    # puts the larger column first on an exact tie
     order = (d - 2) - np.argsort(-f[:, ::-1], axis=1, kind="stable")
     f_sorted = np.take_along_axis(f, order, axis=1)
     lam = np.empty((m, d))
@@ -104,24 +107,41 @@ def _reference_interpolate(grid, values, points):
     counts[:, :, 0] = verts[:, :, 0]
     counts[:, :, 1 : d - 1] = np.diff(verts, axis=2)
     counts[:, :, d - 1] = n - verts[:, :, d - 2]
-    bad = counts.min(axis=2) < 0
-    lam = np.where(bad, 0.0, lam)
-    counts = np.where(bad[:, :, None], grid.counts[0], counts)
+    off = counts.min(axis=2) < 0
+    lam = np.where(off, 0.0, lam)
+    counts = np.where(off[:, :, None], grid.counts[0], counts)
     idx = np.searchsorted(keys, counts.reshape(-1, d) @ radix).reshape(m, d)
+    return idx, lam, off
+
+
+def _reference_interpolate(grid, values, points):
+    x = np.asarray(points, dtype=float)
+    n = grid.resolution
+    if x.shape[1] == 2:
+        s = _reference_snap(np.clip(n * x[:, 0], 0.0, float(n)), n)
+        g = np.minimum(np.floor(s).astype(np.int64), n - 1)
+        f = s - g
+        return values[g] * (1.0 - f) + values[g + 1] * f
+    idx, lam, _ = _reference_stencil(grid, x)
     return np.einsum("mk,mk->m", lam, values[idx])
 
 
 @st.composite
 def grid_points(draw):
-    """A grid and simplex points on its vertices, edges, faces, interior and near nodes."""
+    """A grid and simplex points on its vertices, edges, faces, interior, near nodes and ties.
+
+    A tie point shares one nonzero fractional part among two or more of its
+    scaled cumulative coordinates, which is where the stencil's tie rule
+    decides the vertex walk.
+    """
     d = draw(st.sampled_from([2, 3, 4, 5]))
     n = draw(st.integers(1, {2: 60, 3: 25, 4: 12, 5: 8}[d]))
     grid = SimplexGrid(d, n)
     node = st.integers(0, grid.node_count - 1)
     unit = st.floats(0.0, 1.0)
     points = []
-    for kind in draw(st.lists(st.sampled_from(["vertex", "edge", "face", "interior", "near"]),
-                              min_size=1, max_size=25)):
+    kinds = ["vertex", "edge", "face", "interior", "near", "tie"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=25)):
         c = grid.counts[draw(node)]
         if kind == "vertex":
             points.append(c / n)
@@ -137,9 +157,17 @@ def grid_points(draw):
             if kind == "face":
                 w[draw(st.integers(0, d - 1))] = 0.0
             points.append(w / w.sum() if w.sum() > 0 else c / n)
-        else:
+        elif kind == "near":
             jitter = np.array(draw(st.lists(st.floats(-1e-12, 1e-12), min_size=d, max_size=d)))
             points.append(c / n + jitter)
+        else:
+            # a dyadic shared part usually survives n * cumsum exactly; columns
+            # the clamp makes equal tie exactly through zero coordinates
+            s = np.cumsum(c[:-1]).astype(float)
+            tied = draw(st.sets(st.integers(0, d - 2), min_size=min(2, d - 1)))
+            s[sorted(tied)] += draw(st.integers(1, 7)) / 8.0
+            s = np.maximum.accumulate(np.minimum(s, n))
+            points.append(np.diff(s, prepend=0.0, append=float(n)) / n)
     points = np.array(points)
     project_rows(points)
     return grid, points
@@ -152,10 +180,19 @@ def test_interpolation_matches_reference_stencil_bit_for_bit(case, seed):
     values = np.random.default_rng(seed).standard_normal(grid.node_count)
     got = grid.interpolate(values, points)
     assert got.tobytes() == _reference_interpolate(grid, values, points).tobytes()
+    if grid.dimension > 2:
+        # the vertex walk itself, which the values cannot show where a tie
+        # leaves a vertex with weight 0: every on-simplex vertex must agree
+        idx, lam = grid._kuhn_stencil(points)
+        ref_idx, ref_lam, off = _reference_stencil(grid, points)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert np.array_equal(idx[~off], ref_idx[~off])
 
 
 @settings(max_examples=100, deadline=None)
 @given(grid_points(), st.integers(0, 2**32 - 1))
+# an edge point within 1e-9 / n of a node, which a wider snap moved onto the node
+@example((SimplexGrid(5, 7), np.array([[0.0, 0.0, 1.27e-10, 0.0, 1.0 - 1.27e-10]])), 0)
 def test_interpolation_is_affine_exact_and_convex(case, seed):
     grid, points = case
     rng = np.random.default_rng(seed)
