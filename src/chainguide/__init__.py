@@ -23,9 +23,7 @@ from .models import (
 )
 from .chain import (
     Distribution,
-    PathSample,
     dynkin_residual,
-    empirical_transition,
     lattice_space,
     master_evolve,
     simulate_chain,
@@ -62,8 +60,8 @@ __all__ = [
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "register_model",
     "validate_rate_model",
-    "Distribution", "PathSample", "dynkin_residual", "empirical_transition",
-    "lattice_space", "master_evolve", "simulate_chain",
+    "Distribution", "dynkin_residual", "lattice_space", "master_evolve",
+    "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
     "verify_supersolution",
     "integrate_characteristic",

@@ -9,29 +9,34 @@ target type uniformly, and the candidate is accepted with probability
 Q_ij / K. For enumerable lattices the forward equations are integrated
 directly and serve as the oracle the simulator is validated against.
 
-``simulate_chain`` is the one thinning kernel. It advances a batch of
-chains, an (n, d) count array, one candidate round at a time: every live
+``simulate_chain`` is the one thinning kernel, with one input form: an
+(n, d) integer count array of n chains, advanced in place under per-row
+controls that are held constant over the interval, as a stepwise
+strategy holds its control between partition times. One trial is a
+(1, d) batch. The kernel runs one candidate round at a time: every live
 row draws its next candidate, then source choice, the rate-bound check,
-acceptance and the count update run vectorized over the round. With one
-generator per row, row r draws from its own generator in a fixed order:
-the exponential gap, then (if the candidate falls inside the interval)
-the source uniform, the target offset ``integers(d - 1)`` and the accept
-uniform. The rates draw nothing, so a row's draws and its path do not
-depend on which other rows share its batch: batch composition never
-changes results. A single trial is the one-row case.
+acceptance and the count update run vectorized over the round.
+
+Randomness comes in one of two layouts. With a list of n generators, row
+r draws from its own generator in a fixed order: the exponential gap,
+then (if the candidate falls inside the interval) the source uniform, the
+target offset ``integers(d - 1)`` and the accept uniform. The rates draw
+nothing, so a row's draws and its path do not depend on which other rows
+share its batch: batch composition never changes results. With one
+shared Generator, every round draws one vector per quantity over its
+live rows, so a row's path depends on the whole batch.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .models import resolve_k
-from .simplex import LatticeState, project_rows, rk4_step, single_jump_neighbors
+from .simplex import LatticeState, project_rows, rk4_step
 from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
@@ -63,45 +68,6 @@ class JumpEvent:
 
 
 @dataclass
-class PathSample:
-    """One realized trajectory: piecewise constant, right-continuous."""
-
-    initial: LatticeState
-    t0: float
-    t1: float
-    events: list = field(default_factory=list)
-    candidates: int = 0
-    accepted: int = 0
-    max_rate_ratio: float = 0.0
-    _final: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        times = [e.time for e in self.events]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("jump times must be strictly increasing")
-
-    def final_counts(self):
-        if self._final is not None:
-            return self._final.copy()
-        counts = self.initial.counts.copy()
-        for e in self.events:
-            counts[e.from_type] -= 1
-            counts[e.to_type] += 1
-        return counts
-
-    def state_at(self, t):
-        """State immediately after the last jump at or before t."""
-        if t < self.t0:
-            raise ValueError("time precedes the path start")
-        counts = self.initial.counts.copy()
-        idx = bisect_right([e.time for e in self.events], t)
-        for e in self.events[:idx]:
-            counts[e.from_type] -= 1
-            counts[e.to_type] += 1
-        return LatticeState(counts)
-
-
-@dataclass
 class ChainBatch:
     """A batch of chains advanced over one interval, with its thinning tallies."""
 
@@ -113,7 +79,7 @@ class ChainBatch:
 
 
 def _row_rounds(rngs, t0, t1, scale, d):
-    """Candidate rounds with one generator per row, in the draw order of a one-row run.
+    """Candidate rounds with one generator per row, each row in its own fixed draw order.
 
     Row r draws from ``rngs[r]`` only: the exponential gap, then (while the
     candidate falls before t1) the source uniform, the target offset and the
@@ -154,54 +120,30 @@ def _shared_rounds(rng, n, t0, t1, scale, d):
         yield active, times[active], rng.random(k), rng.integers(0, d - 1, size=k), rng.random(k)
 
 
-def _controls(policy, n):
-    """A control side as a callable (t, counts) -> value, or as n per-row values."""
-    if callable(policy):
-        return policy
-    return np.broadcast_to(np.asarray(policy, dtype=float), (n,))
+def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_events=True):
+    """Simulate a batch of chains over [t0, t1] by thinning; returns a ChainBatch.
 
+    ``counts`` is an (n, d) integer array of nonnegative counts with one
+    particle total, advanced in place. ``u`` and ``v`` are the controls,
+    constant over the interval: a number for every row or an array of n
+    per-row values. ``rng`` is either a list of n generators, one per row,
+    or one shared Generator (see the module docstring for both layouts).
 
-def _controls_at(side, rows, times, counts):
-    if callable(side):
-        return np.array([float(side(t, counts[r]))
-                         for r, t in zip(rows.tolist(), times.tolist())])
-    return side[rows]
-
-
-def simulate_chain(model, t0, t1, y, u_policy, v_policy, rng, rate_bound=None,
-                   record_events=True):
-    """Simulate the chain over [t0, t1] by thinning, for one trial or a batch.
-
-    One trial: ``y`` is a LatticeState (or a count vector), ``rng`` a
-    Generator, and the result a PathSample. A batch: ``y`` is an (n, d)
-    integer count array with one particle total, advanced in place, and the
-    result a ChainBatch. Its ``rng`` is either a list of n generators, where
-    row r draws exactly what a one-trial call with ``rng[r]`` draws, or one
-    shared Generator, from which every round draws one vector per quantity.
-
-    ``u_policy`` and ``v_policy`` are numbers, per-row arrays, or callables
-    (t, counts) -> control value consulted at every candidate jump time, so
-    piecewise-constant time variation and state feedback are both
-    supported. Raises RateBoundError if the model ever produces an
-    off-diagonal rate above the bound K used for thinning (``rate_bound``,
-    else the model's K) or a negative one.
+    Raises RateBoundError if the model ever produces an off-diagonal rate
+    above the bound K used for thinning (``rate_bound``, else the model's
+    K) or a negative one.
     """
-    single = isinstance(y, LatticeState) or np.ndim(y) == 1
-    if single:
-        if not isinstance(y, LatticeState):
-            y = LatticeState(y)
-        counts = y.counts[None, :].copy()
-        rngs = [rng]
-    else:
-        counts = y
-        rngs = rng
-        if not (isinstance(counts, np.ndarray) and np.issubdtype(counts.dtype, np.integer)):
-            raise ValueError("a batch of chains is an integer (n, d) count array")
+    if not (isinstance(counts, np.ndarray) and counts.ndim == 2
+            and np.issubdtype(counts.dtype, np.integer)):
+        raise ValueError("a batch of chains is an integer (n, d) count array")
     n, d = counts.shape
     if d != model.dimension:
         raise ValueError("state dimension does not match the model")
     if not t0 < t1 <= model.horizon + 1e-12:
         raise ValueError("need t0 < t1 <= horizon")
+    shared = isinstance(rng, np.random.Generator)
+    if not shared and len(rng) != n:
+        raise ValueError("need one generator per row, or one shared Generator")
     totals = counts.sum(axis=1)
     if n and (np.any(totals != totals[0]) or np.any(counts < 0)):
         raise ValueError("batch rows need nonnegative counts with one particle total")
@@ -209,50 +151,41 @@ def simulate_chain(model, t0, t1, y, u_policy, v_policy, rng, rate_bound=None,
     total = int(totals[0]) if n else 0
     lam = (d - 1) * k_bound * total
     out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
-    if n and lam > 0.0:
-        shared = isinstance(rngs, np.random.Generator)
-        if shared:
-            rounds = _shared_rounds(rngs, n, t0, t1, 1.0 / lam, d)
-        else:
-            rounds = _row_rounds(rngs, t0, t1, 1.0 / lam, d)
-        u_side = _controls(u_policy, n)
-        v_side = _controls(v_policy, n)
-        inv_total = 1.0 / total
-        for rows, times, src, offset, accept_u in rounds:
-            # each layout normalizes as the one-trial and one-step loops it
-            # replaced did, so seeded outputs stay byte-identical
-            xs = counts[rows] / total if shared else counts[rows] * inv_total
-            # source type from the current mix, target uniform among the rest
-            cdf = np.cumsum(xs, axis=1)
-            draw = src * cdf[:, -1]
-            i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
-            j_sel = offset + (offset >= i_sel)
-            u = _controls_at(u_side, rows, times, counts)
-            v = _controls_at(v_side, rows, times, counts)
-            q = model.rate_matrix_multi(times, xs, u, v)[np.arange(rows.size), i_sel, j_sel]
-            bad = (q > k_bound * (1.0 + 1e-9)) | (q < 0.0)
-            if bad.any():
-                b = int(np.flatnonzero(bad)[0])
-                raise RateBoundError(
-                    f"rate Q[{i_sel[b]},{j_sel[b]}]={q[b]:.6g} outside [0, {k_bound:.6g}] "
-                    f"at t={times[b]:.6g}, x={xs[b]}")
-            hit = np.flatnonzero(accept_u * k_bound < q)
-            r_acc, i_acc, j_acc = rows[hit], i_sel[hit], j_sel[hit]
-            counts[r_acc, i_acc] -= 1
-            counts[r_acc, j_acc] += 1
-            if record_events:
-                for r, t, i, j in zip(r_acc.tolist(), times[hit].tolist(),
-                                      i_acc.tolist(), j_acc.tolist()):
-                    out.events[r].append(JumpEvent(t, i, j))
-            out.candidates += rows.size
-            out.accepted += hit.size
-            out.max_rate_ratio = max(out.max_rate_ratio, float(q.max()) / k_bound)
-    if not single:
+    if not (n and lam > 0.0):
         return out
-    return PathSample(initial=y, t0=float(t0), t1=float(t1),
-                      events=out.events[0] if record_events else [],
-                      candidates=out.candidates, accepted=out.accepted,
-                      max_rate_ratio=out.max_rate_ratio, _final=counts[0])
+    if shared:
+        rounds = _shared_rounds(rng, n, t0, t1, 1.0 / lam, d)
+    else:
+        rounds = _row_rounds(rng, t0, t1, 1.0 / lam, d)
+    u_rows = np.broadcast_to(np.asarray(u, dtype=float), (n,))
+    v_rows = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+    for rows, times, src, offset, accept_u in rounds:
+        xs = counts[rows] / total
+        # source type from the current mix, target uniform among the rest
+        cdf = np.cumsum(xs, axis=1)
+        draw = src * cdf[:, -1]
+        i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+        j_sel = offset + (offset >= i_sel)
+        q = model.rate_matrix_multi(times, xs, u_rows[rows], v_rows[rows])[
+            np.arange(rows.size), i_sel, j_sel]
+        bad = (q > k_bound * (1.0 + 1e-9)) | (q < 0.0)
+        if bad.any():
+            b = int(np.flatnonzero(bad)[0])
+            raise RateBoundError(
+                f"rate Q[{i_sel[b]},{j_sel[b]}]={q[b]:.6g} outside [0, {k_bound:.6g}] "
+                f"at t={times[b]:.6g}, x={xs[b]}")
+        hit = np.flatnonzero(accept_u * k_bound < q)
+        r_acc, i_acc, j_acc = rows[hit], i_sel[hit], j_sel[hit]
+        counts[r_acc, i_acc] -= 1
+        counts[r_acc, j_acc] += 1
+        if record_events:
+            for r, t, i, j in zip(r_acc.tolist(), times[hit].tolist(),
+                                  i_acc.tolist(), j_acc.tolist()):
+                out.events[r].append(JumpEvent(t, i, j))
+        out.candidates += rows.size
+        out.accepted += hit.size
+        out.max_rate_ratio = max(out.max_rate_ratio, float(q.max()) / k_bound)
+    return out
 
 
 @dataclass
@@ -425,86 +358,22 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     return abs(expected_end - start - integral)
 
 
-def _trial_finals(model, t0, t1, y, u_policy, v_policy, trials, seed, rate_bound):
-    """Final counts of independent trials, (trials, d), in blocks of TRIAL_BLOCK.
+def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=None):
+    """Empirical law of the chain state at t1 over independent trials.
 
-    Trial i draws from its own generator keyed by (seed, i), so results do
-    not depend on execution order or on the block size.
+    Trial i starts from ``y`` and draws from its own generator keyed by
+    (seed, i); the generators are made TRIAL_BLOCK at a time. Results
+    depend neither on execution order nor on the block size.
     """
+    if not isinstance(y, LatticeState):
+        y = LatticeState(y)
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     finals = np.tile(y.counts, (trials, 1))
     for lo in range(0, trials, TRIAL_BLOCK):
         hi = min(lo + TRIAL_BLOCK, trials)
         rngs = [np.random.default_rng([seed, trial]) for trial in range(lo, hi)]
-        simulate_chain(model, t0, t1, finals[lo:hi], u_policy, v_policy, rngs,
+        simulate_chain(model, t0, t1, finals[lo:hi], u, v, rngs,
                        rate_bound=k_bound, record_events=False)
-    return finals
-
-
-def sample_final_distribution(model, t0, t1, y, u_policy, v_policy, trials, seed,
-                              rate_bound=None):
-    """Empirical law of the chain state at t1 over independent trials.
-
-    Each trial draws from its own generator keyed by (seed, trial index),
-    so results do not depend on execution order.
-    """
-    if not isinstance(y, LatticeState):
-        y = LatticeState(y)
-    finals = _trial_finals(model, t0, t1, y, u_policy, v_policy, trials, seed, rate_bound)
     space = lattice_space(model.dimension, y.total)
     hits = np.bincount(space.node_index(finals), minlength=space.node_count)
-    return Distribution(space, hits / trials), hits
-
-
-@dataclass
-class TransitionTable:
-    """Monte Carlo one-step transition estimates around a lattice state."""
-
-    origin: LatticeState
-    duration: float
-    trials: int
-    stay_prob: float
-    stay_se: float
-    neighbor_probs: dict  # (i, j) -> (probability, standard error)
-    other_prob: float
-    other_se: float
-
-
-def empirical_transition(model, t_star, xi, delta, u, v_policy, trials, seed,
-                         rate_bound=None):
-    """Estimate single-jump transition probabilities by simulation."""
-    if not isinstance(xi, LatticeState):
-        xi = LatticeState(xi)
-    finals = _trial_finals(model, t_star, t_star + delta, xi, u, v_policy, trials, seed,
-                           rate_bound)
-    neighbors = {(i, j): nb for i, j, nb in single_jump_neighbors(xi)}
-    keys = {}
-    for (i, j), nb in neighbors.items():
-        keys[nb.counts.tobytes()] = (i, j)
-    origin_key = xi.counts.tobytes()
-    stay = 0
-    hits = {pair: 0 for pair in neighbors}
-    other = 0
-    for final in finals:
-        key = final.tobytes()
-        if key == origin_key:
-            stay += 1
-        elif key in keys:
-            hits[keys[key]] += 1
-        else:
-            other += 1
-
-    def se(count):
-        p = count / trials
-        return math.sqrt(p * (1.0 - p) / trials)
-
-    return TransitionTable(
-        origin=xi,
-        duration=delta,
-        trials=trials,
-        stay_prob=stay / trials,
-        stay_se=se(stay),
-        neighbor_probs={pair: (count / trials, se(count)) for pair, count in hits.items()},
-        other_prob=other / trials,
-        other_se=se(other),
-    )
+    return Distribution(space, hits / trials)

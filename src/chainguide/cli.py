@@ -42,6 +42,17 @@ def _add_common(parser):
                         help="output path prefix (writes <out>.csv and <out>.json)")
 
 
+def _worker_count(text):
+    """argparse type of ``--workers``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chainguide",
@@ -60,13 +71,13 @@ def build_parser():
     p = sub.add_parser("experiment",
                        help="guarantee bounds for the minimizing player")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for trial fan-out")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="worker processes for trial fan-out (at most one per trial)")
 
     p = sub.add_parser("corollary",
                        help="mirrored guarantee bounds for the maximizing player")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
 
     p = sub.add_parser("check-lemma1",
                        help="one-step transition-probability expansion check")

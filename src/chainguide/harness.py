@@ -98,8 +98,8 @@ _INDEX = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
-_DELTAS = (lambda v: isinstance(v, list) and bool(v) and all(_is_number(x) and x > 0 for x in v),
-           "a non-empty list of positive numbers")
+_DELTAS = (lambda v: (isinstance(v, list) and bool(v) and all(_is_number(x) and x > 0 for x in v)
+                      and len(set(v)) == len(v)), "a non-empty list of distinct positive numbers")
 _COUNTS = (lambda v: (isinstance(v, list) and all(_is_int(c) and c >= 0 for c in v)
                       and sum(v) > 0), "nonnegative integer counts with a positive total")
 _MAPPING = (lambda v: isinstance(v, dict), "a mapping")
@@ -125,6 +125,14 @@ def _check_section(mapping, spec, where):
         valid, meaning = spec[key]
         if not valid(value):
             raise ScenarioError(f"{where}.{key} must be {meaning}, got {value!r}")
+
+
+def _check_on_grid(value, grid, where):
+    try:
+        grid.index_of(value)
+    except ValueError:
+        raise ScenarioError(f"{where} must be a point of the control grid "
+                            f"{list(grid.points)}, got {value!r}") from None
 
 
 @dataclass
@@ -193,6 +201,14 @@ class Scenario:
         if self.simulate.get("adversary_index", 0) >= len(self.adversaries):
             raise ScenarioError(
                 f"simulate.adversary_index must be below {len(self.adversaries)}")
+        for key, grid in (("u", model.u_grid), ("v", model.v_grid)):
+            if key in self.oracle:
+                _check_on_grid(self.oracle[key], grid, f"oracle.{key}")
+        if self.start_time + self.oracle.get("elapsed", 0.0) > model.horizon + 1e-12:
+            raise ScenarioError(
+                f"start_time + oracle.elapsed must not pass the horizon {model.horizon}")
+        if max(self.lemma2.get("deltas", [0.0])) > model.horizon:
+            raise ScenarioError(f"lemma2.deltas must not exceed the horizon {model.horizon}")
 
     @staticmethod
     def from_dict(payload):
@@ -239,6 +255,14 @@ def adversary_label(spec):
     if spec["kind"] == "constant":
         return f"constant({spec['value']})"
     return spec["kind"]
+
+
+def _check_adversaries(specs, model, adversary_role):
+    """Constant adversaries must play a point of their own role's control grid."""
+    grid = role_grids(model, adversary_role)[0]
+    for spec in specs:
+        if spec["kind"] == "constant":
+            _check_on_grid(spec["value"], grid, f"constant adversary ({adversary_role} player)")
 
 
 def _build_adversary(spec, field, model, constants, adversary_role):
@@ -354,6 +378,7 @@ def run_corollary_experiment(scenario, workers=1):
 
 def _run_bound_experiment(scenario, role, workers):
     model = build_model(scenario.model, scenario.model_params)
+    _check_adversaries(scenario.adversaries, model, as_uv(role, "first", "second")[1])
     constants = estimate_constants(model, seed=scenario.seed).constants
     starts = {m: _start_state(scenario, model, m) for m in scenario.particle_counts}
     grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
@@ -365,10 +390,11 @@ def _run_bound_experiment(scenario, role, workers):
 
     setup = _ExperimentSetup(scenario, model, constants, field)
     pool = None
-    if workers > 1:
+    processes = min(workers, scenario.trials)
+    if processes > 1:
         # forked workers inherit the setup instead of rebuilding or unpickling it
         pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_init_worker, initargs=(setup,))
+            processes, initializer=_init_worker, initargs=(setup,))
     rows = []
     gap_groups = {}
     try:
@@ -629,6 +655,7 @@ def run_lemma2_check(scenario):
     """
     cfg = scenario.lemma2
     model = build_model(scenario.model, scenario.model_params)
+    _check_adversaries(scenario.adversaries, model, "second")
     constants = estimate_constants(model, seed=scenario.seed).constants
     beta, c_gain = coupling_constants(model, constants)
     grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
@@ -770,13 +797,13 @@ def run_oracle_check(scenario):
     trials = int(cfg.get("trials", 100_000))
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
-    elapsed = float(cfg.get("elapsed", model.horizon))
+    elapsed = float(cfg.get("elapsed", model.horizon - scenario.start_time))
     tv_tol = float(cfg.get("tv_tolerance", 0.01))
     t0 = scenario.start_time
     rows = []
 
     y = _start_state(scenario, model, total)
-    empirical, _ = sample_final_distribution(
+    empirical = sample_final_distribution(
         model, t0, t0 + elapsed, y, u, v, trials, seed=scenario.seed,
         rate_bound=constants.k)
     oracle = master_evolve(model, t0, t0 + elapsed,
@@ -787,7 +814,7 @@ def run_oracle_check(scenario):
 
     if cfg.get("unit_check", True):
         y1 = _start_state(scenario, model, 1)
-        emp1, hits = sample_final_distribution(
+        emp1 = sample_final_distribution(
             model, t0, t0 + elapsed, y1, u, v, trials, seed=scenario.seed + 1,
             rate_bound=constants.k)
         oracle1 = master_evolve(model, t0, t0 + elapsed,
@@ -874,6 +901,8 @@ def run_simulate(scenario):
     """Record a handful of fully logged episodes for inspection."""
     cfg = scenario.simulate
     model = build_model(scenario.model, scenario.model_params)
+    adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
+    _check_adversaries([adv], model, "second")
     constants = estimate_constants(model, seed=scenario.seed).constants
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     y = _start_state(scenario, model, total)
@@ -882,7 +911,6 @@ def run_simulate(scenario):
     episodes = int(cfg.get("episodes", 5))
     record_jumps = bool(cfg.get("record_jumps", True))
     steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
-    adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
     player1 = ControlWithGuideStrategy(field, model, "first", constants)
     player2 = _build_adversary(adv, field, model, constants, "second")

@@ -89,16 +89,16 @@ def test_criterion_2_simulator_oracle_equivalence():
     model = TwoTypeModel()
     trials = 100_000
     y4 = round_to_lattice([1.0, 0.0], 4)
-    empirical, _ = sample_final_distribution(model, 0.0, 1.0, y4, 1.0, 0.0,
-                                             trials=trials, seed=SEED)
+    empirical = sample_final_distribution(model, 0.0, 1.0, y4, 1.0, 0.0,
+                                          trials=trials, seed=SEED)
     oracle = master_evolve(model, 0.0, 1.0,
                            Distribution.point_mass(empirical.space, y4), 1.0, 0.0)
     tv = tv_distance(empirical, oracle)
 
     # single particle: exact conversion probability 1 - exp(-1)
     y1 = round_to_lattice([1.0, 0.0], 1)
-    emp1, _ = sample_final_distribution(model, 0.0, 1.0, y1, 1.0, 0.0,
-                                        trials=trials, seed=SEED + 1)
+    emp1 = sample_final_distribution(model, 0.0, 1.0, y1, 1.0, 0.0,
+                                     trials=trials, seed=SEED + 1)
     p_true = 1.0 - math.exp(-1.0)
     p_hat = emp1.prob_of(round_to_lattice([0.0, 1.0], 1))
     se = math.sqrt(p_true * (1.0 - p_true) / trials)

@@ -9,10 +9,8 @@ from chainguide.chain import (
     Distribution,
     IntegrationError,
     JumpEvent,
-    PathSample,
     RateBoundError,
     dynkin_residual,
-    empirical_transition,
     lattice_space,
     master_evolve,
     sample_final_distribution,
@@ -28,52 +26,54 @@ def two_state_absorb_prob(elapsed):
     return 1.0 - math.exp(-elapsed)
 
 
+def _trial_rngs(seed, trials):
+    """Per-row generators keyed by (seed, trial): row r draws trial r's own stream."""
+    return [np.random.default_rng([seed, trial]) for trial in range(trials)]
+
+
+def _replay(start, events):
+    """Counts after each recorded jump of one row, starting from ``start``."""
+    counts = np.array(start)
+    states = []
+    for e in events:
+        counts[e.from_type] -= 1
+        counts[e.to_type] += 1
+        states.append(counts.copy())
+    return states
+
+
 def test_jump_event_validation():
     with pytest.raises(ValueError):
         JumpEvent(0.1, 1, 1)
-    with pytest.raises(ValueError):
-        PathSample(LatticeState([1, 0]), 0.0, 1.0,
-                   events=[JumpEvent(0.5, 0, 1), JumpEvent(0.4, 1, 0)])
-
-
-def test_path_state_at_is_right_continuous():
-    path = PathSample(LatticeState([2, 0]), 0.0, 1.0,
-                      events=[JumpEvent(0.25, 0, 1), JumpEvent(0.75, 0, 1)])
-    assert list(path.state_at(0.1).counts) == [2, 0]
-    assert list(path.state_at(0.25).counts) == [1, 1]
-    assert list(path.state_at(0.74).counts) == [1, 1]
-    assert list(path.state_at(1.0).counts) == [0, 2]
-    assert list(path.final_counts()) == [0, 2]
 
 
 def test_zero_model_never_jumps():
-    rng = np.random.default_rng(0)
-    path = simulate_chain(ZeroModel(), 0.0, 1.0, LatticeState([3, 1]), 1.0, 0.0, rng)
-    assert path.events == []
-    assert list(path.state_at(1.0).counts) == [3, 1]
+    counts = np.array([[3, 1]])
+    batch = simulate_chain(ZeroModel(), 0.0, 1.0, counts, 1.0, 0.0,
+                           [np.random.default_rng(0)])
+    assert batch.events == [[]]
+    assert counts.tolist() == [[3, 1]]
 
 
 def test_counts_conserved_along_path():
-    rng = np.random.default_rng(7)
     model = TwoTypeModel()
-    path = simulate_chain(model, 0.0, 1.0, LatticeState([5, 5]), 1.0, 1.0, rng)
-    for t in np.linspace(0, 1, 13):
-        state = path.state_at(t)
-        assert state.total == 10
-        assert np.all(state.counts >= 0)
+    counts = np.array([[5, 5]])
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, [np.random.default_rng(7)])
+    states = _replay([5, 5], batch.events[0])
+    assert states
+    for state in states:
+        assert state.sum() == 10
+        assert np.all(state >= 0)
+    assert np.array_equal(states[-1], counts[0])
 
 
 def test_single_particle_conversion_matches_closed_form():
     model = TwoTypeModel()
     trials = 20000
-    converted = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([123, trial])
-        path = simulate_chain(model, 0.0, 1.0, LatticeState([1, 0]), 1.0, 0.0, rng,
-                              record_events=False)
-        if path.final_counts()[1] == 1:
-            converted += 1
-    p_hat = converted / trials
+    counts = np.tile([1, 0], (trials, 1))
+    simulate_chain(model, 0.0, 1.0, counts, 1.0, 0.0, _trial_rngs(123, trials),
+                   record_events=False)
+    p_hat = np.count_nonzero(counts[:, 1] == 1) / trials
     p_true = two_state_absorb_prob(1.0)
     se = math.sqrt(p_true * (1 - p_true) / trials)
     assert abs(p_hat - p_true) <= 3 * se
@@ -81,40 +81,33 @@ def test_single_particle_conversion_matches_closed_form():
 
 def test_candidate_count_bounded_by_dominating_rate():
     model = TwoTypeModel()
-    y = LatticeState([10, 10])
-    lam = (model.dimension - 1) * model.declared_k * y.total  # = 20
-    total_candidates = 0
+    lam = (model.dimension - 1) * model.declared_k * 20  # = 20
     trials = 2000
-    for trial in range(trials):
-        rng = np.random.default_rng([9, trial])
-        path = simulate_chain(model, 0.0, 0.5, y, 1.0, 1.0, rng, record_events=False)
-        total_candidates += path.candidates
-    mean = total_candidates / trials
+    batch = simulate_chain(model, 0.0, 0.5, np.tile([10, 10], (trials, 1)), 1.0, 1.0,
+                           _trial_rngs(9, trials), record_events=False)
+    mean = batch.candidates / trials
     # candidates are Poisson(lam * 0.5); accepted jumps are a subset
     assert mean == pytest.approx(lam * 0.5, rel=0.05)
-
-
-def test_policies_receive_time_and_counts():
-    model = TwoTypeModel()
-    seen = []
-
-    def u_policy(t, counts):
-        seen.append((t, counts.copy()))
-        return 1.0
-
-    rng = np.random.default_rng(3)
-    simulate_chain(model, 0.0, 1.0, LatticeState([4, 0]), u_policy, 0.0, rng)
-    assert seen
-    assert all(0.0 < t < 1.0 for t, _ in seen)
 
 
 def test_rate_bound_violation_aborts():
     model = TwoTypeModel()
     model.declared_k = 0.5  # lie: actual rates reach 1.0
     with pytest.raises(RateBoundError):
-        for trial in range(50):
-            rng = np.random.default_rng([1, trial])
-            simulate_chain(model, 0.0, 1.0, LatticeState([5, 5]), 1.0, 1.0, rng)
+        simulate_chain(model, 0.0, 1.0, np.tile([5, 5], (50, 1)), 1.0, 1.0, _trial_rngs(1, 50))
+
+
+def test_kernel_takes_only_the_batch_form():
+    model = TwoTypeModel()
+    with pytest.raises(ValueError):
+        simulate_chain(model, 0.0, 1.0, LatticeState([1, 1]), 1.0, 1.0,
+                       [np.random.default_rng(0)])
+    with pytest.raises(ValueError):
+        simulate_chain(model, 0.0, 1.0, np.array([1, 1]), 1.0, 1.0,
+                       [np.random.default_rng(0)])
+    with pytest.raises(ValueError):
+        simulate_chain(model, 0.0, 1.0, np.array([[1, 1], [2, 0]]), 1.0, 1.0,
+                       [np.random.default_rng(0)])
 
 
 def test_distribution_validation():
@@ -167,7 +160,7 @@ def test_master_evolve_flags_bad_steps():
 def test_simulator_matches_master_equation_tv():
     model = TwoTypeModel()
     y = LatticeState([4, 0])
-    emp, _ = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
+    emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     space = emp.space
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(space, y), 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
@@ -199,7 +192,7 @@ def test_rate_matrix_override_reaches_every_form():
     assert np.allclose(model.drift_grid_multi(ts, xs), 2.0 * base.drift_grid_multi(ts, xs))
     # the simulator reads rate_matrix and the oracle the per-row form
     y = LatticeState([4, 0])
-    emp, _ = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
+    emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
 
@@ -209,7 +202,7 @@ def test_simulator_matches_oracle_time_dependent_model():
 
     model = ThreeTypeRotorModel()
     y = LatticeState([2, 1, 1])
-    emp, _ = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
+    emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 1.0)
     assert tv_distance(emp, oracle) <= 0.02
 
@@ -230,30 +223,6 @@ def test_dynkin_residual_two_type():
     res = dynkin_residual(model, lambda x: x[0], 0.0, 0.5, LatticeState([2, 2]), 1.0, 0.0,
                           ode_step=0.002)
     assert res <= 1e-8
-
-
-def test_empirical_transition_zero_model():
-    table = empirical_transition(ZeroModel(), 0.0, LatticeState([2, 2]), 0.05, 1.0, 0.0,
-                                 trials=200, seed=5)
-    assert table.stay_prob == 1.0
-    assert table.other_prob == 0.0
-
-
-def test_empirical_transition_leading_order():
-    model = TwoTypeModel()
-    xi = LatticeState([2, 2])
-    delta = 0.05
-    trials = 40000
-    table = empirical_transition(model, 0.0, xi, delta, 1.0, 0.0, trials=trials, seed=17)
-    # jump 1->2 runs at rate counts_1 * Q_12 = 2; oracle leading term is delta*2
-    space = lattice_space(2, 4)
-    oracle = master_evolve(model, 0.0, delta, Distribution.point_mass(space, xi), 1.0, 0.0)
-    p_exact = oracle.prob_of(LatticeState([1, 3]))
-    prob, se = table.neighbor_probs[(0, 1)]
-    assert abs(prob - p_exact) <= 3 * se + 1e-12
-    assert abs(p_exact - delta * 2.0) <= 4.0 * delta ** 2
-    # mass two or more jumps away is second order in the duration
-    assert table.other_prob <= 10.0 * (delta * 4.0) ** 2 + 3 * table.other_se
 
 
 def _reference_one_trial(model, t0, t1, start, u, v, rng):
@@ -283,10 +252,11 @@ def _reference_one_trial(model, t0, t1, start, u, v, rng):
 def _one_row_runs(model, t0, t1, starts, us, vs, seeds):
     finals, candidates = [], 0
     for start, u, v, seed in zip(starts, us, vs, seeds):
-        path = simulate_chain(model, t0, t1, LatticeState(start), u, v,
-                              np.random.default_rng(seed), record_events=False)
-        finals.append(path.final_counts())
-        candidates += path.candidates
+        counts = start[None, :].copy()
+        run = simulate_chain(model, t0, t1, counts, u, v, [np.random.default_rng(seed)],
+                             record_events=False)
+        finals.append(counts[0])
+        candidates += run.candidates
     return np.array(finals), candidates
 
 
@@ -347,8 +317,11 @@ def test_batch_tallies_and_events():
     assert batch.max_rate_ratio == 1.0
     assert sum(len(events) for events in batch.events) == batch.accepted
     for r, start in enumerate([[3, 1], [0, 4], [2, 2]]):
-        path = PathSample(LatticeState(start), 0.0, 1.0, events=batch.events[r])
-        assert np.array_equal(path.final_counts(), counts[r])
+        times = [e.time for e in batch.events[r]]
+        assert all(0.0 < t < 1.0 for t in times)
+        assert all(a < b for a, b in zip(times, times[1:]))
+        states = _replay(start, batch.events[r])
+        assert np.array_equal(states[-1] if states else start, counts[r])
 
 
 def test_batch_rejects_mixed_totals():

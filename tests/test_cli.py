@@ -45,11 +45,19 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"lemma2": {"deltas": "x"}},
     {"simulate": {"adversary_index": 5}},
     {"lemma2": {"acceptance_delta": 0.01}},
+    {"start_time": 0.5, "oracle": {"elapsed": 0.8}},
+    {"lemma2": {"deltas": [2.0, 0.01]}},
+    {"oracle": {"u": 5.0}},
+    {"oracle": {"v": 0.25}},
+    {"lemma1": {"deltas": [0.02, 0.01, 0.02]}},
+    {"lemma2": {"deltas": [0.01, 0.01]}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
         "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
-        "unread-lemma2-acceptance-delta"])
+        "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
+        "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
+        "duplicate-lemma1-deltas", "duplicate-lemma2-deltas"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)
@@ -57,6 +65,43 @@ def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
         assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_off_grid_constant_adversary_exits_2(tmp_path, capsys):
+    scen = write_scenario(tmp_path, adversaries=[{"kind": "constant", "value": 3.0}],
+                          lemma2={"particle_count": 10, "pairs": 2, "deltas": [0.01],
+                                  "trials_per_pair": 50})
+    for command in ("experiment", "corollary", "check-lemma2", "simulate"):
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_constant_adversary_checked_on_its_role_grid(tmp_path, capsys):
+    # 2.0 is one of player 1's controls only: the corollary's adversary may play it
+    scen = write_scenario(tmp_path, model_params={"u_levels": [0.0, 2.0]},
+                          adversaries=[{"kind": "constant", "value": 2.0}])
+    assert main(["experiment", "--scenario", str(scen), "--out", str(tmp_path / "a")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert main(["corollary", "--scenario", str(scen), "--out", str(tmp_path / "b")]) != 2
+    assert (tmp_path / "b.csv").exists()
+
+
+def test_cli_workers_must_be_positive(tmp_path, capsys):
+    scen = write_scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--scenario", str(scen), "--workers", "0"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_oracle_from_a_later_start_time(tmp_path):
+    # elapsed defaults to the time left before the horizon
+    scen = write_scenario(tmp_path, particle_counts=[4], start_time=0.5,
+                          oracle={"trials": 2000, "u": 1.0, "v": 0.0, "tv_tolerance": 0.06})
+    assert main(["oracle", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o.csv").exists()
 
 
 def test_cli_missing_file(tmp_path):
