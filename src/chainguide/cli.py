@@ -8,7 +8,9 @@ with status 0 iff all enabled checks passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from typing import Callable, NamedTuple
 
 from .harness import (
     Scenario,
@@ -23,24 +25,6 @@ from .harness import (
     run_value,
 )
 
-_DEFAULT_OUT = {
-    "value": "results/value",
-    "simulate": "results/simulate",
-    "experiment": "results/experiment",
-    "corollary": "results/corollary",
-    "check-lemma1": "results/lemma1",
-    "check-lemma2": "results/lemma2",
-    "oracle": "results/oracle",
-}
-
-
-def _add_common(parser):
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-    parser.add_argument("--out", default=None,
-                        help="output path prefix (writes <out>.csv and <out>.json)")
-
 
 def _worker_count(text):
     """argparse type of ``--workers``: an integer of at least 1."""
@@ -53,77 +37,70 @@ def _worker_count(text):
     return value
 
 
+class Command(NamedTuple):
+    """A subcommand: its harness entry point, help text and own flags."""
+
+    run: Callable
+    help: str
+    flags: tuple = ()  # (flag, add_argument keywords); the value goes to ``run`` by dest
+
+
+_WORKERS = ("--workers", {"type": _worker_count, "default": 1,
+                          "help": "worker processes for trial fan-out (at most one per trial)"})
+
+COMMANDS = {
+    "value": Command(run_value, "solve the game value on the grid", (
+        ("--export-field", {"default": None,
+                            "help": "also write the solved value field to this file"}),)),
+    "simulate": Command(run_simulate, "record fully logged episodes"),
+    "experiment": Command(run_theorem1_experiment,
+                          "guarantee bounds for the minimizing player", (_WORKERS,)),
+    "corollary": Command(run_corollary_experiment,
+                         "mirrored guarantee bounds for the maximizing player", (_WORKERS,)),
+    "check-lemma1": Command(run_lemma1_check, "one-step transition-probability expansion check"),
+    "check-lemma2": Command(run_lemma2_check, "one-step coupling estimate check"),
+    "oracle": Command(run_oracle_check, "simulator-versus-forward-equation check"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chainguide",
         description="Controlled particle-chain games: simulation, value, "
                     "guided strategies, and bound verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("value", help="solve the game value on the grid")
-    _add_common(p)
-    p.add_argument("--export-field", default=None,
-                   help="also write the solved value field to this file")
-
-    p = sub.add_parser("simulate", help="record fully logged episodes")
-    _add_common(p)
-
-    p = sub.add_parser("experiment",
-                       help="guarantee bounds for the minimizing player")
-    _add_common(p)
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="worker processes for trial fan-out (at most one per trial)")
-
-    p = sub.add_parser("corollary",
-                       help="mirrored guarantee bounds for the maximizing player")
-    _add_common(p)
-    p.add_argument("--workers", type=_worker_count, default=1)
-
-    p = sub.add_parser("check-lemma1",
-                       help="one-step transition-probability expansion check")
-    _add_common(p)
-
-    p = sub.add_parser("check-lemma2", help="one-step coupling estimate check")
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="simulator-versus-forward-equation check")
-    _add_common(p)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
+        p.add_argument("--out", default=None,
+                       help="output path prefix (writes <out>.csv and <out>.json; "
+                            "default results/<kind>)")
+        options = [p.add_argument(flag, **keywords).dest for flag, keywords in command.flags]
+        p.set_defaults(options=options)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         scenario = Scenario.load(args.scenario)
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario.seed = args.seed
-    out = args.out or scenario.out or _DEFAULT_OUT[args.command]
 
     try:
-        if args.command == "value":
-            result = run_value(scenario, export_field=args.export_field)
-        elif args.command == "simulate":
-            result = run_simulate(scenario)
-        elif args.command == "experiment":
-            result = run_theorem1_experiment(scenario, workers=args.workers)
-        elif args.command == "corollary":
-            result = run_corollary_experiment(scenario, workers=args.workers)
-        elif args.command == "check-lemma1":
-            result = run_lemma1_check(scenario)
-        elif args.command == "check-lemma2":
-            result = run_lemma2_check(scenario)
-        elif args.command == "oracle":
-            result = run_oracle_check(scenario)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        if args.seed is not None:
+            # replace re-runs the scenario's validation on the new seed
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        result = COMMANDS[args.command].run(
+            scenario, **{dest: getattr(args, dest) for dest in args.options})
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out = args.out or scenario.out or f"results/{result.kind}"
     table_path, summary_path = emit_results(result, out)
     status = "pass" if result.passed else "FAIL"
     print(f"{args.command}: {status} ({len(result.rows)} row(s); "

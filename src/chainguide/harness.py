@@ -50,7 +50,7 @@ from .strategy import (
     extremal_indices,
     run_episodes,
 )
-from .value import ValueField, build_simplex_grid, solve_value
+from .value import ValueField, build_simplex_grid, solve_value, verify_supersolution
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -204,9 +204,11 @@ class Scenario:
         for key, grid in (("u", model.u_grid), ("v", model.v_grid)):
             if key in self.oracle:
                 _check_on_grid(self.oracle[key], grid, f"oracle.{key}")
-        if self.start_time + self.oracle.get("elapsed", 0.0) > model.horizon + 1e-12:
-            raise ScenarioError(
-                f"start_time + oracle.elapsed must not pass the horizon {model.horizon}")
+        for key, section in (("oracle", self.oracle),
+                             ("oracle.dynkin", self.oracle.get("dynkin", {}))):
+            if self.start_time + section.get("elapsed", 0.0) > model.horizon + 1e-12:
+                raise ScenarioError(
+                    f"start_time + {key}.elapsed must not pass the horizon {model.horizon}")
         if max(self.lemma2.get("deltas", [0.0])) > model.horizon:
             raise ScenarioError(f"lemma2.deltas must not exceed the horizon {model.horizon}")
 
@@ -232,14 +234,6 @@ class Scenario:
         return asdict(self)
 
 
-def _start_state(scenario, model, total):
-    """The scenario's start mix rounded onto the lattice of ``total`` particles."""
-    if len(scenario.initial_state) != model.dimension:
-        raise ScenarioError(f"initial_state has {len(scenario.initial_state)} coordinates, "
-                            f"model {scenario.model!r} has {model.dimension} types")
-    return round_to_lattice(scenario.initial_state, total)
-
-
 @dataclass
 class ExperimentResult:
     """Rows plus summary for one command run; emitted as a table and a summary file."""
@@ -251,18 +245,55 @@ class ExperimentResult:
     passed: bool
 
 
+def _result(kind, scenario, columns, rows, passed, **extra):
+    """A command's result; every summary leads with the same keys and ends with ``passed``."""
+    passed = bool(passed)
+    summary = {"kind": kind, "library_version": __version__,
+               "scenario": scenario.to_dict(), **extra, "passed": passed}
+    return ExperimentResult(kind, columns, rows, summary, passed)
+
+
+class _ExperimentSetup(NamedTuple):
+    """What a command's work shares: built, checked and solved once."""
+
+    scenario: Scenario
+    model: RateModel
+    constants: ModelConstants
+    field: Optional[ValueField]
+    starts: dict  # particle total -> the start mix rounded onto its lattice
+
+
+def _setup(scenario, totals=(), adversary_role=None, solve=True):
+    """Build the model, check the scenario against it, then estimate and solve.
+
+    Every check runs before ``estimate_constants`` and ``solve_value``: a
+    command that rounds the start mix (``totals`` non-empty) needs one
+    coordinate per type, and a constant adversary of ``adversary_role``
+    must play a point of that role's control grid.
+    """
+    model = build_model(scenario.model, scenario.model_params)
+    if totals and len(scenario.initial_state) != model.dimension:
+        raise ScenarioError(f"initial_state has {len(scenario.initial_state)} coordinates, "
+                            f"model {scenario.model!r} has {model.dimension} types")
+    if adversary_role is not None:
+        grid = role_grids(model, adversary_role)[0]
+        for spec in scenario.adversaries:
+            if spec["kind"] == "constant":
+                _check_on_grid(spec["value"], grid,
+                               f"constant adversary ({adversary_role} player)")
+    starts = {total: round_to_lattice(scenario.initial_state, total) for total in totals}
+    constants = estimate_constants(model, seed=scenario.seed).constants
+    field = None
+    if solve:
+        grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
+        field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
+    return _ExperimentSetup(scenario, model, constants, field, starts)
+
+
 def adversary_label(spec):
     if spec["kind"] == "constant":
         return f"constant({spec['value']})"
     return spec["kind"]
-
-
-def _check_adversaries(specs, model, adversary_role):
-    """Constant adversaries must play a point of their own role's control grid."""
-    grid = role_grids(model, adversary_role)[0]
-    for spec in specs:
-        if spec["kind"] == "constant":
-            _check_on_grid(spec["value"], grid, f"constant adversary ({adversary_role} player)")
 
 
 def _build_adversary(spec, field, model, constants, adversary_role):
@@ -281,15 +312,6 @@ def _build_adversary(spec, field, model, constants, adversary_role):
 # -- experiment trial fan-out -----------------------------------------------------
 
 
-class _ExperimentSetup(NamedTuple):
-    """What every trial block of one experiment shares: built and solved once."""
-
-    scenario: Scenario
-    model: RateModel
-    constants: ModelConstants
-    field: ValueField
-
-
 # the setup of the experiment a pool worker serves; set once per worker process
 _worker_setup = None
 
@@ -302,8 +324,8 @@ def _init_worker(setup):
 def _run_trial_block(setup, config_index, m_steps, particle_count,
                      adversary_spec, role, lo, hi):
     """Run trials [lo, hi) of one configuration."""
-    scenario, model, constants, field = setup
-    y = _start_state(scenario, model, particle_count)
+    scenario, model, constants, field, starts = setup
+    y = starts[particle_count]
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
     # as_uv is its own inverse: (player 1's role, player 2's role) -> (own, adversary's)
     _, adversary_role = as_uv(role, "first", "second")
@@ -377,18 +399,14 @@ def run_corollary_experiment(scenario, workers=1):
 
 
 def _run_bound_experiment(scenario, role, workers):
-    model = build_model(scenario.model, scenario.model_params)
-    _check_adversaries(scenario.adversaries, model, as_uv(role, "first", "second")[1])
-    constants = estimate_constants(model, seed=scenario.seed).constants
-    starts = {m: _start_state(scenario, model, m) for m in scenario.particle_counts}
-    grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
-    field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
+    setup = _setup(scenario, scenario.particle_counts,
+                   adversary_role=as_uv(role, "first", "second")[1])
+    _, model, constants, field, starts = setup
     _, c_gain = coupling_constants(model, constants)
     d_const = c_gain * model.horizon
     r_const = constants.r
     sign = role_sign(role)
 
-    setup = _ExperimentSetup(scenario, model, constants, field)
     pool = None
     processes = min(workers, scenario.trials)
     if processes > 1:
@@ -466,7 +484,7 @@ def _run_bound_experiment(scenario, role, workers):
         key = f"{label}|steps={m_steps}"
         multi_h[key] = np.unique(hs).size >= 2
         if multi_h[key] and np.all(gaps > 0.0):
-            slopes[key] = float(np.polyfit(np.log(hs), np.log(gaps), 1)[0])
+            slopes[key] = float(_log_log_fit(hs, gaps)[0])
         else:
             slopes[key] = None
 
@@ -481,21 +499,18 @@ def _run_bound_experiment(scenario, role, workers):
                 slope_checks[key] = (slope is not None
                                      and GAP_SLOPE_WINDOW[0] <= slope <= GAP_SLOPE_WINDOW[1])
     slope_ok = all(slope_checks.values()) if slope_checks else True
-    passed = bool(bounds_ok and viol_ok and slope_ok)
-    summary = {
-        "kind": "experiment" if role == "first" else "corollary",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "constants": {"k": constants.k, "l": constants.l, "r": constants.r,
-                      "beta": 2.0 * constants.l, "c": c_gain, "d": d_const},
-        "gap_slopes": slopes,
-        "slope_window": list(GAP_SLOPE_WINDOW),
-        "slope_ok": slope_ok,
-        "bounds_ok": bounds_ok,
-        "guide_violations_ok": viol_ok,
-        "passed": passed,
-    }
-    return ExperimentResult(summary["kind"], EXPERIMENT_COLUMNS, rows, summary, passed)
+    return _result(
+        "experiment" if role == "first" else "corollary", scenario, EXPERIMENT_COLUMNS, rows,
+        bounds_ok and viol_ok and slope_ok,
+        constants={"k": constants.k, "l": constants.l, "r": constants.r,
+                   "beta": 2.0 * constants.l, "c": c_gain, "d": d_const},
+        gap_slopes=slopes, slope_window=list(GAP_SLOPE_WINDOW), slope_ok=slope_ok,
+        bounds_ok=bounds_ok, guide_violations_ok=viol_ok)
+
+
+def _log_log_fit(x, y):
+    """Least-squares (slope, intercept) of log y against log x."""
+    return np.polyfit(np.log(x), np.log(y), 1)
 
 
 # -- short-time transition-expansion check -----------------------------------------
@@ -516,21 +531,16 @@ def run_lemma1_check(scenario):
     at most a quadratic amount of mass.
     """
     cfg = scenario.lemma1
-    model = build_model(scenario.model, scenario.model_params)
-    constants = estimate_constants(model, seed=scenario.seed).constants
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    if "state" in cfg:
-        xi = LatticeState(cfg["state"])
-    else:
-        xi = _start_state(scenario, model, total)
+    _, model, constants, _, starts = _setup(scenario, () if "state" in cfg else (total,),
+                                            solve=False)
+    xi = LatticeState(cfg["state"]) if "state" in cfg else starts[total]
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
     min_ratio = float(cfg.get("min_ratio", 3.0))
     t0 = scenario.start_time
     h = xi.spacing
-    space = lattice_space(model.dimension, xi.total)
-    start = Distribution.point_mass(space, xi)
     rates = model.rate_matrix(t0, xi.coords(), u, v)
     counts = xi.counts
 
@@ -547,8 +557,7 @@ def run_lemma1_check(scenario):
 
     per_delta = {}
     for delta in deltas:
-        dist = master_evolve(model, t0, t0 + delta, start, u, v,
-                             ode_step=min(0.002, delta / 10.0))
+        dist = _evolve_point_mass(model, t0, delta, xi, u, v)
         single_mass = 0.0
         residuals = {}
         for (i, j) in neighbor_keys:
@@ -596,16 +605,15 @@ def run_lemma1_check(scenario):
                 })
             passed = passed and ok
 
-    summary = {
-        "kind": "lemma1",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "state": xi.counts.tolist(),
-        "controls": {"u": u, "v": v},
-        "min_ratio": min_ratio,
-        "passed": bool(passed),
-    }
-    return ExperimentResult("lemma1", LEMMA1_COLUMNS, rows, summary, bool(passed))
+    return _result("lemma1", scenario, LEMMA1_COLUMNS, rows, passed,
+                   state=xi.counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
+
+
+def _evolve_point_mass(model, t0, delta, state, u, v):
+    """Exact law, ``delta`` after ``t0``, of the chain started at ``state``."""
+    space = lattice_space(model.dimension, state.total)
+    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, state),
+                         u, v, ode_step=min(0.002, delta / 10.0))
 
 
 # -- one-step chain/guide coupling check --------------------------------------------
@@ -637,10 +645,8 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
 
 
 def _exact_squared_distance(model, t0, delta, state, u_val, v_val, w_plus):
-    space = lattice_space(model.dimension, state.total)
-    dist = master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, state),
-                         u_val, v_val, ode_step=min(0.002, delta / 10.0))
-    sq = np.sum((space.nodes - w_plus) ** 2, axis=1)
+    dist = _evolve_point_mass(model, t0, delta, state, u_val, v_val)
+    sq = np.sum((dist.space.nodes - w_plus) ** 2, axis=1)
     return float(dist.probs @ sq)
 
 
@@ -654,12 +660,8 @@ def run_lemma2_check(scenario):
     the Monte Carlo mean. The exact oracle value accompanies every row.
     """
     cfg = scenario.lemma2
-    model = build_model(scenario.model, scenario.model_params)
-    _check_adversaries(scenario.adversaries, model, "second")
-    constants = estimate_constants(model, seed=scenario.seed).constants
+    _, model, constants, field, _ = _setup(scenario, adversary_role="second")
     beta, c_gain = coupling_constants(model, constants)
-    grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
-    field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     pairs = int(cfg.get("pairs", 100))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
@@ -747,33 +749,23 @@ def run_lemma2_check(scenario):
                     "violation": bool(violated),
                 })
 
-    kappa_fit = _fit_power_law(kappa_hat)
-    passed = violations == 0
-    summary = {
-        "kind": "lemma2",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "constants": {"k": constants.k, "l": constants.l, "beta": beta, "c": c_gain},
-        "pairs": pairs,
-        "trials_per_pair": trials,
-        "deltas": deltas,
-        "violations": violations,
-        "empirical_kappa_per_delta": {str(dl): kappa_hat[dl] for dl in deltas},
-        "model_allowance_per_delta": {
+    return _result(
+        "lemma2", scenario, LEMMA2_COLUMNS, rows, violations == 0,
+        constants={"k": constants.k, "l": constants.l, "beta": beta, "c": c_gain},
+        pairs=pairs, trials_per_pair=trials, deltas=deltas, violations=violations,
+        empirical_kappa_per_delta={str(dl): kappa_hat[dl] for dl in deltas},
+        model_allowance_per_delta={
             str(dl): float(coupling_allowance(model, constants, h, dl)) for dl in deltas},
-        "kappa_power_fit": kappa_fit,
-        "passed": bool(passed),
-    }
-    return ExperimentResult("lemma2", LEMMA2_COLUMNS, rows, summary, bool(passed))
+        kappa_power_fit=_fit_power_law(kappa_hat))
 
 
 def _fit_power_law(kappa_hat):
     """Least-squares a*delta^p fit of the positive empirical residual slopes."""
-    pts = [(dl, k) for dl, k in kappa_hat.items() if k > 0.0]
-    if len(pts) < 2:
+    positive = [dl for dl, k in kappa_hat.items() if k > 0.0]
+    if len(positive) < 2:
         return None
-    logs = np.log(np.array(pts))
-    slope, intercept = np.polyfit(logs[:, 0], logs[:, 1], 1)
+    slope, intercept = _log_log_fit(np.array(positive),
+                                    np.array([kappa_hat[dl] for dl in positive]))
     return {"exponent": float(slope), "scale": float(np.exp(intercept))}
 
 
@@ -791,18 +783,19 @@ def run_oracle_check(scenario):
     cross-check, and the expectation-identity residual.
     """
     cfg = scenario.oracle
-    model = build_model(scenario.model, scenario.model_params)
-    constants = estimate_constants(model, seed=scenario.seed).constants
+    dyn = cfg.get("dynkin", {})
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
+    dyn_total = int(dyn.get("particle_count", total))
+    _, model, constants, _, starts = _setup(scenario, (total, 1, dyn_total), solve=False)
     trials = int(cfg.get("trials", 100_000))
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
-    elapsed = float(cfg.get("elapsed", model.horizon - scenario.start_time))
-    tv_tol = float(cfg.get("tv_tolerance", 0.01))
     t0 = scenario.start_time
+    elapsed = float(cfg.get("elapsed", model.horizon - t0))
+    tv_tol = float(cfg.get("tv_tolerance", 0.01))
     rows = []
 
-    y = _start_state(scenario, model, total)
+    y = starts[total]
     empirical = sample_final_distribution(
         model, t0, t0 + elapsed, y, u, v, trials, seed=scenario.seed,
         rate_bound=constants.k)
@@ -813,7 +806,7 @@ def run_oracle_check(scenario):
                  "tolerance": tv_tol, "ok": bool(tv <= tv_tol)})
 
     if cfg.get("unit_check", True):
-        y1 = _start_state(scenario, model, 1)
+        y1 = starts[1]
         emp1 = sample_final_distribution(
             model, t0, t0 + elapsed, y1, u, v, trials, seed=scenario.seed + 1,
             rate_bound=constants.k)
@@ -830,27 +823,17 @@ def run_oracle_check(scenario):
         rows.append({"check": "single_particle_within_3se", "statistic": worst,
                      "tolerance": 3.0, "ok": bool(ok)})
 
-    dyn = cfg.get("dynkin", {})
     coord = int(dyn.get("coordinate", 0))
-    dyn_elapsed = float(dyn.get("elapsed", min(0.5, model.horizon)))
-    dyn_total = int(dyn.get("particle_count", total))
+    dyn_elapsed = float(dyn.get("elapsed", min(0.5, model.horizon - t0)))
     dyn_tol = float(dyn.get("tolerance", 1e-8))
     residual = dynkin_residual(
-        model, lambda x: x[coord], t0, t0 + dyn_elapsed,
-        _start_state(scenario, model, dyn_total), u, v,
+        model, lambda x: x[coord], t0, t0 + dyn_elapsed, starts[dyn_total], u, v,
         ode_step=float(dyn.get("ode_step", 0.002)))
     rows.append({"check": "expectation_identity_residual", "statistic": residual,
                  "tolerance": dyn_tol, "ok": bool(residual <= dyn_tol)})
 
-    passed = all(r["ok"] for r in rows)
-    summary = {
-        "kind": "oracle",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "controls": {"u": u, "v": v},
-        "passed": bool(passed),
-    }
-    return ExperimentResult("oracle", ORACLE_COLUMNS, rows, summary, bool(passed))
+    return _result("oracle", scenario, ORACLE_COLUMNS, rows, all(r["ok"] for r in rows),
+                   controls={"u": u, "v": v})
 
 
 # -- value solve and episode recording --------------------------------------------
@@ -862,17 +845,13 @@ VALUE_COLUMNS = ["n_x", "n_t", "value_start", "supersolution_violations",
 
 def run_value(scenario, export_field=None):
     """Solve the value field, optionally export it, and sanity-check descent."""
-    from .value import verify_supersolution
-
-    model = build_model(scenario.model, scenario.model_params)
-    constants = estimate_constants(model, seed=scenario.seed).constants
+    total = scenario.particle_counts[0]
+    _, model, constants, field, starts = _setup(scenario, (total,))
     n_x = scenario.value_grid["n_x"]
     n_t = scenario.value_grid["n_t"]
-    y = _start_state(scenario, model, scenario.particle_counts[0])
-    field = solve_value(model, n_t, build_simplex_grid(model.dimension, n_x), constants)
     report = verify_supersolution(field, model, samples=200, step=model.horizon / n_t,
                                   seed=scenario.seed, constants=constants)
-    val0 = field.eval(scenario.start_time, y.coords())
+    val0 = field.eval(scenario.start_time, starts[total].coords())
     if export_field:
         os.makedirs(os.path.dirname(os.path.abspath(export_field)), exist_ok=True)
         field.save(export_field)
@@ -882,15 +861,8 @@ def run_value(scenario, export_field=None):
         "supersolution_tolerance": report.tolerance,
         "ok": bool(report.passed),
     }]
-    summary = {
-        "kind": "value",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "value_start": val0,
-        "exported_field": export_field,
-        "passed": bool(report.passed),
-    }
-    return ExperimentResult("value", VALUE_COLUMNS, rows, summary, bool(report.passed))
+    return _result("value", scenario, VALUE_COLUMNS, rows, report.passed,
+                   value_start=val0, exported_field=export_field)
 
 
 SIMULATE_COLUMNS = ["episode", "payoff", "guide_violation_fraction",
@@ -900,14 +872,9 @@ SIMULATE_COLUMNS = ["episode", "payoff", "guide_violation_fraction",
 def run_simulate(scenario):
     """Record a handful of fully logged episodes for inspection."""
     cfg = scenario.simulate
-    model = build_model(scenario.model, scenario.model_params)
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
-    _check_adversaries([adv], model, "second")
-    constants = estimate_constants(model, seed=scenario.seed).constants
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    y = _start_state(scenario, model, total)
-    grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
-    field = solve_value(model, scenario.value_grid["n_t"], grid, constants)
+    _, model, constants, field, starts = _setup(scenario, (total,), adversary_role="second")
     episodes = int(cfg.get("episodes", 5))
     record_jumps = bool(cfg.get("record_jumps", True))
     steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
@@ -915,7 +882,7 @@ def run_simulate(scenario):
     player1 = ControlWithGuideStrategy(field, model, "first", constants)
     player2 = _build_adversary(adv, field, model, constants, "second")
     rngs = [np.random.default_rng([scenario.seed, 0, i]) for i in range(episodes)]
-    batch = run_episodes(model, y, partition, player1, player2, rngs,
+    batch = run_episodes(model, starts[total], partition, player1, player2, rngs,
                          rate_bound=constants.k, record=True,
                          record_jumps=record_jumps)
     rows = []
@@ -927,15 +894,9 @@ def run_simulate(scenario):
             "opp_guide_violation_fraction": float(batch.violation_fraction2[i]),
             "jump_count": len(record.jumps) if record.jumps is not None else None,
         })
-    summary = {
-        "kind": "simulate",
-        "library_version": __version__,
-        "scenario": scenario.to_dict(),
-        "adversary": adversary_label(adv),
-        "records": [record.to_dict() for record in batch.records],
-        "passed": True,
-    }
-    return ExperimentResult("simulate", SIMULATE_COLUMNS, rows, summary, True)
+    return _result("simulate", scenario, SIMULATE_COLUMNS, rows, True,
+                   adversary=adversary_label(adv),
+                   records=[record.to_dict() for record in batch.records])
 
 
 # -- emission ----------------------------------------------------------------------

@@ -165,19 +165,6 @@ def round_to_lattice(point, total):
     return LatticeState(base)
 
 
-def single_jump_neighbors(state):
-    """Ordered (i, j, neighbor) triples reachable by moving one particle."""
-    d = state.dimension
-    out = []
-    for i in range(d):
-        if state.counts[i] < 1:
-            continue
-        for j in range(d):
-            if j != i:
-                out.append((i, j, state.jump(i, j)))
-    return out
-
-
 def random_simplex_points(rng, n, d):
     """Uniform samples on the simplex (flat Dirichlet)."""
     return rng.dirichlet(np.ones(d), size=n)

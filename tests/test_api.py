@@ -5,6 +5,7 @@ from pathlib import Path
 
 import chainguide
 from chainguide import harness
+from chainguide.cli import COMMANDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,12 @@ def test_readme_scenario_table_lists_the_accepted_section_keys():
         # a nested sub-section is listed as name{...}
         listed = {key.split("{")[0] for key in rows[section].split(", ")}
         assert listed == set(spec), section
+
+
+def test_readme_command_block_matches_cli():
+    lines = re.findall(r"^chainguide (\S+) +--scenario scen\.json(.*)$",
+                       README.read_text(encoding="utf-8"), re.M)
+    listed = {name: set(re.findall(r"--[\w-]+", rest)) for name, rest in lines}
+    assert len(listed) == len(lines)
+    assert listed == {name: {flag for flag, _ in command.flags}
+                      for name, command in COMMANDS.items()}

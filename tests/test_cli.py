@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chainguide import harness
 from chainguide.cli import main
 
 
@@ -20,6 +21,14 @@ def write_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+@pytest.fixture
+def no_value_solve(monkeypatch):
+    """A scenario that exits 2 must be rejected before the value solve."""
+    def solve_value(*args, **kwargs):
+        raise AssertionError("solve_value reached on a bad scenario")
+    monkeypatch.setattr(harness, "solve_value", solve_value)
 
 
 def test_cli_requires_known_scenario_keys(tmp_path, capsys):
@@ -51,14 +60,15 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"oracle": {"v": 0.25}},
     {"lemma1": {"deltas": [0.02, 0.01, 0.02]}},
     {"lemma2": {"deltas": [0.01, 0.01]}},
+    {"start_time": 0.5, "oracle": {"dynkin": {"elapsed": 0.8}}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
         "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
         "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
         "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
-        "duplicate-lemma1-deltas", "duplicate-lemma2-deltas"])
-def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
+        "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon"])
+def test_cli_bad_scenario_exits_2(tmp_path, capsys, no_value_solve, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)
     for command in ("value", "experiment", "oracle", "simulate", "check-lemma1"):
@@ -67,8 +77,10 @@ def test_cli_bad_scenario_exits_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_cli_off_grid_constant_adversary_exits_2(tmp_path, capsys):
-    scen = write_scenario(tmp_path, adversaries=[{"kind": "constant", "value": 3.0}],
+def test_cli_off_grid_constant_adversary_exits_2(tmp_path, capsys, no_value_solve):
+    # simulate plays only the first adversary but checks every listed one
+    scen = write_scenario(tmp_path, adversaries=[{"kind": "extremal"},
+                                                 {"kind": "constant", "value": 3.0}],
                           lemma2={"particle_count": 10, "pairs": 2, "deltas": [0.01],
                                   "trials_per_pair": 50})
     for command in ("experiment", "corollary", "check-lemma2", "simulate"):
@@ -104,6 +116,14 @@ def test_cli_oracle_from_a_later_start_time(tmp_path):
     assert (tmp_path / "o.csv").exists()
 
 
+def test_cli_default_out_is_results_kind(tmp_path, monkeypatch):
+    scen = write_scenario(tmp_path, lemma1={"particle_count": 4, "state": [2, 2]})
+    monkeypatch.chdir(tmp_path)
+    assert main(["check-lemma1", "--scenario", str(scen)]) == 0
+    assert (tmp_path / "results" / "lemma1.csv").exists()
+    assert (tmp_path / "results" / "lemma1.json").exists()
+
+
 def test_cli_missing_file(tmp_path):
     assert main(["oracle", "--scenario", str(tmp_path / "nope.json")]) == 2
 
@@ -121,7 +141,7 @@ def test_cli_value_with_export(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
-def test_cli_experiment_and_seed_override(tmp_path):
+def test_cli_experiment_and_seed_override(tmp_path, capsys):
     scen = write_scenario(tmp_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -135,6 +155,13 @@ def test_cli_experiment_and_seed_override(tmp_path):
     assert main(["experiment", "--scenario", str(scen), "--seed", "99",
                  "--out", str(out_c)]) == 0
     assert out_a.with_suffix(".csv").read_bytes() != out_c.with_suffix(".csv").read_bytes()
+    # the override is validated like the scenario seed
+    capsys.readouterr()
+    assert main(["experiment", "--scenario", str(scen), "--seed", "-1",
+                 "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_cli_check_commands(tmp_path):

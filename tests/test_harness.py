@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from chainguide import harness
 from chainguide.harness import (
     Scenario,
     ScenarioError,
@@ -236,6 +237,22 @@ def test_oracle_check_small():
     checks = {row["check"]: row for row in result.rows}
     assert checks["expectation_identity_residual"]["statistic"] <= 1e-8
     assert checks["tv_distance(M=4)"]["ok"]
+
+
+def test_oracle_dynkin_window_stays_before_the_horizon(monkeypatch):
+    windows = []
+
+    def dynkin_residual(model, f, t0, t1, *args, **kwargs):
+        windows.append((t0, t1, model.horizon))
+        return 0.0
+
+    monkeypatch.setattr(harness, "dynkin_residual", dynkin_residual)
+    scen = small_scenario(model="three-type", initial_state=[0.4, 0.4, 0.2],
+                          particle_counts=[3], start_time=0.9,
+                          oracle={"trials": 200, "unit_check": False, "tv_tolerance": 1.0})
+    run_oracle_check(scen)
+    [(t0, t1, horizon)] = windows
+    assert t0 == 0.9 and t0 < t1 <= horizon
 
 
 def test_experiment_rows_and_bounds():

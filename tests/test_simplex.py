@@ -11,7 +11,6 @@ from chainguide.simplex import (
     lattice_size,
     project_rows,
     round_to_lattice,
-    single_jump_neighbors,
 )
 
 
@@ -109,10 +108,3 @@ def test_round_to_lattice_total_preserved(total, weights):
     state = round_to_lattice(w / w.sum(), total)
     assert state.total == total
     assert np.all(np.abs(state.counts - w / w.sum() * total) < 1.0 + 1e-9)
-
-
-def test_single_jump_neighbors_skip_empty_types():
-    s = LatticeState([0, 4])
-    triples = single_jump_neighbors(s)
-    assert [(i, j) for i, j, _ in triples] == [(1, 0)]
-    assert list(triples[0][2].counts) == [1, 3]
