@@ -9,7 +9,7 @@ against exact small-instance oracles.
 
 __version__ = "0.1.0"
 
-from .simplex import LatticeState, enumerate_lattice, round_to_lattice
+from .simplex import LatticeState, round_to_lattice
 from .models import (
     ControlGrid,
     ModelConstants,
@@ -24,7 +24,6 @@ from .models import (
 from .chain import (
     Distribution,
     dynkin_residual,
-    lattice_space,
     master_evolve,
     simulate_chain,
 )
@@ -56,11 +55,11 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "LatticeState", "enumerate_lattice", "round_to_lattice",
+    "LatticeState", "round_to_lattice",
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "register_model",
     "validate_rate_model",
-    "Distribution", "dynkin_residual", "lattice_space", "master_evolve",
+    "Distribution", "dynkin_residual", "master_evolve",
     "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
     "verify_supersolution",

@@ -222,11 +222,6 @@ class Distribution:
         return Distribution(space, probs)
 
 
-def lattice_space(d, total, cap=10**6):
-    """Enumerated lattice used by the distribution oracle."""
-    return SimplexGrid(d, total, cap=cap)
-
-
 def tv_distance(a, b):
     """Total-variation distance between two distributions on the same space."""
     if a.space is not b.space and not np.array_equal(a.space.counts, b.space.counts):
@@ -284,8 +279,8 @@ class _ForwardOperator:
         return out
 
 
-def default_ode_step(model, total, rate_bound=None):
-    k = resolve_k(model) if rate_bound is None else rate_bound
+def default_ode_step(model, total):
+    k = resolve_k(model)
     if k <= 0.0:
         return 0.01
     return min(0.01, 0.1 / (total * k))
@@ -332,7 +327,7 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     """
     if not isinstance(y, LatticeState):
         y = LatticeState(y)
-    space = lattice_space(model.dimension, y.total)
+    space = SimplexGrid(model.dimension, y.total)
     op = _ForwardOperator(model, space, u, v)
     fvals = np.array([float(f(x)) for x in space.nodes])
     span = t1 - t0
@@ -374,6 +369,6 @@ def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=N
         rngs = [np.random.default_rng([seed, trial]) for trial in range(lo, hi)]
         simulate_chain(model, t0, t1, finals[lo:hi], u, v, rngs,
                        rate_bound=k_bound, record_events=False)
-    space = lattice_space(model.dimension, y.total)
+    space = SimplexGrid(model.dimension, y.total)
     hits = np.bincount(space.node_index(finals), minlength=space.node_count)
     return Distribution(space, hits / trials)

@@ -22,7 +22,6 @@ from . import __version__
 from .chain import (
     Distribution,
     dynkin_residual,
-    lattice_space,
     master_evolve,
     sample_final_distribution,
     simulate_chain,
@@ -50,7 +49,13 @@ from .strategy import (
     extremal_indices,
     run_episodes,
 )
-from .value import ValueField, build_simplex_grid, solve_value, verify_supersolution
+from .value import (
+    SimplexGrid,
+    ValueField,
+    build_simplex_grid,
+    solve_value,
+    verify_supersolution,
+)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -194,8 +199,13 @@ class Scenario:
         _check_section(self.oracle, _ORACLE_SPEC, "oracle")
         _check_section(self.oracle.get("dynkin", {}), _DYNKIN_SPEC, "oracle.dynkin")
         _check_section(self.simulate, _SIMULATE_SPEC, "simulate")
-        if "state" in self.lemma1 and len(self.lemma1["state"]) != model.dimension:
-            raise ScenarioError(f"lemma1.state must have {model.dimension} counts")
+        if "state" in self.lemma1:
+            state = self.lemma1["state"]
+            if len(state) != model.dimension:
+                raise ScenarioError(f"lemma1.state must have {model.dimension} counts")
+            if self.lemma1.get("particle_count", sum(state)) != sum(state):
+                raise ScenarioError(
+                    f"lemma1.particle_count must equal sum(lemma1.state) = {sum(state)}")
         if self.oracle.get("dynkin", {}).get("coordinate", 0) >= model.dimension:
             raise ScenarioError(f"oracle.dynkin.coordinate must be below {model.dimension}")
         if self.simulate.get("adversary_index", 0) >= len(self.adversaries):
@@ -611,7 +621,7 @@ def run_lemma1_check(scenario):
 
 def _evolve_point_mass(model, t0, delta, state, u, v):
     """Exact law, ``delta`` after ``t0``, of the chain started at ``state``."""
-    space = lattice_space(model.dimension, state.total)
+    space = SimplexGrid(model.dimension, state.total)
     return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, state),
                          u, v, ode_step=min(0.002, delta / 10.0))
 
@@ -668,7 +678,7 @@ def run_lemma2_check(scenario):
     trials = int(cfg.get("trials_per_pair", 10_000))
     h = 1.0 / total
     d = model.dimension
-    space = lattice_space(d, total)
+    space = SimplexGrid(d, total)
     horizon = model.horizon
 
     pair_rng = np.random.default_rng([scenario.seed, 90001])

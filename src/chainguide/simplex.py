@@ -1,14 +1,16 @@
-"""Probability-simplex state types and lattice utilities.
+"""Probability-simplex points and single lattice states.
 
 The population state of the particle system lives on the probability
 simplex; with a finite particle count it is confined to the sub-lattice of
-points whose coordinates are integer multiples of 1/total.
+points whose coordinates are integer multiples of 1/total. This module
+holds one such state (``LatticeState``), rounding onto the lattice, and the
+projection and integration helpers shared by every layer. The lattice as a
+whole, enumerated and ranked, is ``value.SimplexGrid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -17,10 +19,6 @@ PROJECTION_LIMIT = 1e-6  # larger displacements indicate a real simplex exit
 
 class ProjectionError(ValueError):
     """A point was too far outside the simplex to be attributed to round-off."""
-
-
-class LatticeCapError(ValueError):
-    """Requested lattice enumeration exceeds the configured state-count cap."""
 
 
 def project_rows(points):
@@ -105,46 +103,6 @@ class LatticeState:
 
     def __hash__(self):
         return hash(self.counts.tobytes())
-
-
-def lattice_size(d, total):
-    """Number of lattice states: compositions of `total` into d parts."""
-    return comb(total + d - 1, d - 1)
-
-
-def enumerate_lattice_counts(d, total, cap=10**6):
-    """All compositions of `total` into d nonnegative parts, lexicographic, as an int array."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if total < 1:
-        raise ValueError("total particle count must be at least 1")
-    size = lattice_size(d, total)
-    if size > cap:
-        raise LatticeCapError(
-            f"lattice of dimension {d} with {total} particles has {size} states, cap is {cap}"
-        )
-    out = np.zeros((size, d), dtype=np.int64)
-    row = 0
-    current = np.zeros(d, dtype=np.int64)
-
-    def fill(pos, remaining):
-        nonlocal row
-        if pos == d - 1:
-            current[pos] = remaining
-            out[row] = current
-            row += 1
-            return
-        for value in range(remaining + 1):
-            current[pos] = value
-            fill(pos + 1, remaining - value)
-
-    fill(0, total)
-    return out
-
-
-def enumerate_lattice(d, total, cap=10**6):
-    """All lattice states with the given particle count, lexicographic order."""
-    return [LatticeState(c) for c in enumerate_lattice_counts(d, total, cap=cap)]
 
 
 def round_to_lattice(point, total):

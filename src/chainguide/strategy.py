@@ -27,6 +27,8 @@ from .models import own_axis_first, resolve_k, role_grids, role_sign
 from .simplex import LatticeState, project_rows
 from .value import monotonicity_tolerance
 
+GREEDY_PROBE = 1e-4  # Euler step of the greedy policy's one-step payoff probe
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -159,16 +161,15 @@ class RandomPolicy(ControlPolicy):
 class GreedyPolicy(ControlPolicy):
     """One-step greedy payoff pusher: steepest payoff drift against the worst reply."""
 
-    def __init__(self, model, role, probe=1e-4):
+    def __init__(self, model, role):
         self.model = model
         self.role = role
         self.sign = role_sign(role)
-        self.probe = float(probe)
 
     def step_values(self, t, counts, h, rngs):
         xs = counts * h
         drifts = self.model.drift_grid_multi(t, xs)
-        probes = xs[:, None, None, :] + self.probe * drifts
+        probes = xs[:, None, None, :] + GREEDY_PROBE * drifts
         project_rows(probes)
         gains = (self.model.terminal_payoff(probes)
                  - self.model.terminal_payoff(xs)[:, None, None])

@@ -8,9 +8,13 @@ combinations of node values; that property is what the guide-monotonicity
 machinery leans on, so the interpolation here is exact barycentric
 interpolation on the Freudenthal-Kuhn triangulation of the lattice simplex.
 
-Nodes are enumerated lexicographically in their counts c, and a node's
-index is a sum over its cumulative counts s_k = c_0 + ... + c_k: by the
-hockey-stick identity, the nodes before c number
+Nodes are the compositions c of the resolution n into d nonnegative
+counts, enumerated lexicographically by stars and bars: the k-th
+(d - 1)-subset of n + d - 1 slots, in ``itertools.combinations`` order,
+places the bars, and the gaps between consecutive bars are the counts.
+The inverse, a node's index, is a sum over its cumulative counts
+s_k = c_0 + ... + c_k: by the hockey-stick identity, the nodes before c
+number
 
     N - 1 - sum_{k < d-1} C(n - s_k + d - 2 - k, d - 1 - k),
 
@@ -37,6 +41,7 @@ node keeps its own weights, so affine functions stay reproduced there.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from math import comb
@@ -49,7 +54,6 @@ from .simplex import (
     PROJECTION_LIMIT,
     ProjectionError,
     as_coords,
-    enumerate_lattice_counts,
     project_rows,
     random_simplex_points,
 )
@@ -58,19 +62,40 @@ FORMAT_NAME = "chainguide-value-field"
 FORMAT_VERSION = 1
 MONOTONICITY_SCALE = 5.0  # scheme-error constant of the monotonicity tolerance
 SNAP_ULPS = 4  # snap radius of interpolation, in ulps of the grid resolution
+LATTICE_CAP = 10**6  # most nodes a lattice may have; checked before any allocation
+
+
+class LatticeCapError(ValueError):
+    """The requested lattice has more nodes than LATTICE_CAP."""
 
 
 class SimplexGrid:
-    """Nodes of the lattice simplex at a given resolution, with interpolation."""
+    """The count lattice at a given resolution: its nodes, their ranks, and interpolation.
 
-    def __init__(self, dimension, resolution, cap=10**6):
+    ``counts`` has one row per node, in lexicographic order; ``nodes`` is
+    ``counts / resolution``, the lattice on the probability simplex.
+    """
+
+    def __init__(self, dimension, resolution):
         if resolution < 1:
             raise ValueError("grid resolution must be at least 1")
-        self.dimension = int(dimension)
-        self.resolution = int(resolution)
-        self.counts = enumerate_lattice_counts(dimension, resolution, cap=cap)
-        self.nodes = self.counts / float(resolution)
-        d, n = self.dimension, self.resolution
+        if dimension < 2:
+            raise ValueError("dimension must be at least 2")
+        # comb rejects non-integer sizes before anything is allocated
+        size = comb(resolution + dimension - 1, dimension - 1)
+        self.dimension = d = int(dimension)
+        self.resolution = n = int(resolution)
+        if size > LATTICE_CAP:
+            raise LatticeCapError(f"lattice of dimension {d} at resolution {n} has "
+                                  f"{size} nodes, cap is {LATTICE_CAP}")
+        # stars and bars (module docstring), with end bars at -1 and n + d - 1
+        bars = np.full((size, d + 1), -1, dtype=np.int64)
+        bars[:, -1] = n + d - 1
+        bars[:, 1:-1] = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n + d - 1), d - 1)),
+            dtype=np.int64, count=size * (d - 1)).reshape(size, d - 1)
+        self.counts = np.diff(bars, axis=1) - 1
+        self.nodes = self.counts / float(n)
         # index = sum_k rank[k, s_k] over cumulative counts s_k = c_0 + ... + c_k
         rank = np.array([[-comb(n - s + d - 2 - k, d - 1 - k) for s in range(n + 1)]
                          for k in range(d - 1)], dtype=np.int64)
@@ -182,10 +207,10 @@ def _snap(s, n):
     return np.where(np.abs(s - nearest) <= SNAP_ULPS * np.spacing(float(n)), nearest, s)
 
 
-def build_simplex_grid(d, n_x, cap=10**6):
+def build_simplex_grid(d, n_x):
     if n_x < 2:
         raise ValueError("value grids need resolution at least 2")
-    return SimplexGrid(d, n_x, cap=cap)
+    return SimplexGrid(d, n_x)
 
 
 @dataclass

@@ -1,6 +1,8 @@
-"""The public surface: the exported names and the README's library example."""
+"""The public surface: the exported names, the README's library example and the runtime imports."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import chainguide
@@ -43,3 +45,17 @@ def test_readme_command_block_matches_cli():
     assert len(listed) == len(lines)
     assert listed == {name: {flag for flag, _ in command.flags}
                       for name, command in COMMANDS.items()}
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency in pyproject.toml
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = set()
+    for path in sorted((README.parent / "src" / "chainguide").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert imported
+    assert sorted((name, module) for name, module in imported if module not in allowed) == []

@@ -11,7 +11,6 @@ from chainguide.chain import (
     JumpEvent,
     RateBoundError,
     dynkin_residual,
-    lattice_space,
     master_evolve,
     sample_final_distribution,
     simulate_chain,
@@ -19,6 +18,7 @@ from chainguide.chain import (
 )
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
 from chainguide.simplex import LatticeState
+from chainguide.value import SimplexGrid
 
 
 def two_state_absorb_prob(elapsed):
@@ -111,7 +111,7 @@ def test_kernel_takes_only_the_batch_form():
 
 
 def test_distribution_validation():
-    space = lattice_space(2, 4)
+    space = SimplexGrid(2, 4)
     with pytest.raises(ValueError):
         Distribution(space, np.array([0.5, 0.5, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ def test_distribution_validation():
 
 
 def test_master_evolve_zero_model_is_identity():
-    space = lattice_space(2, 4)
+    space = SimplexGrid(2, 4)
     dist = Distribution.point_mass(space, LatticeState([1, 3]))
     out = master_evolve(ZeroModel(), 0.0, 1.0, dist, 1.0, 0.0)
     assert np.allclose(out.probs, dist.probs, atol=1e-15)
@@ -129,7 +129,7 @@ def test_master_evolve_zero_model_is_identity():
 
 def test_master_evolve_two_state_closed_form():
     model = TwoTypeModel()
-    space = lattice_space(2, 1)
+    space = SimplexGrid(2, 1)
     dist = Distribution.point_mass(space, LatticeState([1, 0]))
     out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.0)
     assert out.prob_of(LatticeState([0, 1])) == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
@@ -138,7 +138,7 @@ def test_master_evolve_two_state_closed_form():
 
 def test_master_evolve_conserves_mass():
     model = TwoTypeModel()
-    space = lattice_space(2, 6)
+    space = SimplexGrid(2, 6)
     dist = Distribution.point_mass(space, LatticeState([6, 0]))
     out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.5)
     assert abs(out.probs.sum() - 1.0) <= 1e-10
@@ -151,7 +151,7 @@ def test_master_evolve_flags_bad_steps():
             return 40.0 * super().rate_matrix(t, x, u, v)
 
     model = StiffModel()
-    space = lattice_space(2, 8)
+    space = SimplexGrid(2, 8)
     dist = Distribution.point_mass(space, LatticeState([8, 0]))
     with pytest.raises(IntegrationError):
         master_evolve(model, 0.0, 1.0, dist, 1.0, 1.0, ode_step=0.2)

@@ -61,13 +61,15 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"lemma1": {"deltas": [0.02, 0.01, 0.02]}},
     {"lemma2": {"deltas": [0.01, 0.01]}},
     {"start_time": 0.5, "oracle": {"dynkin": {"elapsed": 0.8}}},
+    {"lemma1": {"particle_count": 10, "state": [2, 2]}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
         "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
         "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
         "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
-        "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon"])
+        "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon",
+        "lemma1-particle-count-not-state-total"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, no_value_solve, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)

@@ -1,17 +1,37 @@
+from math import comb
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainguide.simplex import (
     PROJECTION_LIMIT,
     LatticeState,
-    LatticeCapError,
-    enumerate_lattice,
-    enumerate_lattice_counts,
-    lattice_size,
     project_rows,
     round_to_lattice,
 )
+from chainguide.value import LATTICE_CAP, LatticeCapError, SimplexGrid
+
+
+def recursive_lattice_counts(d, total):
+    """Reference enumeration: every composition of `total` into d parts, lexicographic."""
+    out = np.zeros((comb(total + d - 1, d - 1), d), dtype=np.int64)
+    row = 0
+    current = np.zeros(d, dtype=np.int64)
+
+    def fill(pos, remaining):
+        nonlocal row
+        if pos == d - 1:
+            current[pos] = remaining
+            out[row] = current
+            row += 1
+            return
+        for value in range(remaining + 1):
+            current[pos] = value
+            fill(pos + 1, remaining - value)
+
+    fill(0, total)
+    return out
 
 
 def test_simplex_point_clips_tiny_negatives():
@@ -71,16 +91,16 @@ def test_lattice_jump_moves_one_particle():
 
 
 def test_enumerate_lattice_counts_and_order():
-    states = enumerate_lattice(2, 4)
-    assert [tuple(s.counts) for s in states] == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
-    assert len(enumerate_lattice(3, 2)) == 6
-    assert len(enumerate_lattice(2, 1)) == 2
+    grid = SimplexGrid(2, 4)
+    assert [tuple(row) for row in grid.counts] == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+    assert SimplexGrid(3, 2).node_count == 6
+    assert SimplexGrid(2, 1).node_count == 2
 
 
 @pytest.mark.parametrize("d,total", [(2, 7), (3, 5), (4, 3)])
 def test_enumeration_matches_composition_count(d, total):
-    counts = enumerate_lattice_counts(d, total)
-    assert counts.shape == (lattice_size(d, total), d)
+    counts = SimplexGrid(d, total).counts
+    assert counts.shape == (comb(total + d - 1, d - 1), d)
     assert np.all(counts.sum(axis=1) == total)
     # lexicographic and duplicate-free
     keys = [tuple(row) for row in counts]
@@ -88,9 +108,21 @@ def test_enumeration_matches_composition_count(d, total):
     assert len(set(keys)) == len(keys)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 30))
+def test_enumeration_matches_recursive_reference(d, n):
+    grid = SimplexGrid(d, n)
+    reference = recursive_lattice_counts(d, n)
+    assert grid.counts.dtype == reference.dtype
+    assert grid.counts.shape == reference.shape
+    assert grid.counts.tobytes() == reference.tobytes()
+    assert np.array_equal(grid.node_index(grid.counts), np.arange(grid.node_count))
+
+
 def test_enumeration_cap():
+    assert comb(4 + 1000 - 1, 3) > LATTICE_CAP
     with pytest.raises(LatticeCapError):
-        enumerate_lattice_counts(4, 1000, cap=10**5)
+        SimplexGrid(4, 1000)
 
 
 def test_round_to_lattice_preserves_total_and_is_nearest():

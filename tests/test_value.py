@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chainguide.chain import Distribution, lattice_space
+from chainguide.chain import Distribution
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel
 from chainguide.simplex import project_rows, random_simplex_points
 from chainguide.value import (
@@ -61,7 +61,7 @@ def test_node_index_inverts_enumeration(d, n):
                          ids=["wrong-total", "negative-count", "wrong-dimension",
                               "fractional-count"])
 def test_node_index_rejects_off_lattice_counts(counts):
-    space = lattice_space(2, 4)
+    space = SimplexGrid(2, 4)
     with pytest.raises(ValueError):
         space.node_index(np.array([counts]))
     # an off-lattice state used to read the probability of another node
