@@ -50,9 +50,11 @@ from .strategy import (
     run_episodes,
 )
 from .value import (
+    LATTICE_CAP,
     SimplexGrid,
     ValueField,
     build_simplex_grid,
+    lattice_size,
     solve_value,
     verify_supersolution,
 )
@@ -140,6 +142,14 @@ def _check_on_grid(value, grid, where):
                             f"{list(grid.points)}, got {value!r}") from None
 
 
+def _check_lattice(dimension, total, where):
+    """A lattice the scenario asks for must be within LATTICE_CAP nodes."""
+    nodes = lattice_size(dimension, total)
+    if nodes > LATTICE_CAP:
+        raise ScenarioError(f"{where} {total} needs a count lattice of {nodes} nodes over "
+                            f"{dimension} types; the cap is {LATTICE_CAP}")
+
+
 @dataclass
 class Scenario:
     """Resolved experiment configuration (file keys mirror the field names)."""
@@ -186,6 +196,7 @@ class Scenario:
         n_x, n_t = (self.value_grid.get(key) for key in ("n_x", "n_t"))
         if not (_is_int(n_x) and n_x >= 2 and _is_int(n_t) and n_t >= 1):
             raise ScenarioError("value_grid needs integers n_x >= 2 and n_t >= 1")
+        _check_lattice(model.dimension, n_x, "value_grid.n_x")
         if not (isinstance(self.adversaries, list) and self.adversaries):
             raise ScenarioError("adversaries must be a non-empty list")
         for adv in self.adversaries:
@@ -206,6 +217,18 @@ class Scenario:
             if self.lemma1.get("particle_count", sum(state)) != sum(state):
                 raise ScenarioError(
                     f"lemma1.particle_count must equal sum(lemma1.state) = {sum(state)}")
+        # the lattice totals a section states outright; a command that falls
+        # back on particle_counts[0] checks that total in _setup
+        lemma1_total = (sum(self.lemma1["state"]) if "state" in self.lemma1
+                        else self.lemma1.get("particle_count"))
+        for where, total in (
+                ("oracle.particle_count", self.oracle.get("particle_count")),
+                ("oracle.dynkin.particle_count",
+                 self.oracle.get("dynkin", {}).get("particle_count")),
+                ("lemma1 particle total", lemma1_total),
+                ("lemma2.particle_count", self.lemma2.get("particle_count"))):
+            if total is not None:
+                _check_lattice(model.dimension, total, where)
         if self.oracle.get("dynkin", {}).get("coordinate", 0) >= model.dimension:
             raise ScenarioError(f"oracle.dynkin.coordinate must be below {model.dimension}")
         if self.simulate.get("adversary_index", 0) >= len(self.adversaries):
@@ -273,15 +296,19 @@ class _ExperimentSetup(NamedTuple):
     starts: dict  # particle total -> the start mix rounded onto its lattice
 
 
-def _setup(scenario, totals=(), adversary_role=None, solve=True):
+def _setup(scenario, totals=(), adversary_role=None, solve=True, lattices=()):
     """Build the model, check the scenario against it, then estimate and solve.
 
     Every check runs before ``estimate_constants`` and ``solve_value``: a
     command that rounds the start mix (``totals`` non-empty) needs one
-    coordinate per type, and a constant adversary of ``adversary_role``
-    must play a point of that role's control grid.
+    coordinate per type, a constant adversary of ``adversary_role`` must
+    play a point of that role's control grid, and the particle totals whose
+    whole count lattice the command enumerates (``lattices``) must be within
+    the lattice cap.
     """
     model = build_model(scenario.model, scenario.model_params)
+    for total in lattices:
+        _check_lattice(model.dimension, total, "particle total")
     if totals and len(scenario.initial_state) != model.dimension:
         raise ScenarioError(f"initial_state has {len(scenario.initial_state)} coordinates, "
                             f"model {scenario.model!r} has {model.dimension} types")
@@ -542,8 +569,8 @@ def run_lemma1_check(scenario):
     """
     cfg = scenario.lemma1
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    _, model, constants, _, starts = _setup(scenario, () if "state" in cfg else (total,),
-                                            solve=False)
+    totals = () if "state" in cfg else (total,)
+    _, model, constants, _, starts = _setup(scenario, totals, solve=False, lattices=totals)
     xi = LatticeState(cfg["state"]) if "state" in cfg else starts[total]
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
@@ -670,9 +697,10 @@ def run_lemma2_check(scenario):
     the Monte Carlo mean. The exact oracle value accompanies every row.
     """
     cfg = scenario.lemma2
-    _, model, constants, field, _ = _setup(scenario, adversary_role="second")
-    beta, c_gain = coupling_constants(model, constants)
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
+    _, model, constants, field, _ = _setup(scenario, adversary_role="second",
+                                           lattices=(total,))
+    beta, c_gain = coupling_constants(model, constants)
     pairs = int(cfg.get("pairs", 100))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
     trials = int(cfg.get("trials_per_pair", 10_000))
@@ -796,7 +824,8 @@ def run_oracle_check(scenario):
     dyn = cfg.get("dynkin", {})
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     dyn_total = int(dyn.get("particle_count", total))
-    _, model, constants, _, starts = _setup(scenario, (total, 1, dyn_total), solve=False)
+    _, model, constants, _, starts = _setup(scenario, (total, 1, dyn_total), solve=False,
+                                            lattices=(total, dyn_total))
     trials = int(cfg.get("trials", 100_000))
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))

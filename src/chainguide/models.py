@@ -540,12 +540,14 @@ class TwoTypeModel(RateModel):
 
     def drift(self, t, x, u, v):
         # closed form of xQ: the derived einsum form is far slower on the
-        # guide and value-solve paths
+        # guide and value-solve paths. Rounding is symmetric, so column 1,
+        # x0*u - x1*v, is the negated flow; subtracting it from +0.0 also
+        # gives an exact zero the einsum's + sign
         x = np.asarray(x, dtype=float)
         flow = -x[..., 0] * u + x[..., 1] * v
         out = np.empty(flow.shape + (2,))
         out[..., 0] = flow
-        out[..., 1] = -flow
+        np.subtract(0.0, flow, out=out[..., 1])
         return out
 
     def terminal_payoff(self, x):
@@ -586,12 +588,14 @@ class ThreeTypeRotorModel(RateModel):
         c = np.cos(np.pi * np.asarray(t))
         return 0.5 + 0.5 * c * c
 
+    def _rates(self, t, x, u, v):
+        """The four off-diagonal rates (q01, q12, q10, q20), each in its own broadcast shape."""
+        return (u * self._pulse(t), 0.3 + 0.5 * u * x[..., 0],
+                0.2 * v * (1.0 - x[..., 2]), v * self._counter_pulse(t))
+
     def rate_matrix(self, t, x, u, v):
         x = np.asarray(x, dtype=float)
-        q01 = u * self._pulse(t)
-        q12 = 0.3 + 0.5 * u * x[..., 0]
-        q10 = 0.2 * v * (1.0 - x[..., 2])
-        q20 = v * self._counter_pulse(t)
+        q01, q12, q10, q20 = self._rates(t, x, u, v)
         q = np.zeros(np.broadcast(q01, q12, q10, q20).shape + (3, 3))
         q[..., 0, 1] = q01
         q[..., 1, 2] = q12
@@ -601,6 +605,19 @@ class ThreeTypeRotorModel(RateModel):
         q[..., 1, 1] = -(q[..., 1, 0] + q[..., 1, 2])
         q[..., 2, 2] = -q[..., 2, 0]
         return q
+
+    def drift(self, t, x, u, v):
+        # closed form of xQ without the (..., 3, 3) rate tensor. Column j is
+        # x0*Q0j + x1*Q1j + x2*Q2j added left to right, zero entries included,
+        # the einsum's order, so on nonnegative coordinates both agree byte for byte
+        x = np.asarray(x, dtype=float)
+        q01, q12, q10, q20 = self._rates(t, x, u, v)
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        out = np.empty(np.broadcast(x0, q01, q12, q10, q20).shape + (3,))
+        out[..., 0] = x0 * -q01 + x1 * q10 + x2 * q20
+        out[..., 1] = x0 * q01 + x1 * -(q10 + q12) + x2 * 0.0
+        out[..., 2] = x0 * 0.0 + x1 * q12 + x2 * -q20
+        return out
 
     def terminal_payoff(self, x):
         return np.asarray(x, dtype=float)[..., 2]

@@ -29,7 +29,16 @@ def project_rows(points):
     """
     lowest = float(points.min())
     np.maximum(points, 0.0, out=points)
-    total = points.sum(axis=-1, keepdims=True)
+    d = points.shape[-1]
+    if d < 8:
+        # numpy adds a row this short left to right as well, so the column
+        # adds round identically and skip the reduction's set-up cost; from 8
+        # entries on it sums pairwise, in another order
+        total = points[..., :1].copy()
+        for c in range(1, d):
+            total += points[..., c:c + 1]
+    else:
+        total = points.sum(axis=-1, keepdims=True)
     points /= total
     return max(-lowest, float(np.max(np.abs(total - 1.0))))
 

@@ -3,6 +3,12 @@
 The solver runs a backward semi-Lagrangian recursion: at each time slice
 and node it takes the min over player-1 controls of the max over player-2
 controls of the interpolated next-slice value at the Euler-shifted point.
+A slice is solved in blocks of nodes, SOLVE_BLOCK_POINTS shifted points at
+a time, so that the drift, shift, projection, interpolation and min-max
+temporaries of one block stay in cache instead of each taking megabytes
+of fresh pages. Every node's value is computed from its own shifted
+points alone, so the table is byte-identical whatever the block size, and
+the simplex-exit check takes the largest displacement over the whole slice.
 The scheme is monotone because interpolation only forms convex
 combinations of node values; that property is what the guide-monotonicity
 machinery leans on, so the interpolation here is exact barycentric
@@ -63,10 +69,16 @@ FORMAT_VERSION = 1
 MONOTONICITY_SCALE = 5.0  # scheme-error constant of the monotonicity tolerance
 SNAP_ULPS = 4  # snap radius of interpolation, in ulps of the grid resolution
 LATTICE_CAP = 10**6  # most nodes a lattice may have; checked before any allocation
+SOLVE_BLOCK_POINTS = 8192  # shifted points per block of a value-solve slice
 
 
 class LatticeCapError(ValueError):
     """The requested lattice has more nodes than LATTICE_CAP."""
+
+
+def lattice_size(dimension, resolution):
+    """Node count of the lattice: the compositions of ``resolution`` into ``dimension`` parts."""
+    return comb(resolution + dimension - 1, dimension - 1)
 
 
 class SimplexGrid:
@@ -82,7 +94,7 @@ class SimplexGrid:
         if dimension < 2:
             raise ValueError("dimension must be at least 2")
         # comb rejects non-integer sizes before anything is allocated
-        size = comb(resolution + dimension - 1, dimension - 1)
+        size = lattice_size(dimension, resolution)
         self.dimension = d = int(dimension)
         self.resolution = n = int(resolution)
         if size > LATTICE_CAP:
@@ -304,7 +316,9 @@ def solve_value(model, n_t, grid, constants=None):
     The time step must be small enough that Euler shifts stay within
     interpolation reach of the simplex; with a rate bound K this holds
     when delta*K*sqrt(d) <= 1 (and delta*(d-1)*K <= 1 keeps the shifted
-    points inside up to round-off), both enforced here.
+    points inside up to round-off), both enforced here. A slice whose
+    shifted points leave the simplex by more than PROJECTION_LIMIT raises
+    ``ProjectionError`` once all its blocks are done.
     """
     if n_t < 1:
         raise ValueError("need at least one time slice")
@@ -318,18 +332,27 @@ def solve_value(model, n_t, grid, constants=None):
             f"time step {delta:.4g} too large for rate bound {k_bound:.4g}; refine n_t")
     times = np.linspace(0.0, model.horizon, n_t + 1)
     nodes = grid.nodes
-    n_nodes = grid.node_count
-    table = np.empty((n_t + 1, n_nodes))
+    table = np.empty((n_t + 1, grid.node_count))
     table[n_t] = model.terminal_payoff(nodes)
     nu = len(model.u_grid)
     nv = len(model.v_grid)
+    block = max(1, SOLVE_BLOCK_POINTS // (nu * nv))
     for k in range(n_t - 1, -1, -1):
-        drifts = model.drift_grid_multi(times[k], nodes)
-        shifted = nodes[:, None, None, :] + delta * drifts
-        flat = shifted.reshape(-1, d)
-        worst = project_rows(flat)
-        vals = grid.interpolate(table[k + 1], flat).reshape(n_nodes, nu, nv)
-        table[k] = vals.max(axis=2).min(axis=1)
+        worst = 0.0
+        for lo in range(0, grid.node_count, block):
+            x = nodes[lo:lo + block]
+            shifted = x[:, None, None, :] + delta * model.drift_grid_multi(times[k], x)
+            flat = shifted.reshape(-1, d)
+            worst = max(worst, project_rows(flat))
+            vals = grid.interpolate(table[k + 1], flat).reshape(-1, nu, nv)
+            # min over u of max over v, one control column at a time
+            top = vals[:, :, 0]
+            for b in range(1, nv):
+                top = np.maximum(top, vals[:, :, b])
+            out = table[k, lo:lo + block]
+            out[:] = top[:, 0]
+            for a in range(1, nu):
+                np.minimum(out, top[:, a], out=out)
         if worst > PROJECTION_LIMIT:
             raise ProjectionError(
                 f"drift left the simplex by {worst:.3e} at slice {k}")

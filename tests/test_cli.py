@@ -23,6 +23,10 @@ def write_scenario(tmp_path, **overrides):
     return path
 
 
+# a scenario head on which 2000 particles (2 003 001 nodes) exceed the lattice cap
+THREE_TYPE = {"model": "three-type", "initial_state": [0.4, 0.4, 0.2]}
+
+
 @pytest.fixture
 def no_value_solve(monkeypatch):
     """A scenario that exits 2 must be rejected before the value solve."""
@@ -62,6 +66,12 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"lemma2": {"deltas": [0.01, 0.01]}},
     {"start_time": 0.5, "oracle": {"dynkin": {"elapsed": 0.8}}},
     {"lemma1": {"particle_count": 10, "state": [2, 2]}},
+    {**THREE_TYPE, "value_grid": {"n_x": 2000, "n_t": 10}},
+    {**THREE_TYPE, "oracle": {"particle_count": 2000}},
+    {**THREE_TYPE, "oracle": {"dynkin": {"particle_count": 2000}}},
+    {**THREE_TYPE, "lemma1": {"particle_count": 2000}},
+    {**THREE_TYPE, "lemma1": {"state": [2000, 0, 0]}},
+    {**THREE_TYPE, "lemma2": {"particle_count": 2000}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
@@ -69,13 +79,26 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
         "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
         "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
         "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon",
-        "lemma1-particle-count-not-state-total"])
+        "lemma1-particle-count-not-state-total", "over-cap-value-grid",
+        "over-cap-oracle-total", "over-cap-dynkin-total", "over-cap-lemma1-total",
+        "over-cap-lemma1-state", "over-cap-lemma2-total"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, no_value_solve, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)
     for command in ("value", "experiment", "oracle", "simulate", "check-lemma1"):
         assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_over_cap_default_lattice_total_exits_2(tmp_path, capsys, no_value_solve):
+    # the oracle and lemma sections fall back on particle_counts[0], which only
+    # the commands that enumerate its whole lattice must keep under the cap
+    scen = write_scenario(tmp_path, **THREE_TYPE, particle_counts=[2000])
+    for command in ("oracle", "check-lemma1", "check-lemma2"):
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle total 2000") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 
 

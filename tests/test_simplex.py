@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chainguide.simplex import (
     PROJECTION_LIMIT,
@@ -69,6 +70,42 @@ def test_project_reports_displacement():
     # the measure is the worst row's: a clipped negative or a total off by 0.1
     assert project_rows(np.array([[0.5, 0.5], [0.5, 0.6]])) == pytest.approx(0.1)
     assert project_rows(np.array([[0.5, 0.5], [1.02, -0.02]])) == pytest.approx(0.02)
+
+
+def project_rows_by_np_sum(points):
+    """Reference projection: the row totals from numpy's own ``sum(axis=-1)``."""
+    lowest = float(points.min())
+    np.maximum(points, 0.0, out=points)
+    total = points.sum(axis=-1, keepdims=True)
+    points /= total
+    return max(-lowest, float(np.max(np.abs(total - 1.0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_project_rows_matches_np_sum_byte_for_byte(data):
+    d = data.draw(st.integers(2, 7))
+    lead = data.draw(st.sampled_from([(), (5,), (40,), (3, 4)]))
+    coordinate = st.one_of(st.just(0.0), st.floats(min_value=-1e-3, max_value=1.0))
+    points = data.draw(arrays(np.float64, lead + (d,), elements=coordinate))
+    points[..., 0] += 0.01  # every row keeps a positive total
+    want = points.copy()
+    assert project_rows(points) == project_rows_by_np_sum(want)
+    assert points.tobytes() == want.tobytes()
+
+
+def test_project_rows_sums_a_long_vector_as_numpy_does():
+    # a 21-entry distribution (master_evolve's two-type lattice at 20 particles)
+    # whose left-to-right total rounds differently from numpy's pairwise sum
+    p = np.random.default_rng(3).random(21)
+    p /= p.sum()
+    left_to_right = 0.0
+    for entry in p:
+        left_to_right += entry
+    assert left_to_right != p.sum()
+    want = p.copy()
+    assert project_rows(p) == project_rows_by_np_sum(want)
+    assert p.tobytes() == want.tobytes()
 
 
 def test_lattice_state_basics():

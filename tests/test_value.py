@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chainguide import value
 from chainguide.chain import Distribution
-from chainguide.models import ThreeTypeRotorModel, TwoTypeModel
-from chainguide.simplex import project_rows, random_simplex_points
+from chainguide.models import ControlGrid, RateModel, ThreeTypeRotorModel, TwoTypeModel
+from chainguide.simplex import ProjectionError, project_rows, random_simplex_points
 from chainguide.value import (
     SNAP_ULPS,
     SimplexGrid,
@@ -302,6 +305,64 @@ def test_three_type_solver_runs_and_is_bounded():
     assert field.eval(0.0, np.array([0.0, 1.0, 0.0])) > 0.1
     # from all-type-1 player 1 shuts the gate out of type 1 entirely
     assert field.eval(0.0, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
+
+
+class LeakyModel(RateModel):
+    """A negative rate from the last type to type 0 before t = 0.45 leaves the simplex.
+
+    The exit is widest, delta * u = 0.1 at n_t = 10, at the all-last-type
+    node, which is node 0 and so in the first block of a slice.
+    """
+
+    name = "leaky"
+    horizon = 1.0
+    declared_k = 1.0
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.u_grid = ControlGrid((0.0, 1.0))
+        self.v_grid = ControlGrid((0.0, 0.5, 1.0))
+
+    def rate_matrix(self, t, x, u, v):
+        s = -u * (np.asarray(t) < 0.45)
+        q = np.zeros(np.broadcast(s, v).shape + (self.dimension,) * 2)
+        q[..., -1, 0] = s
+        q[..., -1, -1] = -s
+        return q
+
+    def terminal_payoff(self, x):
+        return np.asarray(x, dtype=float)[..., 0]
+
+
+# (model, n_x, n_t) on d = 2 and 3, with 3 x 3 controls; the lattices have 31 and 91 nodes
+BLOCK_CASES = ((TwoTypeModel(), 30, 20), (ThreeTypeRotorModel(), 12, 10))
+WHOLE = 10**9  # block points beyond any lattice here: one block per slice
+
+
+def _solve_in_blocks(model, n_x, n_t, points):
+    with mock.patch.object(value, "SOLVE_BLOCK_POINTS", points):
+        return solve_value(model, n_t, build_simplex_grid(model.dimension, n_x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(BLOCK_CASES), points=st.integers(1, 1000))
+@example(case=BLOCK_CASES[0], points=1)  # under one node's 9 points: one node per block
+@example(case=BLOCK_CASES[1], points=1)
+@example(case=BLOCK_CASES[0], points=9 * 7)  # 7 nodes, which divides neither lattice
+@example(case=BLOCK_CASES[1], points=9 * 7)
+@example(case=BLOCK_CASES[1], points=9 * 91)  # exactly the whole lattice
+def test_solve_is_byte_identical_in_any_node_block(case, points):
+    whole = _solve_in_blocks(*case, WHOLE)
+    assert _solve_in_blocks(*case, points).table.tobytes() == whole.table.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_simplex_exit_raises_at_the_same_slice_in_any_block(d):
+    # n_t = 10: slice 4 (t = 0.4) is the first one the backward solve meets
+    # before t = 0.45, and the reported displacement is the worst of all blocks
+    for points in (1, 6 * 7, WHOLE):
+        with pytest.raises(ProjectionError, match=r"by 1\.000e-01 at slice 4$"):
+            _solve_in_blocks(LeakyModel(d), 10, 10, points)
 
 
 def test_solver_rejects_overlong_time_step():
