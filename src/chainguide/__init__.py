@@ -18,6 +18,7 @@ from .models import (
     estimate_constants,
     hamiltonian,
     isaacs_gap,
+    mirrored,
     register_model,
     validate_rate_model,
 )
@@ -34,12 +35,10 @@ from .value import (
     solve_value,
     verify_supersolution,
 )
-from .guide import integrate_characteristic
 from .strategy import (
     ControlWithGuideStrategy,
     Partition,
     TrajectoryRecord,
-    run_episode,
     run_episodes,
 )
 from .harness import (
@@ -57,15 +56,14 @@ __all__ = [
     "__version__",
     "LatticeState", "round_to_lattice",
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
-    "estimate_constants", "hamiltonian", "isaacs_gap", "register_model",
+    "estimate_constants", "hamiltonian", "isaacs_gap", "mirrored", "register_model",
     "validate_rate_model",
     "Distribution", "dynkin_residual", "master_evolve",
     "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
     "verify_supersolution",
-    "integrate_characteristic",
     "ControlWithGuideStrategy", "Partition", "TrajectoryRecord",
-    "run_episode", "run_episodes",
+    "run_episodes",
     "ExperimentResult", "Scenario", "emit_results", "run_corollary_experiment",
     "run_lemma1_check", "run_lemma2_check", "run_oracle_check",
     "run_theorem1_experiment",

@@ -31,13 +31,11 @@ from .guide import advance_guides
 from .models import (
     ModelConstants,
     RateModel,
-    as_uv,
     build_model,
     coupling_allowance,
     coupling_constants,
     estimate_constants,
-    role_grids,
-    role_sign,
+    mirrored,
 )
 from .simplex import LatticeState, round_to_lattice
 from .strategy import (
@@ -296,15 +294,15 @@ class _ExperimentSetup(NamedTuple):
     starts: dict  # particle total -> the start mix rounded onto its lattice
 
 
-def _setup(scenario, totals=(), adversary_role=None, solve=True, lattices=()):
+def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
     """Build the model, check the scenario against it, then estimate and solve.
 
     Every check runs before ``estimate_constants`` and ``solve_value``: a
     command that rounds the start mix (``totals`` non-empty) needs one
-    coordinate per type, a constant adversary of ``adversary_role`` must
-    play a point of that role's control grid, and the particle totals whose
-    whole count lattice the command enumerates (``lattices``) must be within
-    the lattice cap.
+    coordinate per type, a constant adversary in ``adversary_seat`` (1 or 2)
+    must play a point of that player's control grid, and the particle
+    totals whose whole count lattice the command enumerates (``lattices``)
+    must be within the lattice cap.
     """
     model = build_model(scenario.model, scenario.model_params)
     for total in lattices:
@@ -312,12 +310,12 @@ def _setup(scenario, totals=(), adversary_role=None, solve=True, lattices=()):
     if totals and len(scenario.initial_state) != model.dimension:
         raise ScenarioError(f"initial_state has {len(scenario.initial_state)} coordinates, "
                             f"model {scenario.model!r} has {model.dimension} types")
-    if adversary_role is not None:
-        grid = role_grids(model, adversary_role)[0]
+    if adversary_seat is not None:
+        grid = (model.u_grid, model.v_grid)[adversary_seat - 1]
         for spec in scenario.adversaries:
             if spec["kind"] == "constant":
                 _check_on_grid(spec["value"], grid,
-                               f"constant adversary ({adversary_role} player)")
+                               f"constant adversary (player {adversary_seat})")
     starts = {total: round_to_lattice(scenario.initial_state, total) for total in totals}
     constants = estimate_constants(model, seed=scenario.seed).constants
     field = None
@@ -333,16 +331,28 @@ def adversary_label(spec):
     return spec["kind"]
 
 
-def _build_adversary(spec, field, model, constants, adversary_role):
+def _seat_view(seat, field, model):
+    """(field, model) of the game the player in ``seat`` plays as player 1.
+
+    Player 2 maximizes the payoff of ``model``, which is player 1's problem
+    on ``mirrored(model)`` read with the negated field.
+    """
+    if seat == 1:
+        return field, model
+    return field.negated(), mirrored(model)
+
+
+def _build_adversary(spec, field, model, constants):
+    """The adversary of ``spec`` as player 1 of its view ``(field, model)``."""
     kind = spec["kind"]
     if kind == "extremal":
-        return ControlWithGuideStrategy(field, model, adversary_role, constants)
+        return ControlWithGuideStrategy(field, model, constants)
     if kind == "constant":
         return ConstantPolicy(spec["value"])
     if kind == "random":
-        return RandomPolicy(role_grids(model, adversary_role)[0])
+        return RandomPolicy(model.u_grid)
     if kind == "greedy":
-        return GreedyPolicy(model, adversary_role)
+        return GreedyPolicy(model)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 
 
@@ -359,16 +369,14 @@ def _init_worker(setup):
 
 
 def _run_trial_block(setup, config_index, m_steps, particle_count,
-                     adversary_spec, role, lo, hi):
-    """Run trials [lo, hi) of one configuration."""
+                     adversary_spec, seat, lo, hi):
+    """Run trials [lo, hi) of one configuration, the guided player in ``seat``."""
     scenario, model, constants, field, starts = setup
     y = starts[particle_count]
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
-    # as_uv is its own inverse: (player 1's role, player 2's role) -> (own, adversary's)
-    _, adversary_role = as_uv(role, "first", "second")
-    player1, player2 = as_uv(
-        role, ControlWithGuideStrategy(field, model, role, constants),
-        _build_adversary(adversary_spec, field, model, constants, adversary_role))
+    guided = ControlWithGuideStrategy(*_seat_view(seat, field, model), constants)
+    adversary = _build_adversary(adversary_spec, *_seat_view(3 - seat, field, model), constants)
+    player1, player2 = (guided, adversary) if seat == 1 else (adversary, guided)
     rngs = [np.random.default_rng([scenario.seed, config_index, trial])
             for trial in range(lo, hi)]
     batch = run_episodes(model, y, partition, player1, player2, rngs,
@@ -381,14 +389,14 @@ def _worker_entry(args):
 
 
 def _collect_trials(setup, config_index, m_steps, particle_count,
-                    adversary_spec, role, workers, pool):
+                    adversary_spec, seat, workers, pool):
     trials = setup.scenario.trials
     payoffs = np.empty(trials)
     viol1 = np.empty(trials)
     viol2 = np.empty(trials)
     chunk = math.ceil(trials / max(workers, 1))
     tasks = [
-        (config_index, m_steps, particle_count, adversary_spec, role,
+        (config_index, m_steps, particle_count, adversary_spec, seat,
          lo, min(lo + chunk, trials))
         for lo in range(0, trials, chunk)
     ]
@@ -427,22 +435,24 @@ def run_theorem1_experiment(scenario, workers=1):
     gap against h and the guide-violation fractions are carried in the
     summary.
     """
-    return _run_bound_experiment(scenario, "first", workers)
+    return _run_bound_experiment(scenario, 1, workers)
 
 
 def run_corollary_experiment(scenario, workers=1):
     """Mirrored guarantee experiment for the maximizing player."""
-    return _run_bound_experiment(scenario, "second", workers)
+    return _run_bound_experiment(scenario, 2, workers)
 
 
-def _run_bound_experiment(scenario, role, workers):
-    setup = _setup(scenario, scenario.particle_counts,
-                   adversary_role=as_uv(role, "first", "second")[1])
+def _run_bound_experiment(scenario, seat, workers):
+    """The guided player in ``seat`` against each adversary, its bounds on its signed payoff."""
+    setup = _setup(scenario, scenario.particle_counts, adversary_seat=3 - seat)
     _, model, constants, field, starts = setup
     _, c_gain = coupling_constants(model, constants)
     d_const = c_gain * model.horizon
     r_const = constants.r
-    sign = role_sign(role)
+    # player 2 minimizes the negated payoff; negation is exact, so the
+    # corollary gets the same figures as a separate branch would
+    sign = 1.0 if seat == 1 else -1.0
 
     pool = None
     processes = min(workers, scenario.trials)
@@ -461,21 +471,19 @@ def _run_bound_experiment(scenario, role, workers):
                     val0 = field.eval(scenario.start_time, starts[particle_count].coords())
                     payoffs, viol1, viol2 = _collect_trials(
                         setup, config_index, m_steps, particle_count, adv,
-                        role, workers, pool)
+                        seat, workers, pool)
                     n = payoffs.size
                     mean = float(np.sum(payoffs) / n)
                     sem = float(np.std(payoffs, ddof=1) / math.sqrt(n))
                     spread = r_const * math.sqrt(d_const * h)
                     tail = (d_const * h) ** (1.0 / 3.0)
-                    # player 1's bounds on the player's signed payoff; negation is exact,
-                    # so role "second" gets the same figures as a separate branch would
                     mean_bound = val0 + sign * spread
                     mean_ok = sign * mean <= sign * mean_bound + 2.0 * sem
                     threshold = val0 + sign * (r_const * tail)
                     exceed_count = int(np.sum(sign * payoffs >= sign * threshold))
                     gap = sign * (mean - val0)
-                    own_viol, opp_viol = (float(np.sum(v) / n)
-                                          for v in as_uv(role, viol1, viol2))
+                    own_viol, opp_viol = (float(np.sum(v) / n) for v in
+                                          ((viol1, viol2) if seat == 1 else (viol2, viol1)))
                     exceed_prob = exceed_count / n
                     exceed_ci = Z_95 * math.sqrt(exceed_prob * (1.0 - exceed_prob) / n)
                     # the tail bound says nothing once its right side reaches 1,
@@ -530,14 +538,14 @@ def _run_bound_experiment(scenario, role, workers):
     # the shrinking-gap scaling is only assessable against the strongest
     # adversary and needs several particle counts
     slope_checks = {}
-    if role == "first":
+    if seat == 1:
         for key, slope in slopes.items():
             if key.startswith("extremal|") and multi_h[key]:
                 slope_checks[key] = (slope is not None
                                      and GAP_SLOPE_WINDOW[0] <= slope <= GAP_SLOPE_WINDOW[1])
     slope_ok = all(slope_checks.values()) if slope_checks else True
     return _result(
-        "experiment" if role == "first" else "corollary", scenario, EXPERIMENT_COLUMNS, rows,
+        "experiment" if seat == 1 else "corollary", scenario, EXPERIMENT_COLUMNS, rows,
         bounds_ok and viol_ok and slope_ok,
         constants={"k": constants.k, "l": constants.l, "r": constants.r,
                    "beta": 2.0 * constants.l, "c": c_gain, "d": d_const},
@@ -698,8 +706,8 @@ def run_lemma2_check(scenario):
     """
     cfg = scenario.lemma2
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    _, model, constants, field, _ = _setup(scenario, adversary_role="second",
-                                           lattices=(total,))
+    _, model, constants, field, _ = _setup(scenario, adversary_seat=2, lattices=(total,))
+    mirror = mirrored(model)
     beta, c_gain = coupling_constants(model, constants)
     pairs = int(cfg.get("pairs", 100))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
@@ -727,14 +735,13 @@ def run_lemma2_check(scenario):
         x_star = counts0 / total
         w_star = guides[p]
         start_gap_sq = float(np.sum((x_star - w_star) ** 2))
-        own_idx, reply_idx = extremal_indices(
-            model, t0, x_star[None, :], w_star[None, :], "first")
+        own_idx, reply_idx = extremal_indices(model, t0, x_star[None, :], w_star[None, :])
         u_idx = int(own_idx[0])
         v_star_idx = int(reply_idx[0])
         for delta in deltas:
             endpoints, _, _, _, _ = advance_guides(
                 field, model, t0, t0 + delta, w_star[None, :],
-                np.array([v_star_idx]), "first", slack=np.inf)
+                np.array([v_star_idx]), slack=np.inf)
             w_plus = endpoints[0]
             rhs_base = (1.0 + beta * delta) * start_gap_sq + c_gain * h * delta
             allowance_coeff = float(coupling_allowance(model, constants, h, delta))
@@ -748,13 +755,12 @@ def run_lemma2_check(scenario):
                 elif kind == "random":
                     v_trial_idx = rng.integers(0, v_grid_vals.size, size=trials)
                 elif kind == "greedy":
-                    val = GreedyPolicy(model, "second").step_values(
+                    val = GreedyPolicy(mirror).step_values(
                         t0, counts0[None, :], h, [None])[0]
                     v_trial_idx = np.full(trials, model.v_grid.index_of(val),
                                           dtype=np.int64)
-                else:  # extremal: her guide initializes on the chain state
-                    own2, _ = extremal_indices(model, t0, x_star[None, :],
-                                               x_star[None, :], "second")
+                else:  # extremal: player 2's guide starts on the chain state
+                    own2, _ = extremal_indices(mirror, t0, x_star[None, :], x_star[None, :])
                     v_trial_idx = np.full(trials, int(own2[0]), dtype=np.int64)
                 mc_mean, mc_sem = _one_step_squared_distance(
                     model, constants.k, t0, delta, counts0, u_idx, v_trial_idx,
@@ -913,13 +919,13 @@ def run_simulate(scenario):
     cfg = scenario.simulate
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    _, model, constants, field, starts = _setup(scenario, (total,), adversary_role="second")
+    _, model, constants, field, starts = _setup(scenario, (total,), adversary_seat=2)
     episodes = int(cfg.get("episodes", 5))
     record_jumps = bool(cfg.get("record_jumps", True))
     steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
-    player1 = ControlWithGuideStrategy(field, model, "first", constants)
-    player2 = _build_adversary(adv, field, model, constants, "second")
+    player1 = ControlWithGuideStrategy(field, model, constants)
+    player2 = _build_adversary(adv, *_seat_view(2, field, model), constants)
     rngs = [np.random.default_rng([scenario.seed, 0, i]) for i in range(episodes)]
     batch = run_episodes(model, starts[total], partition, player1, player2, rngs,
                          rate_bound=constants.k, record=True,

@@ -2,16 +2,15 @@
 
 A model supplies the transition-rate matrix Q(t, x, u, v) of the particle
 system (a Kolmogorov matrix: nonnegative off-diagonals, zero row sums), the
-control grids of both players, and the terminal payoff.
+control grids of both players, and the terminal payoff. Player 1 plays the
+u grid and minimizes the expected terminal payoff; player 2 plays the v
+grid and maximizes it.
 
-The role convention lives here and nowhere else: role "first" is player 1,
-who plays the u grid and minimizes the expected terminal payoff; role
-"second" is player 2, who plays the v grid and maximizes it. Player 2's
-problem is player 1's on the mirrored model (u and v swapped, payoff
-negated), so the paper's corollary for the maximizing player is its main
-theorem read through that mirror. ``role_sign``, ``as_uv`` and
-``own_axis_first`` apply the mirror exactly (negation and axis swaps round
-nothing), so every other layer states its rule once, for player 1.
+Player 2's problem is player 1's on ``mirrored(model)``: u and v swapped
+and the payoff negated. So the paper's corollary for the maximizing player
+is its main theorem read through the mirror, and every rule downstream is
+stated once, for player 1. Swapping arguments and negating round nothing,
+so player 2's play on a model is player 1's on its mirror bit for bit.
 
 A custom model implements two hooks, ``rate_matrix(t, x, u, v)`` and
 ``terminal_payoff(x)``, both broadcasting over leading axes, so that one
@@ -209,35 +208,45 @@ class RateModel:
         return args, (xs.shape[0], uu.size, vv.size)
 
 
-# -- role convention -----------------------------------------------------------
+# -- the mirror ----------------------------------------------------------------
 
 
-def role_sign(role):
-    """+1.0 for the minimizing player 1 ("first"), -1.0 for the maximizing player 2 ("second")."""
-    if role == "first":
-        return 1.0
-    if role == "second":
-        return -1.0
-    raise ValueError("role must be 'first' or 'second'")
+class MirroredModel(RateModel):
+    """``base`` with the players' seats swapped and the payoff negated.
 
-
-def as_uv(role, own, opp):
-    """(u side, v side) of a player's (own, opponent) pair.
-
-    The map is its own inverse, so it also takes a (u side, v side) pair,
-    such as (player 1, player 2), to the player's (own, opponent).
+    Player 1 of the mirror is player 2 of ``base``: it plays ``base.v_grid``
+    and, by minimizing the negated payoff, maximizes the base payoff. The
+    declared constants carry over, since swapping the controls and negating
+    the payoff change no bound.
     """
-    return (own, opp) if role_sign(role) > 0 else (opp, own)
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"mirrored({base.name})"
+        self.dimension = base.dimension
+        self.horizon = base.horizon
+        self.u_grid, self.v_grid = base.v_grid, base.u_grid
+        self.declared_k = base.declared_k
+        self.declared_l = base.declared_l
+        self.declared_r = base.declared_r
+        self.gamma_rate = base.gamma_rate
+
+    def rate_matrix(self, t, x, u, v):
+        return self.base.rate_matrix(t, x, v, u)
+
+    def drift(self, t, x, u, v):
+        return self.base.drift(t, x, v, u)
+
+    def terminal_payoff(self, x):
+        return -self.base.terminal_payoff(x)
 
 
-def own_axis_first(role, surface):
-    """A (..., nu, nv) surface with the player's own control on axis -2."""
-    return surface if role_sign(role) > 0 else np.swapaxes(surface, -1, -2)
+def mirrored(model):
+    """The game player 2 of ``model`` plays as player 1; its own inverse."""
+    return model.base if isinstance(model, MirroredModel) else MirroredModel(model)
 
 
-def role_grids(model, role):
-    """(own, opponent) control grids of a player."""
-    return as_uv(role, model.u_grid, model.v_grid)
+# -- derived quantities --------------------------------------------------------
 
 
 def resolve_k(model, constants=None):
@@ -247,9 +256,6 @@ def resolve_k(model, constants=None):
     if model.declared_k is not None:
         return model.declared_k
     return estimate_constants(model).constants.k
-
-
-# -- derived quantities --------------------------------------------------------
 
 
 def control_surface(model, t, x, xi):

@@ -60,7 +60,7 @@ def as_coords(x, d=None):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeState:
     """Particle counts per type; the normalized point counts/total is the chain state."""
 
@@ -83,35 +83,12 @@ class LatticeState:
         object.__setattr__(self, "total", computed)
 
     @property
-    def dimension(self):
-        return self.counts.size
-
-    @property
     def spacing(self):
         """Lattice spacing h = 1/total."""
         return 1.0 / self.total
 
     def coords(self):
         return self.counts / self.total
-
-    def jump(self, i, j):
-        """Move one particle from type i to type j."""
-        if i == j:
-            raise ValueError("jump requires distinct types")
-        if self.counts[i] < 1:
-            raise ValueError(f"no particle of type {i} to move")
-        counts = self.counts.copy()
-        counts[i] -= 1
-        counts[j] += 1
-        return LatticeState(counts)
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeState):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
-
-    def __hash__(self):
-        return hash(self.counts.tobytes())
 
 
 def round_to_lattice(point, total):

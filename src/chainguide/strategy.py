@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import simulate_chain
 from .guide import advance_guides
-from .models import own_axis_first, resolve_k, role_grids, role_sign
+from .models import mirrored, resolve_k
 from .simplex import LatticeState, project_rows
 from .value import monotonicity_tolerance
 
@@ -69,18 +69,17 @@ def displacement_surface(model, t, xs, disps):
     return np.einsum("nuvd,nd->nuv", drifts, disps)
 
 
-def extremal_indices(model, t, xs, guides, role):
-    """Grid indices of the shift control and the announced reply, batched.
+def extremal_indices(model, t, xs, guides):
+    """Grid indices of player 1's shift control u and the announced reply v, batched.
 
-    Whatever the role, the own control minimizes the worst-case
-    displacement growth (min over own of max over reply) and the announced
-    reply maximizes the best-case growth (max over reply of min over own):
-    each player shifts the chain toward its own guide. Ties resolve to the
-    lowest grid index.
+    The u minimizes the worst-case displacement growth (min over u of max
+    over v) and the announced v maximizes the best-case growth (max over v
+    of min over u): player 1 shifts the chain toward its guide. Ties
+    resolve to the lowest grid index.
     """
     xs = np.asarray(xs, dtype=float)
     disps = xs - np.asarray(guides, dtype=float)
-    surface = own_axis_first(role, displacement_surface(model, t, xs, disps))
+    surface = displacement_surface(model, t, xs, disps)
     own = np.argmin(surface.max(axis=2), axis=1)
     reply = np.argmax(surface.min(axis=1), axis=1)
     return own, reply
@@ -90,7 +89,10 @@ def extremal_indices(model, t, xs, guides, role):
 
 
 class ControlWithGuideStrategy:
-    """Extremal-shift control with a deterministic guide for one player.
+    """Player 1's extremal-shift control with a deterministic guide.
+
+    Player 2's strategy is this one built on ``mirrored(model)`` with the
+    negated field (``field.negated()``).
 
     Both calls take a batch of n trials (one trial is n = 1).
     ``select_batch(t, xs, guides)`` picks, for each row, the grid control
@@ -102,29 +104,23 @@ class ControlWithGuideStrategy:
     strategy instance can serve any number of concurrent episodes.
     """
 
-    def __init__(self, field, model, role, constants=None):
-        role_sign(role)  # rejects an unknown role
+    def __init__(self, field, model, constants=None):
         self.field = field
         self.model = model
-        self.role = role
         self.value_slack = float(monotonicity_tolerance(field, resolve_k(model, constants)))
-
-    @property
-    def own_grid(self):
-        return role_grids(self.model, self.role)[0]
 
     def step_slack(self, t_star, t_plus):
         return self.value_slack * (t_plus - t_star) / self.field.horizon
 
     def select_batch(self, t, xs, guides):
-        """Own control values (n,), their grid indices and the reply indices."""
-        own, reply = extremal_indices(self.model, t, xs, guides, self.role)
-        return self.own_grid.values()[own], own, reply
+        """Control values u (n,), their grid indices and the reply indices."""
+        own, reply = extremal_indices(self.model, t, xs, guides)
+        return self.model.u_grid.values()[own], own, reply
 
     def advance_batch(self, t_plus, t, guides, reply_idx):
         """``advance_guides`` over [t, t_plus] at this strategy's step slack."""
         return advance_guides(self.field, self.model, t, t_plus, guides, reply_idx,
-                              self.role, slack=self.step_slack(t, t_plus))
+                              slack=self.step_slack(t, t_plus))
 
 
 # -- plain control policies -----------------------------------------------------
@@ -159,12 +155,13 @@ class RandomPolicy(ControlPolicy):
 
 
 class GreedyPolicy(ControlPolicy):
-    """One-step greedy payoff pusher: steepest payoff drift against the worst reply."""
+    """Player 1's one-step greedy payoff pusher: steepest payoff descent against the worst reply.
 
-    def __init__(self, model, role):
+    Player 2's greedy policy is this one on ``mirrored(model)``.
+    """
+
+    def __init__(self, model):
         self.model = model
-        self.role = role
-        self.sign = role_sign(role)
 
     def step_values(self, t, counts, h, rngs):
         xs = counts * h
@@ -173,10 +170,9 @@ class GreedyPolicy(ControlPolicy):
         project_rows(probes)
         gains = (self.model.terminal_payoff(probes)
                  - self.model.terminal_payoff(xs)[:, None, None])
-        # the player's own payoff loss, own control on axis 1
-        losses = self.sign * own_axis_first(self.role, gains)
-        idx = np.argmin(losses.max(axis=2), axis=1)
-        return role_grids(self.model, self.role)[0].values()[idx]
+        # the u whose worst reply raises the payoff least
+        idx = np.argmin(gains.max(axis=2), axis=1)
+        return self.model.u_grid.values()[idx]
 
 
 def as_side(side):
@@ -244,12 +240,20 @@ class EpisodeBatch:
 
 def run_episodes(model, y, partition, player1, player2, rngs,
                  rate_bound=None, record=False, record_jumps=False):
-    """Run one episode per generator in ``rngs``; see ``run_episode``.
+    """Run one coupled episode per generator in ``rngs``.
+
+    Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
+    number (constant control). Player 1's guided strategy must be built on
+    ``model`` and player 2's on ``mirrored(model)``; player 2's guide
+    values are recorded negated back, as readings of ``model``'s field.
+    Strategy-side controls are held constant on each partition step; guide
+    updates read the chain state from the start of the step they span.
 
     All trials share the start state and partition. Strategy sides are
     vectorized across trials; chain randomness is consumed strictly from
     each trial's own generator, so per-trial results do not depend on how
-    trials are grouped into batches.
+    trials are grouped into batches. With ``record`` the batch carries one
+    TrajectoryRecord per trial.
     """
     if not isinstance(y, LatticeState):
         y = LatticeState(y)
@@ -260,9 +264,10 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     # from the trial generators keep their order
     sides = [as_side(player1), as_side(player2)]
     strats = [s if isinstance(s, ControlWithGuideStrategy) else None for s in sides]
-    for seat, role, strat in zip(("player1", "player2"), ("first", "second"), strats):
-        if strat is not None and strat.role != role:
-            raise ValueError(f"{seat} strategy must have role {role!r}")
+    if strats[0] is not None and strats[0].model is not model:
+        raise ValueError("player 1's strategy must be built on the episode's model")
+    if strats[1] is not None and mirrored(strats[1].model) is not model:
+        raise ValueError("player 2's strategy must be built on mirrored(model)")
 
     n = len(rngs)
     d = model.dimension
@@ -328,7 +333,8 @@ def run_episodes(model, y, partition, player1, player2, rngs,
                 viol[p] += flags
                 if recording:
                     rec_guides[p][:, k + 1] = guides[p]
-                    rec_values[p][:, k] = guide_values
+                    # player 2 reads the negated field of the mirror
+                    rec_values[p][:, k] = guide_values if p == 0 else -guide_values
                     rec_flags[p][:, k] = flags
 
         if recording:
@@ -366,17 +372,3 @@ def run_episodes(model, y, partition, player1, player2, rngs,
                 jumps=rec_jumps[i] if record_jumps else None,
             ))
     return batch
-
-
-def run_episode(model, y, partition, player1, player2, rng,
-                rate_bound=None, record_jumps=False):
-    """One coupled episode; returns a TrajectoryRecord.
-
-    Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
-    number (constant control). Strategy-side controls are held constant on
-    each partition step; guide updates read the chain state from the start
-    of the step they span.
-    """
-    batch = run_episodes(model, y, partition, player1, player2, [rng],
-                         rate_bound=rate_bound, record=True, record_jumps=record_jumps)
-    return batch.records[0]

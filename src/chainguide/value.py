@@ -279,6 +279,15 @@ class ValueField:
         coords = as_coords(x, self.grid.dimension)
         return float(self.eval_batch(t, coords[None, :])[0])
 
+    def negated(self):
+        """The field of the negated payoff, as the mirrored game's player 1 reads it.
+
+        Interpolation forms only weighted sums of node values, so every
+        reading of the negated field is the negated reading, bit for bit
+        (up to the sign of a zero that node values of both signs cancel to).
+        """
+        return ValueField(self.grid, self.times, -self.table)
+
     def to_dict(self):
         return {
             "format": FORMAT_NAME,

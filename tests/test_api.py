@@ -16,6 +16,8 @@ def test_every_exported_name_resolves():
     missing = [name for name in chainguide.__all__ if not hasattr(chainguide, name)]
     assert missing == []
     assert len(set(chainguide.__all__)) == len(chainguide.__all__)
+    assert {"mirrored", "run_episodes"} <= set(chainguide.__all__)
+    assert not {"run_episode", "integrate_characteristic"} & set(dir(chainguide))
 
 
 def test_readme_library_example_runs(capsys):

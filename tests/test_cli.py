@@ -115,7 +115,7 @@ def test_cli_off_grid_constant_adversary_exits_2(tmp_path, capsys, no_value_solv
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_cli_constant_adversary_checked_on_its_role_grid(tmp_path, capsys):
+def test_cli_constant_adversary_checked_on_its_seat_grid(tmp_path, capsys):
     # 2.0 is one of player 1's controls only: the corollary's adversary may play it
     scen = write_scenario(tmp_path, model_params={"u_levels": [0.0, 2.0]},
                           adversaries=[{"kind": "constant", "value": 2.0}])

@@ -17,6 +17,7 @@ from chainguide.models import (
     estimate_constants,
     hamiltonian,
     isaacs_gap,
+    mirrored,
     validate_rate_model,
 )
 
@@ -321,6 +322,23 @@ def test_estimate_constants_three_type_sampled_l():
     beta, gain = coupling_constants(m, c)
     assert beta == 2 * c.l
     assert gain == 2 * 9 * 1.0
+
+
+@pytest.mark.parametrize("name", ["two-type", "three-type"])
+def test_mirrored_model_is_valid_with_the_base_constants(name):
+    base = build_model(name)
+    mirror = mirrored(base)
+    assert mirrored(mirror) is base
+    assert (mirror.u_grid, mirror.v_grid) == (base.v_grid, base.u_grid)
+    report = validate_rate_model(mirror, samples=2048, seed=7)
+    assert report.passed, report.failure
+    # swapping the seats and negating the payoff change no constant
+    for seed in (0, 5):
+        want = estimate_constants(base, seed=seed).constants
+        got = estimate_constants(mirror, seed=seed).constants
+        assert (got.k, got.l, got.r) == (want.k, want.l, want.r)
+        assert np.array_equal(got.gamma.deltas, want.gamma.deltas)
+        assert np.array_equal(got.gamma.values, want.gamma.values)
 
 
 def test_gamma_table_monotone_lookup():

@@ -119,14 +119,6 @@ def test_lattice_state_basics():
         LatticeState([-1, 5])
 
 
-def test_lattice_jump_moves_one_particle():
-    s = LatticeState([2, 2])
-    t = s.jump(0, 1)
-    assert list(t.counts) == [1, 3]
-    with pytest.raises(ValueError):
-        LatticeState([0, 4]).jump(0, 1)
-
-
 def test_enumerate_lattice_counts_and_order():
     grid = SimplexGrid(2, 4)
     assert [tuple(row) for row in grid.counts] == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]

@@ -5,16 +5,10 @@ from hypothesis import given, settings, strategies as st
 from chainguide import models
 from chainguide.chain import RateBoundError
 from chainguide.guide import advance_guides
-from chainguide.models import (
-    RateModel,
-    ThreeTypeRotorModel,
-    TwoTypeModel,
-    ZeroModel,
-    isaacs_gap,
-    role_grids,
-)
-from chainguide.simplex import LatticeState
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap, mirrored
+from chainguide.simplex import LatticeState, project_rows
 from chainguide.strategy import (
+    GREEDY_PROBE,
     ConstantPolicy,
     ControlWithGuideStrategy,
     GreedyPolicy,
@@ -23,7 +17,6 @@ from chainguide.strategy import (
     TrajectoryRecord,
     displacement_surface,
     extremal_indices,
-    run_episode,
     run_episodes,
 )
 from chainguide.value import ValueField, build_simplex_grid, solve_value
@@ -46,11 +39,11 @@ def test_partition_basics():
         Partition([0.0])
 
 
-def pair_values(model, t, xs, guides, role):
-    """(own, reply) control values of each row, read off the two role grids."""
-    own, reply = extremal_indices(model, t, np.atleast_2d(xs), np.atleast_2d(guides), role)
-    own_grid, reply_grid = role_grids(model, role)
-    return list(zip(own_grid.values()[own], reply_grid.values()[reply]))
+def pair_values(model, t, xs, guides):
+    """(u, reply v) control values of each row, read off the two grids."""
+    own, reply = extremal_indices(model, t, np.atleast_2d(xs), np.atleast_2d(guides))
+    return list(zip(model.u_grid.values()[own], model.v_grid.values()[reply]))
+
 
 
 def test_extremal_controls_examples():
@@ -59,7 +52,7 @@ def test_extremal_controls_examples():
     # zero displacement: objective vanishes, lowest grid indices win;
     # chain above guide: push down with u=1, adversary pushes up with v=1;
     # chain below guide: signs flip
-    assert pair_values(model, 0.0, xs, np.full((3, 2), 0.5), "first") == [
+    assert pair_values(model, 0.0, xs, np.full((3, 2), 0.5)) == [
         (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
 
 
@@ -70,7 +63,7 @@ def test_extremal_controls_brute_force_certificates():
         x = rng.dirichlet(np.ones(3))
         w = rng.dirichlet(np.ones(3))
         t = rng.uniform(0, 1)
-        own, reply = extremal_indices(model, t, x[None, :], w[None, :], "first")
+        own, reply = extremal_indices(model, t, x[None, :], w[None, :])
         s = displacement_surface(model, t, x[None, :], (x - w)[None, :])[0]
         ui, vi = int(own[0]), int(reply[0])
         # optimality certificates of the two enumeration orders
@@ -89,21 +82,22 @@ def test_extremal_selection_scale_invariant():
         w = rng.dirichlet(np.ones(2))
         t = rng.uniform(0, 1)
         nearby = x + 0.013 * (w - x) / max(np.linalg.norm(w - x), 1e-12)
-        assert pair_values(model, t, x, w, "first") == pair_values(model, t, x, nearby, "first")
+        assert pair_values(model, t, x, w) == pair_values(model, t, x, nearby)
 
 
 def test_second_player_selection_mirrors():
     model = TwoTypeModel()
     xs = np.array([[0.6, 0.4], [0.4, 0.6]])
-    # chain above player 2's guide: she pulls x1 down with v=0 and expects u=0;
-    # chain below: push up with v=1, anticipated u=1
-    assert pair_values(model, 0.0, xs, np.full((2, 2), 0.5), "second") == [
+    # player 2 is player 1 on the mirror, so the pairs read (v, anticipated u).
+    # Chain above player 2's guide: player 2 pulls x1 down with v=0 and
+    # expects u=0; chain below: push up with v=1, anticipated u=1
+    assert pair_values(mirrored(model), 0.0, xs, np.full((2, 2), 0.5)) == [
         (0.0, 0.0), (1.0, 1.0)]
 
 
 def test_strategy_selector_matches_displacement_sign(two_type_setup):
     model, field = two_type_setup
-    strat = ControlWithGuideStrategy(field, model, "first")
+    strat = ControlWithGuideStrategy(field, model)
     # equal start: lowest-index control; chain above guide: drain type 1
     values, _, _ = strat.select_batch(0.0, np.array([[0.5, 0.5], [0.55, 0.45]]),
                                       np.full((2, 2), 0.5))
@@ -116,18 +110,24 @@ def test_strategy_selector_matches_displacement_sign(two_type_setup):
 
 def test_strategy_role_enforced(two_type_setup):
     model, field = two_type_setup
-    strat = ControlWithGuideStrategy(field, model, "second")
-    with pytest.raises(ValueError):
-        run_episode(model, LatticeState([5, 5]), Partition.uniform(0, 1, 5),
-                    strat, 1.0, np.random.default_rng(0))
+    y = LatticeState([5, 5])
+    partition = Partition.uniform(0, 1, 5)
+    # player 2 on the model itself, and player 1 on the mirror, are both refused
+    with pytest.raises(ValueError, match="player 2"):
+        run_episodes(model, y, partition, 1.0, ControlWithGuideStrategy(field, model),
+                     [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="player 1"):
+        run_episodes(model, y, partition,
+                     ControlWithGuideStrategy(field.negated(), mirrored(model)), 1.0,
+                     [np.random.default_rng(0)])
 
 
 def test_zero_model_episode_is_static():
     model = ZeroModel()
     field = solve_value(model, 10, build_simplex_grid(2, 10))
-    strat = ControlWithGuideStrategy(field, model, "first")
-    record = run_episode(model, LatticeState([3, 1]), Partition.uniform(0, 1, 10),
-                        strat, 0.0, np.random.default_rng(1))
+    strat = ControlWithGuideStrategy(field, model)
+    record = run_episodes(model, LatticeState([3, 1]), Partition.uniform(0, 1, 10),
+                          strat, 0.0, [np.random.default_rng(1)], record=True).records[0]
     assert np.all(record.counts == [3, 1])
     assert np.allclose(record.guide1, [0.75, 0.25])
     assert record.payoff == 0.75
@@ -136,10 +136,10 @@ def test_zero_model_episode_is_static():
 
 def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
     model, field = two_type_setup
-    strat = ControlWithGuideStrategy(field, model, "first")
-    record = run_episode(model, LatticeState([20, 0]), Partition.uniform(0, 1, 50),
-                        strat, ConstantPolicy(1.0), np.random.default_rng(5),
-                        record_jumps=True)
+    strat = ControlWithGuideStrategy(field, model)
+    record = run_episodes(model, LatticeState([20, 0]), Partition.uniform(0, 1, 50),
+                          strat, ConstantPolicy(1.0), [np.random.default_rng(5)],
+                          record_jumps=True).records[0]
     assert np.all(record.counts.sum(axis=1) == 20)
     assert record.payoff == pytest.approx(record.counts[-1, 0] / 20, abs=1e-12)
     # controls come from the grids
@@ -151,8 +151,8 @@ def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
 
 def test_batched_episodes_match_sequential_runs(two_type_setup):
     model, field = two_type_setup
-    strat1 = ControlWithGuideStrategy(field, model, "first")
-    strat2 = ControlWithGuideStrategy(field, model, "second")
+    strat1 = ControlWithGuideStrategy(field, model)
+    strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
     y = LatticeState([16, 4])
     partition = Partition.uniform(0.0, 1.0, 25)
 
@@ -170,10 +170,10 @@ def test_batched_episodes_match_sequential_runs(two_type_setup):
 
 def test_both_guides_private_and_recorded(two_type_setup):
     model, field = two_type_setup
-    strat1 = ControlWithGuideStrategy(field, model, "first")
-    strat2 = ControlWithGuideStrategy(field, model, "second")
-    record = run_episode(model, LatticeState([10, 10]), Partition.uniform(0, 1, 20),
-                        strat1, strat2, np.random.default_rng(9))
+    strat1 = ControlWithGuideStrategy(field, model)
+    strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
+    record = run_episodes(model, LatticeState([10, 10]), Partition.uniform(0, 1, 20),
+                          strat1, strat2, [np.random.default_rng(9)], record=True).records[0]
     assert record.guide1 is not None and record.guide2 is not None
     assert record.guide1.shape == record.guide2.shape == (21, 2)
     # both start on the chain
@@ -195,45 +195,15 @@ def test_random_policy_reproducible(two_type_setup):
 
 def test_greedy_policy_pushes_payoff(two_type_setup):
     model, field = two_type_setup
-    pol = GreedyPolicy(model, "second")
+    pol = GreedyPolicy(mirrored(model))
     counts = np.array([[10, 10], [20, 0]])
     vals = pol.step_values(0.0, counts, 0.05, [None, None])
     # raising x1 raises the payoff, so greedy picks the top v where v can act;
     # with no type-2 mass the v-row ties and the lowest grid index wins
     assert list(vals) == [1.0, 0.0]
-    pol1 = GreedyPolicy(model, "first")
+    pol1 = GreedyPolicy(model)
     vals = pol1.step_values(0.0, counts, 0.05, [None, None])
     assert np.all(vals == 1.0)  # u = 1 drains x1 fastest
-
-
-def test_greedy_policy_rejects_unknown_role():
-    # an unknown role must not fall back to playing player 1's grid
-    with pytest.raises(ValueError):
-        GreedyPolicy(TwoTypeModel(v_levels=(0.0, 0.25)), "Second")
-
-
-class Mirrored(RateModel):
-    """``base`` with the players' seats swapped and the payoff negated.
-
-    Player 1 of the mirror is player 2 of ``base``, so role "second" on
-    ``base`` must act exactly as role "first" on the mirror.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.dimension = base.dimension
-        self.horizon = base.horizon
-        self.u_grid, self.v_grid = base.v_grid, base.u_grid
-        self.declared_k = base.declared_k
-
-    def rate_matrix(self, t, x, u, v):
-        return self.base.rate_matrix(t, x, v, u)
-
-    def drift(self, t, x, u, v):
-        return self.base.drift(t, x, v, u)
-
-    def terminal_payoff(self, x):
-        return -self.base.terminal_payoff(x)
 
 
 LEVELS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -245,59 +215,76 @@ LEVELS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
        st.integers(0, 2**32 - 1))
 def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_levels, seed):
     base = model_cls(u_levels=u_levels, v_levels=v_levels)
-    mirror = Mirrored(base)
+    mirror = mirrored(base)
+    assert mirrored(mirror) is base
     d = base.dimension
     rng = np.random.default_rng(seed)
     grid = build_simplex_grid(d, 10)
     times = np.linspace(0.0, base.horizon, 6)
     field = ValueField(grid, times, rng.uniform(size=(times.size, grid.node_count)))
-    mirror_field = ValueField(grid, times, -field.table)
-    n, total = 4, 10
-    counts = rng.multinomial(total, rng.dirichlet(np.ones(d)), size=n)
-    xs = counts / total
+    n, h = 4, 0.1
+    counts = rng.multinomial(10, rng.dirichlet(np.ones(d)), size=n)
+    xs = counts * h  # the chain state as the episode runner forms it
     guides = rng.dirichlet(np.ones(d), size=n)
     t = float(rng.uniform(0.0, 0.9))
 
-    for got, want in zip(extremal_indices(base, t, xs, guides, "second"),
-                         extremal_indices(mirror, t, xs, guides, "first")):
-        assert np.array_equal(got, want)
+    # the mirror swaps the seats exactly
+    drifts = base.drift_grid_multi(t, xs)
+    assert np.array_equal(mirror.drift_grid_multi(t, xs), np.swapaxes(drifts, 1, 2))
+    assert np.array_equal(mirror.rate_matrix_grid_multi(t, xs),
+                          np.swapaxes(base.rate_matrix_grid_multi(t, xs), 1, 2))
+    assert np.array_equal(mirror.terminal_payoff(xs), -base.terminal_payoff(xs))
 
-    no_rngs = [None] * n
-    assert np.array_equal(GreedyPolicy(base, "second").step_values(t, counts, 1 / total, no_rngs),
-                          GreedyPolicy(mirror, "first").step_values(t, counts, 1 / total, no_rngs))
+    # player 2's extremal pair stated on the base surface: the v that
+    # minimizes the worst growth over u, the u that maximizes the best
+    surface = displacement_surface(base, t, xs, xs - guides)
+    own, reply = extremal_indices(mirror, t, xs, guides)
+    assert np.array_equal(own, np.argmin(surface.max(axis=1), axis=1))
+    assert np.array_equal(reply, np.argmax(surface.min(axis=2), axis=1))
 
+    # player 2's greedy v raises the base payoff most against the worst u
+    probes = xs[:, None, None, :] + GREEDY_PROBE * drifts
+    project_rows(probes)
+    gains = base.terminal_payoff(probes) - base.terminal_payoff(xs)[:, None, None]
+    greedy = GreedyPolicy(mirror).step_values(t, counts, h, [None] * n)
+    assert np.array_equal(greedy, base.v_grid.values()[np.argmax(gains.min(axis=1), axis=1)])
+
+    # player 2's guide reads the negated field: every reading is the
+    # negated reading of the base field, and a flag means the base value fell
     fixed = rng.integers(len(base.u_grid), size=n)
     slack = float(rng.uniform(0.0, 0.01))
-    ends, start, end, flags, best = advance_guides(field, base, t, t + 0.05, guides,
-                                                   fixed, "second", slack)
-    m_ends, m_start, m_end, m_flags, m_best = advance_guides(
-        mirror_field, mirror, t, t + 0.05, guides, fixed, "first", slack)
-    assert np.array_equal(ends, m_ends)
-    assert np.array_equal(flags, m_flags)
-    assert np.array_equal(best, m_best)
-    assert np.array_equal(start, -m_start)
-    assert np.array_equal(end, -m_end)
+    ends, start, end, flags, _ = advance_guides(field.negated(), mirror, t, t + 0.05,
+                                                guides, fixed, slack)
+    base_start = field.eval_batch(t, guides)
+    base_end = field.eval_batch(t + 0.05, ends)
+    assert np.array_equal(start, -base_start)
+    assert np.array_equal(end, -base_end)
+    assert np.array_equal(flags, base_end < base_start - slack)
 
+    # player 2 in the base game is player 1 in the mirrored game
     y = LatticeState(counts[0])
     partition = Partition.uniform(0.0, base.horizon, 5)
-    batch = run_episodes(base, y, partition, RandomPolicy(base.u_grid),
-                         ControlWithGuideStrategy(field, base, "second"),
-                         [np.random.default_rng([seed, i]) for i in range(3)])
-    m_batch = run_episodes(mirror, y, partition,
-                           ControlWithGuideStrategy(mirror_field, mirror, "first"),
-                           RandomPolicy(mirror.v_grid),
-                           [np.random.default_rng([seed, i]) for i in range(3)])
+    guided = ControlWithGuideStrategy(field.negated(), mirror)
+    batch = run_episodes(base, y, partition, RandomPolicy(base.u_grid), guided,
+                         [np.random.default_rng([seed, i]) for i in range(3)], record=True)
+    m_batch = run_episodes(mirror, y, partition, guided, RandomPolicy(mirror.v_grid),
+                           [np.random.default_rng([seed, i]) for i in range(3)], record=True)
     assert np.array_equal(batch.payoffs, -m_batch.payoffs)
     assert np.array_equal(batch.violation_fraction2, m_batch.violation_fraction1)
     assert np.array_equal(batch.violation_fraction1, m_batch.violation_fraction2)
+    for rec, m_rec in zip(batch.records, m_batch.records):
+        assert np.array_equal(rec.controls_v, m_rec.controls_u)
+        assert np.array_equal(rec.guide2, m_rec.guide1)
+        # recorded as readings of the base field
+        assert np.array_equal(rec.guide2_values, -m_rec.guide1_values)
 
 
 def test_mean_payoff_tracks_value(two_type_setup):
     # a light statistical pull: with both extremal-shift strategies the mean
     # payoff should sit near the game value
     model, field = two_type_setup
-    strat1 = ControlWithGuideStrategy(field, model, "first")
-    strat2 = ControlWithGuideStrategy(field, model, "second")
+    strat1 = ControlWithGuideStrategy(field, model)
+    strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
     y = LatticeState([40, 0])
     partition = Partition.uniform(0.0, 1.0, 50)
     rngs = [np.random.default_rng([101, i]) for i in range(200)]
@@ -311,9 +298,10 @@ def test_mean_payoff_tracks_value(two_type_setup):
 
 def test_trajectory_record_serialization(two_type_setup):
     model, field = two_type_setup
-    strat = ControlWithGuideStrategy(field, model, "first")
-    record = run_episode(model, LatticeState([8, 2]), Partition.uniform(0, 1, 5),
-                        strat, 0.5, np.random.default_rng(13), record_jumps=True)
+    strat = ControlWithGuideStrategy(field, model)
+    record = run_episodes(model, LatticeState([8, 2]), Partition.uniform(0, 1, 5),
+                          strat, 0.5, [np.random.default_rng(13)],
+                          record_jumps=True).records[0]
     payload = record.to_dict()
     assert payload["total"] == 10
     assert len(payload["counts"]) == 6

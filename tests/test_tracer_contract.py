@@ -72,5 +72,5 @@ def test_value_readers_call_the_traced_interpolation(tracer):
 
     calls, points = stat.calls, stat.amount
     guides = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-    guide.advance_guides(field, model, 0.1, 0.15, guides, np.array([0, 1]), "first", 0.0)
+    guide.advance_guides(field, model, 0.1, 0.15, guides, np.array([0, 1]), 0.0)
     assert stat.calls > calls and stat.amount > points
