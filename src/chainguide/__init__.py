@@ -9,7 +9,7 @@ against exact small-instance oracles.
 
 __version__ = "0.1.0"
 
-from .simplex import LatticeState, round_to_lattice
+from .simplex import round_to_lattice
 from .models import (
     ControlGrid,
     ModelConstants,
@@ -54,7 +54,7 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "LatticeState", "round_to_lattice",
+    "round_to_lattice",
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "mirrored", "register_model",
     "validate_rate_model",

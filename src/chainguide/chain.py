@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .models import resolve_k
-from .simplex import LatticeState, project_rows, rk4_step
+from .simplex import check_counts, project_rows, rk4_step
 from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
@@ -133,22 +133,19 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     above the bound K used for thinning (``rate_bound``, else the model's
     K) or a negative one.
     """
+    # the batch is advanced in place, so it must already be an integer array
     if not (isinstance(counts, np.ndarray) and counts.ndim == 2
             and np.issubdtype(counts.dtype, np.integer)):
         raise ValueError("a batch of chains is an integer (n, d) count array")
+    check_counts(counts, model.dimension)
     n, d = counts.shape
-    if d != model.dimension:
-        raise ValueError("state dimension does not match the model")
     if not t0 < t1 <= model.horizon + 1e-12:
         raise ValueError("need t0 < t1 <= horizon")
     shared = isinstance(rng, np.random.Generator)
     if not shared and len(rng) != n:
         raise ValueError("need one generator per row, or one shared Generator")
-    totals = counts.sum(axis=1)
-    if n and (np.any(totals != totals[0]) or np.any(counts < 0)):
-        raise ValueError("batch rows need nonnegative counts with one particle total")
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
-    total = int(totals[0]) if n else 0
+    total = int(counts[0].sum()) if n else 0
     lam = (d - 1) * k_bound * total
     out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
     if not (n and lam > 0.0):
@@ -205,20 +202,13 @@ class Distribution:
             raise ValueError(f"probabilities sum to {p.sum():.12f}")
         self.probs = p
 
-    @property
-    def total(self):
-        return self.space.resolution
-
-    def prob_of(self, state):
-        counts = state.counts if isinstance(state, LatticeState) else np.asarray(state)
-        idx = int(self.space.node_index(counts[None, :])[0])
-        return float(self.probs[idx])
+    def prob_of(self, counts):
+        return float(self.probs[self.space.node_index(counts)])
 
     @staticmethod
-    def point_mass(space, state):
-        counts = state.counts if isinstance(state, LatticeState) else np.asarray(state)
+    def point_mass(space, counts):
         probs = np.zeros(space.node_count)
-        probs[int(space.node_index(counts[None, :])[0])] = 1.0
+        probs[space.node_index(counts)] = 1.0
         return Distribution(space, probs)
 
 
@@ -322,12 +312,12 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
 
     Both sides come from the forward-equation oracle: the left from the
     integrated distribution, the right from composite Simpson quadrature of
-    the generator term along the stored trajectory. The residual therefore
-    measures integrator consistency only.
+    the generator term along the stored trajectory, started from the count
+    row ``y``. The residual therefore measures integrator consistency only.
     """
-    if not isinstance(y, LatticeState):
-        y = LatticeState(y)
-    space = SimplexGrid(model.dimension, y.total)
+    y = check_counts(y, model.dimension)
+    total = int(y.sum())
+    space = SimplexGrid(model.dimension, total)
     op = _ForwardOperator(model, space, u, v)
     fvals = np.array([float(f(x)) for x in space.nodes])
     span = t1 - t0
@@ -349,26 +339,25 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
                              + 4.0 * integrand[1:-1:2].sum()
                              + 2.0 * integrand[2:-1:2].sum())
     expected_end = float(p @ fvals)
-    start = float(f(y.coords()))
+    start = float(f(y / total))
     return abs(expected_end - start - integral)
 
 
 def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=None):
     """Empirical law of the chain state at t1 over independent trials.
 
-    Trial i starts from ``y`` and draws from its own generator keyed by
+    Trial i starts from the count row ``y`` and draws from its own generator keyed by
     (seed, i); the generators are made TRIAL_BLOCK at a time. Results
     depend neither on execution order nor on the block size.
     """
-    if not isinstance(y, LatticeState):
-        y = LatticeState(y)
+    y = check_counts(y, model.dimension)
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
-    finals = np.tile(y.counts, (trials, 1))
+    finals = np.tile(y, (trials, 1))
     for lo in range(0, trials, TRIAL_BLOCK):
         hi = min(lo + TRIAL_BLOCK, trials)
         rngs = [np.random.default_rng([seed, trial]) for trial in range(lo, hi)]
         simulate_chain(model, t0, t1, finals[lo:hi], u, v, rngs,
                        rate_bound=k_bound, record_events=False)
-    space = SimplexGrid(model.dimension, y.total)
+    space = SimplexGrid(model.dimension, int(y.sum()))
     hits = np.bincount(space.node_index(finals), minlength=space.node_count)
     return Distribution(space, hits / trials)

@@ -86,22 +86,17 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         scenario = Scenario.load(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.seed is not None:
             # replace re-runs the scenario's validation on the new seed
             scenario = dataclasses.replace(scenario, seed=args.seed)
         result = COMMANDS[args.command].run(
             scenario, **{dest: getattr(args, dest) for dest in args.options})
-    except ScenarioError as exc:
+        table_path, summary_path = emit_results(
+            result, args.out or scenario.out or f"results/{result.kind}")
+    except (OSError, ScenarioError) as exc:
+        # a bad scenario, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out = args.out or scenario.out or f"results/{result.kind}"
-    table_path, summary_path = emit_results(result, out)
     status = "pass" if result.passed else "FAIL"
     print(f"{args.command}: {status} ({len(result.rows)} row(s); "
           f"table {table_path}, summary {summary_path})")

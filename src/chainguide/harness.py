@@ -27,7 +27,7 @@ from .chain import (
     simulate_chain,
     tv_distance,
 )
-from .guide import advance_guides
+from .guide import ODE_STEP, advance_guides
 from .models import (
     ModelConstants,
     RateModel,
@@ -37,7 +37,7 @@ from .models import (
     estimate_constants,
     mirrored,
 )
-from .simplex import LatticeState, round_to_lattice
+from .simplex import round_to_lattice
 from .strategy import (
     ConstantPolicy,
     ControlWithGuideStrategy,
@@ -52,6 +52,7 @@ from .value import (
     SimplexGrid,
     ValueField,
     build_simplex_grid,
+    check_step,
     lattice_size,
     solve_value,
     verify_supersolution,
@@ -183,6 +184,8 @@ class Scenario:
             model = build_model(self.model, self.model_params)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"cannot build model {self.model!r}: {exc}") from exc
+        if not (_is_number(model.horizon) and model.horizon > 0):
+            raise ScenarioError(f"model horizon must be positive and finite, got {model.horizon}")
         state = self.initial_state
         if not (isinstance(state, (list, tuple)) and len(state) >= 2
                 and all(_is_number(c) and c >= 0 for c in state)
@@ -257,8 +260,8 @@ class Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ScenarioError(f"scenario file is not valid UTF-8 JSON: {exc}") from exc
         return Scenario.from_dict(payload)
 
     def to_dict(self):
@@ -291,18 +294,19 @@ class _ExperimentSetup(NamedTuple):
     model: RateModel
     constants: ModelConstants
     field: Optional[ValueField]
-    starts: dict  # particle total -> the start mix rounded onto its lattice
+    starts: dict  # particle total -> the start mix rounded onto its lattice, a count row
 
 
 def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
     """Build the model, check the scenario against it, then estimate and solve.
 
-    Every check runs before ``estimate_constants`` and ``solve_value``: a
+    Every check on the scenario alone runs before ``estimate_constants``: a
     command that rounds the start mix (``totals`` non-empty) needs one
     coordinate per type, a constant adversary in ``adversary_seat`` (1 or 2)
     must play a point of that player's control grid, and the particle
     totals whose whole count lattice the command enumerates (``lattices``)
-    must be within the lattice cap.
+    must be within the lattice cap. The estimate and the solve bracket the
+    checks of the guides' RK4 step (with ``adversary_seat``) and the time step.
     """
     model = build_model(scenario.model, scenario.model_params)
     for total in lattices:
@@ -318,6 +322,14 @@ def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
                                f"constant adversary (player {adversary_seat})")
     starts = {total: round_to_lattice(scenario.initial_state, total) for total in totals}
     constants = estimate_constants(model, seed=scenario.seed).constants
+    try:
+        if adversary_seat is not None:
+            check_step(model, ODE_STEP, constants.k, interpolated=False, what="guide RK4 step")
+        if solve:
+            check_step(model, model.horizon / scenario.value_grid["n_t"], constants.k,
+                       what="value_grid.n_t time step")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     field = None
     if solve:
         grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
@@ -468,7 +480,8 @@ def _run_bound_experiment(scenario, seat, workers):
             for particle_count in scenario.particle_counts:
                 for adv in scenario.adversaries:
                     h = 1.0 / particle_count
-                    val0 = field.eval(scenario.start_time, starts[particle_count].coords())
+                    val0 = field.eval(scenario.start_time,
+                                      starts[particle_count] / particle_count)
                     payoffs, viol1, viol2 = _collect_trials(
                         setup, config_index, m_steps, particle_count, adv,
                         seat, workers, pool)
@@ -579,15 +592,16 @@ def run_lemma1_check(scenario):
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     totals = () if "state" in cfg else (total,)
     _, model, constants, _, starts = _setup(scenario, totals, solve=False, lattices=totals)
-    xi = LatticeState(cfg["state"]) if "state" in cfg else starts[total]
+    # Scenario checked a stated lemma1.state against the model
+    counts = np.array(cfg["state"], dtype=np.int64) if "state" in cfg else starts[total]
+    m = int(counts.sum())
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
     min_ratio = float(cfg.get("min_ratio", 3.0))
     t0 = scenario.start_time
-    h = xi.spacing
-    rates = model.rate_matrix(t0, xi.coords(), u, v)
-    counts = xi.counts
+    h = 1.0 / m
+    rates = model.rate_matrix(t0, counts / m, u, v)
 
     neighbor_keys = []
     leading = {}
@@ -602,7 +616,7 @@ def run_lemma1_check(scenario):
 
     per_delta = {}
     for delta in deltas:
-        dist = _evolve_point_mass(model, t0, delta, xi, u, v)
+        dist = _evolve_point_mass(model, t0, delta, counts, u, v)
         single_mass = 0.0
         residuals = {}
         for (i, j) in neighbor_keys:
@@ -612,7 +626,7 @@ def run_lemma1_check(scenario):
             p = dist.prob_of(moved)
             single_mass += p
             residuals[(i, j)] = (p, abs(p - delta * leading[(i, j)]))
-        p_stay = dist.prob_of(xi)
+        p_stay = dist.prob_of(counts)
         residuals["stay"] = (p_stay, abs(p_stay - (1.0 + delta * stay_coeff)))
         other = max(0.0, 1.0 - p_stay - single_mass)
         residuals["other"] = (other, other)
@@ -624,16 +638,12 @@ def run_lemma1_check(scenario):
     for target in targets:
         for idx, delta in enumerate(deltas):
             p, residual = per_delta[delta][target]
-            ratio = None
+            ratio = bound = None
             ok = True
             if target == "other":
+                name, lead = "two_jump", 0.0
                 bound = 10.0 * (delta * (model.dimension - 1) * constants.k / h) ** 2
                 ok = p <= bound
-                rows.append({
-                    "delta": delta, "target": "two_jump", "probability": p,
-                    "leading_term": 0.0, "residual": residual,
-                    "residual_ratio": ratio, "two_jump_bound": bound, "ok": bool(ok),
-                })
             else:
                 if idx + 1 < len(deltas):
                     nxt = per_delta[deltas[idx + 1]][target][1]
@@ -643,21 +653,21 @@ def run_lemma1_check(scenario):
                 name = "stay" if target == "stay" else f"jump_{target[0]}_to_{target[1]}"
                 lead = (1.0 + delta * stay_coeff if target == "stay"
                         else delta * leading[target])
-                rows.append({
-                    "delta": delta, "target": name, "probability": p,
-                    "leading_term": lead, "residual": residual,
-                    "residual_ratio": ratio, "two_jump_bound": None, "ok": bool(ok),
-                })
+            rows.append({
+                "delta": delta, "target": name, "probability": p,
+                "leading_term": lead, "residual": residual,
+                "residual_ratio": ratio, "two_jump_bound": bound, "ok": bool(ok),
+            })
             passed = passed and ok
 
     return _result("lemma1", scenario, LEMMA1_COLUMNS, rows, passed,
-                   state=xi.counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
+                   state=counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
 
 
-def _evolve_point_mass(model, t0, delta, state, u, v):
-    """Exact law, ``delta`` after ``t0``, of the chain started at ``state``."""
-    space = SimplexGrid(model.dimension, state.total)
-    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, state),
+def _evolve_point_mass(model, t0, delta, counts, u, v):
+    """Exact law, ``delta`` after ``t0``, of the chain started at the count row ``counts``."""
+    space = SimplexGrid(model.dimension, int(np.sum(counts)))
+    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, counts),
                          u, v, ode_step=min(0.002, delta / 10.0))
 
 
@@ -689,8 +699,8 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     return mean, sem
 
 
-def _exact_squared_distance(model, t0, delta, state, u_val, v_val, w_plus):
-    dist = _evolve_point_mass(model, t0, delta, state, u_val, v_val)
+def _exact_squared_distance(model, t0, delta, counts, u_val, v_val, w_plus):
+    dist = _evolve_point_mass(model, t0, delta, counts, u_val, v_val)
     sq = np.sum((dist.space.nodes - w_plus) ** 2, axis=1)
     return float(dist.probs @ sq)
 
@@ -731,7 +741,6 @@ def run_lemma2_check(scenario):
     for p in range(pairs):
         t0 = float(t_stars[p])
         counts0 = space.counts[state_idx[p]]
-        state = LatticeState(counts0)
         x_star = counts0 / total
         w_star = guides[p]
         start_gap_sq = float(np.sum((x_star - w_star) ** 2))
@@ -749,30 +758,29 @@ def run_lemma2_check(scenario):
                 kind = adv["kind"]
                 rng = np.random.default_rng([scenario.seed, 90002, p,
                                              deltas.index(delta), adv_idx])
-                if kind == "constant":
-                    v_trial_idx = np.full(trials, model.v_grid.index_of(adv["value"]),
-                                          dtype=np.int64)
-                elif kind == "random":
+                if kind == "random":
                     v_trial_idx = rng.integers(0, v_grid_vals.size, size=trials)
-                elif kind == "greedy":
-                    val = GreedyPolicy(mirror).step_values(
-                        t0, counts0[None, :], h, [None])[0]
-                    v_trial_idx = np.full(trials, model.v_grid.index_of(val),
-                                          dtype=np.int64)
-                else:  # extremal: player 2's guide starts on the chain state
-                    own2, _ = extremal_indices(mirror, t0, x_star[None, :], x_star[None, :])
-                    v_trial_idx = np.full(trials, int(own2[0]), dtype=np.int64)
+                else:
+                    if kind == "constant":
+                        v_idx = model.v_grid.index_of(adv["value"])
+                    elif kind == "greedy":
+                        v_idx = model.v_grid.index_of(GreedyPolicy(mirror).step_values(
+                            t0, counts0[None, :], h, [None])[0])
+                    else:  # extremal: player 2's guide starts on the chain state
+                        v_idx = int(extremal_indices(mirror, t0, x_star[None, :],
+                                                     x_star[None, :])[0][0])
+                    v_trial_idx = np.full(trials, v_idx, dtype=np.int64)
                 mc_mean, mc_sem = _one_step_squared_distance(
                     model, constants.k, t0, delta, counts0, u_idx, v_trial_idx,
                     w_plus, trials, rng)
                 if kind == "random":
                     exact = float(np.mean([
-                        _exact_squared_distance(model, t0, delta, state,
+                        _exact_squared_distance(model, t0, delta, counts0,
                                                 u_grid_vals[u_idx], v, w_plus)
                         for v in v_grid_vals]))
                 else:
                     exact = _exact_squared_distance(
-                        model, t0, delta, state, u_grid_vals[u_idx],
+                        model, t0, delta, counts0, u_grid_vals[u_idx],
                         v_grid_vals[v_trial_idx[0]], w_plus)
                 allowance = allowance_coeff * delta + 3.0 * mc_sem
                 violated = mc_mean > rhs_base + allowance
@@ -840,23 +848,20 @@ def run_oracle_check(scenario):
     tv_tol = float(cfg.get("tv_tolerance", 0.01))
     rows = []
 
-    y = starts[total]
-    empirical = sample_final_distribution(
-        model, t0, t0 + elapsed, y, u, v, trials, seed=scenario.seed,
-        rate_bound=constants.k)
-    oracle = master_evolve(model, t0, t0 + elapsed,
-                           Distribution.point_mass(empirical.space, y), u, v)
+    def laws(counts, seed):
+        """The simulated and the exact law at t0 + elapsed of the chain started at ``counts``."""
+        empirical = sample_final_distribution(model, t0, t0 + elapsed, counts, u, v, trials,
+                                              seed=seed, rate_bound=constants.k)
+        return empirical, master_evolve(model, t0, t0 + elapsed,
+                                        Distribution.point_mass(empirical.space, counts), u, v)
+
+    empirical, oracle = laws(starts[total], scenario.seed)
     tv = tv_distance(empirical, oracle)
     rows.append({"check": f"tv_distance(M={total})", "statistic": tv,
                  "tolerance": tv_tol, "ok": bool(tv <= tv_tol)})
 
     if cfg.get("unit_check", True):
-        y1 = starts[1]
-        emp1 = sample_final_distribution(
-            model, t0, t0 + elapsed, y1, u, v, trials, seed=scenario.seed + 1,
-            rate_bound=constants.k)
-        oracle1 = master_evolve(model, t0, t0 + elapsed,
-                                Distribution.point_mass(emp1.space, y1), u, v)
+        emp1, oracle1 = laws(starts[1], scenario.seed + 1)
         worst = 0.0
         ok = True
         for idx in range(emp1.space.node_count):
@@ -896,7 +901,7 @@ def run_value(scenario, export_field=None):
     n_t = scenario.value_grid["n_t"]
     report = verify_supersolution(field, model, samples=200, step=model.horizon / n_t,
                                   seed=scenario.seed, constants=constants)
-    val0 = field.eval(scenario.start_time, starts[total].coords())
+    val0 = field.eval(scenario.start_time, starts[total] / total)
     if export_field:
         os.makedirs(os.path.dirname(os.path.abspath(export_field)), exist_ok=True)
         field.save(export_field)

@@ -499,6 +499,8 @@ class ZeroModel(RateModel):
         self.u_grid = ControlGrid((0.0, 1.0))
         self.v_grid = ControlGrid((0.0, 1.0))
         self.payoff_coordinate = int(payoff_coordinate)
+        if not 0 <= self.payoff_coordinate < self.dimension or self.dimension < 2:
+            raise ValueError("need dimension >= 2 and 0 <= payoff_coordinate < dimension")
 
     def rate_matrix(self, t, x, u, v):
         return np.zeros(np.broadcast(u, v).shape + (self.dimension, self.dimension))

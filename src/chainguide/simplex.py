@@ -1,16 +1,14 @@
-"""Probability-simplex points and single lattice states.
+"""Probability-simplex points and chain states, which are particle-count rows.
 
-The population state of the particle system lives on the probability
-simplex; with a finite particle count it is confined to the sub-lattice of
-points whose coordinates are integer multiples of 1/total. This module
-holds one such state (``LatticeState``), rounding onto the lattice, and the
-projection and integration helpers shared by every layer. The lattice as a
-whole, enumerated and ranked, is ``value.SimplexGrid``.
+The population state of M particles is a row of per-type counts, an int64
+array whose point counts/M on the probability simplex lies on the lattice
+of spacing h = 1/M. ``check_counts`` is the one check of such rows,
+wherever a state enters the library. This module also holds rounding onto
+the lattice and the projection and integration helpers shared by every
+layer. The lattice as a whole, enumerated and ranked, is ``value.SimplexGrid``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,45 +58,49 @@ def as_coords(x, d=None):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+def check_counts(counts, dimension):
+    """Count rows of shape (..., dimension) as int64; raises ValueError unless they are states.
+
+    Entries must be nonnegative integer values and rows must share one
+    positive particle total. An empty batch passes.
+    """
+    raw = np.asarray(counts)
+    if raw.ndim == 0 or raw.shape[-1] != dimension:
+        raise ValueError(f"count rows must have {dimension} entries")
+    if raw.dtype.kind not in "iuf":
+        raise ValueError("counts must be integers")
+    with np.errstate(invalid="ignore"):
+        rows = raw.astype(np.int64, copy=False)
+    # a fraction, a non-finite or an out-of-range entry does not survive the cast
+    if rows is not raw and np.any(rows != raw):
+        raise ValueError("counts must be integers")
+    if np.any(rows < 0):
+        raise ValueError("particle counts must be nonnegative")
+    totals = rows.sum(axis=-1)
+    if totals.size and (np.any(totals != totals.flat[0]) or totals.flat[0] <= 0):
+        raise ValueError("count rows need one positive particle total")
+    return rows
+
+
 class LatticeState:
-    """Particle counts per type; the normalized point counts/total is the chain state."""
+    """A count row in an object that no library function takes or builds.
 
-    counts: np.ndarray
-    total: int = field(default=0)
+    Kept only because ``perfbench/spans.py`` patches its ``__init__`` and
+    ``tests/test_tracer_contract.py`` installs that tracer.
+    """
 
-    def __init__(self, counts, total=None):
-        arr = np.asarray(counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("lattice state needs a 1-d count vector of length >= 2")
-        if np.any(arr < 0):
-            raise ValueError("particle counts must be nonnegative")
-        computed = int(arr.sum())
-        if total is not None and int(total) != computed:
-            raise ValueError(f"counts sum to {computed}, not the declared total {total}")
-        if computed <= 0:
-            raise ValueError("total particle count must be positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "total", computed)
-
-    @property
-    def spacing(self):
-        """Lattice spacing h = 1/total."""
-        return 1.0 / self.total
-
-    def coords(self):
-        return self.counts / self.total
+    def __init__(self, counts):
+        self.counts = check_counts(counts, np.shape(counts)[-1])
+        self.total = int(self.counts.sum())
 
 
 def round_to_lattice(point, total):
-    """Largest-remainder rounding of total*point onto the count lattice.
+    """Largest-remainder rounding of total*point onto the count lattice: a read-only int64 row.
 
     Deterministic (remainder ties broken by lowest coordinate index) and
     always preserves the total.
     """
-    coords = as_coords(point)
-    scaled = coords * total
+    scaled = as_coords(point) * total
     base = np.floor(scaled).astype(np.int64)
     shortfall = int(total - base.sum())
     if shortfall:
@@ -106,7 +108,8 @@ def round_to_lattice(point, total):
         # stable argsort on negated remainders: ties go to the lowest index
         order = np.argsort(-remainders, kind="stable")
         base[order[:shortfall]] += 1
-    return LatticeState(base)
+    base.flags.writeable = False
+    return base
 
 
 def random_simplex_points(rng, n, d):

@@ -24,7 +24,7 @@ import numpy as np
 from .chain import simulate_chain
 from .guide import advance_guides
 from .models import mirrored, resolve_k
-from .simplex import LatticeState, project_rows
+from .simplex import check_counts, project_rows
 from .value import monotonicity_tolerance
 
 GREEDY_PROBE = 1e-4  # Euler step of the greedy policy's one-step payoff probe
@@ -190,8 +190,7 @@ class TrajectoryRecord:
     """One coupled realization of the chain, guides, controls and payoff."""
 
     partition: Partition
-    counts: np.ndarray                     # (steps+1, d) lattice counts
-    total: int
+    counts: np.ndarray                     # (steps+1, d) count rows
     controls_u: np.ndarray                 # (steps,)
     controls_v: np.ndarray                 # (steps,)
     payoff: float
@@ -203,13 +202,10 @@ class TrajectoryRecord:
     violations2: Optional[np.ndarray] = None
     jumps: Optional[list] = None
 
-    def states(self):
-        return self.counts / self.total
-
     def to_dict(self):
         payload = {
             "times": self.partition.times.tolist(),
-            "total": self.total,
+            "total": int(self.counts[0].sum()),
             "counts": self.counts.tolist(),
             "controls_u": self.controls_u.tolist(),
             "controls_v": self.controls_v.tolist(),
@@ -240,7 +236,7 @@ class EpisodeBatch:
 
 def run_episodes(model, y, partition, player1, player2, rngs,
                  rate_bound=None, record=False, record_jumps=False):
-    """Run one coupled episode per generator in ``rngs``.
+    """Run one coupled episode per generator in ``rngs`` from the count row ``y``.
 
     Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
     number (constant control). Player 1's guided strategy must be built on
@@ -255,8 +251,7 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     trials are grouped into batches. With ``record`` the batch carries one
     TrajectoryRecord per trial.
     """
-    if not isinstance(y, LatticeState):
-        y = LatticeState(y)
+    y = check_counts(y, model.dimension)
     times = partition.times
     if times[-1] > model.horizon + 1e-12:
         raise ValueError("partition extends past the model horizon")
@@ -271,11 +266,11 @@ def run_episodes(model, y, partition, player1, player2, rngs,
 
     n = len(rngs)
     d = model.dimension
-    total = y.total
+    total = int(y.sum())
     h = 1.0 / total
     steps = partition.steps
-    counts = np.tile(y.counts.astype(np.int64), (n, 1))
-    start = y.coords()
+    counts = np.tile(y, (n, 1))
+    start = y / total
     guides = [np.tile(start, (n, 1)) if s is not None else None for s in strats]
     viol = [np.zeros(n, dtype=np.int64) for _ in strats]
     replies = [None, None]
@@ -359,7 +354,6 @@ def run_episodes(model, y, partition, player1, player2, rngs,
             batch.records.append(TrajectoryRecord(
                 partition=partition,
                 counts=rec_counts[i],
-                total=total,
                 controls_u=rec_u[i],
                 controls_v=rec_v[i],
                 payoff=float(payoffs[i]),

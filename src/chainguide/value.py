@@ -60,6 +60,7 @@ from .simplex import (
     PROJECTION_LIMIT,
     ProjectionError,
     as_coords,
+    check_counts,
     project_rows,
     random_simplex_points,
 )
@@ -124,15 +125,9 @@ class SimplexGrid:
 
     def node_index(self, counts):
         """Index of each count row in enumeration order; off-lattice rows raise."""
-        raw = np.asarray(counts)
-        if raw.ndim == 0 or raw.shape[-1] != self.dimension:
-            raise ValueError(f"count rows must have {self.dimension} entries")
-        c = raw.astype(np.int64)
-        if np.any(c != raw):
-            raise ValueError("counts must be integers")
-        if np.any(c < 0) or np.any(c.sum(axis=-1) != self.resolution):
-            raise ValueError(
-                f"counts must be nonnegative and sum to {self.resolution}")
+        c = check_counts(counts, self.dimension)
+        if np.any(c.sum(axis=-1) != self.resolution):
+            raise ValueError(f"counts must sum to {self.resolution}")
         s = np.cumsum(c[..., :-1], axis=-1)
         return self._rank[np.arange(self.dimension - 1), s].sum(axis=-1)
 
@@ -306,12 +301,22 @@ class ValueField:
 
     @staticmethod
     def from_dict(payload):
+        """The field a ``to_dict`` payload describes; raises ValueError on any other payload."""
+        if not isinstance(payload, dict):
+            raise ValueError("a value-field payload must be a mapping")
         if payload.get("format") != FORMAT_NAME:
             raise ValueError("not a value-field file")
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported value-field version {payload.get('version')!r}")
-        grid = SimplexGrid(payload["dimension"], payload["resolution"])
-        return ValueField(grid, payload["times"], payload["values"])
+        try:
+            field = ValueField(SimplexGrid(payload["dimension"], payload["resolution"]),
+                               payload["times"], payload["values"])
+            horizon = payload["horizon"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed value-field payload: {exc!r}") from None
+        if horizon != field.horizon:
+            raise ValueError(f"value-field horizon {horizon!r} differs from its last time")
+        return field
 
     @staticmethod
     def load(path):
@@ -319,13 +324,21 @@ class ValueField:
             return ValueField.from_dict(json.load(fh))
 
 
+def check_step(model, step, k_bound, interpolated=True, what="time step"):
+    """Raise ValueError unless a step along xQ, rates at most K, stays on the simplex.
+
+    Coordinates stay nonnegative up to round-off while step*(d-1)*K <= 1; Euler
+    shifts that are ``interpolated`` also need step*K*sqrt(d) <= 1 to stay in reach.
+    """
+    d = model.dimension
+    if step * (d - 1) * k_bound > 1.0 or (interpolated and step * k_bound * np.sqrt(d) > 1.0):
+        raise ValueError(f"{what} {step:.4g} too large for rate bound {k_bound:.4g}")
+
+
 def solve_value(model, n_t, grid, constants=None):
     """Backward min-max recursion for the game value on the grid.
 
-    The time step must be small enough that Euler shifts stay within
-    interpolation reach of the simplex; with a rate bound K this holds
-    when delta*K*sqrt(d) <= 1 (and delta*(d-1)*K <= 1 keeps the shifted
-    points inside up to round-off), both enforced here. A slice whose
+    The time step horizon/n_t must pass ``check_step``. A slice whose
     shifted points leave the simplex by more than PROJECTION_LIMIT raises
     ``ProjectionError`` once all its blocks are done.
     """
@@ -336,9 +349,7 @@ def solve_value(model, n_t, grid, constants=None):
         raise ValueError("grid dimension does not match the model")
     k_bound = resolve_k(model, constants)
     delta = model.horizon / n_t
-    if delta * k_bound * np.sqrt(d) > 1.0 or delta * (d - 1) * k_bound > 1.0:
-        raise ValueError(
-            f"time step {delta:.4g} too large for rate bound {k_bound:.4g}; refine n_t")
+    check_step(model, delta, k_bound)
     times = np.linspace(0.0, model.horizon, n_t + 1)
     nodes = grid.nodes
     table = np.empty((n_t + 1, grid.node_count))

@@ -18,6 +18,8 @@ def test_every_exported_name_resolves():
     assert len(set(chainguide.__all__)) == len(chainguide.__all__)
     assert {"mirrored", "run_episodes"} <= set(chainguide.__all__)
     assert not {"run_episode", "integrate_characteristic"} & set(dir(chainguide))
+    # a chain state is a count row; the class is kept for the benchmark tracer only
+    assert "LatticeState" not in chainguide.__all__
 
 
 def test_readme_library_example_runs(capsys):
@@ -61,3 +63,15 @@ def test_src_imports_only_stdlib_and_numpy():
                 imported.add((path.name, node.module.split(".")[0]))
     assert imported
     assert sorted((name, module) for name, module in imported if module not in allowed) == []
+
+
+def test_lattice_state_named_only_in_simplex():
+    # the one state form: no other module takes, builds or tests for the class
+    naming = set()
+    for path in sorted((README.parent / "src" / "chainguide").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            # a Name's id, an Attribute's attr, an import alias's or a definition's name
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if "LatticeState" in names:
+                naming.add(path.name)
+    assert naming == {"simplex.py"}

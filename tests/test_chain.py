@@ -17,7 +17,8 @@ from chainguide.chain import (
     tv_distance,
 )
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
-from chainguide.simplex import LatticeState
+from chainguide.simplex import LatticeState, check_counts
+from chainguide.strategy import Partition, run_episodes
 from chainguide.value import SimplexGrid
 
 
@@ -100,7 +101,7 @@ def test_rate_bound_violation_aborts():
 def test_kernel_takes_only_the_batch_form():
     model = TwoTypeModel()
     with pytest.raises(ValueError):
-        simulate_chain(model, 0.0, 1.0, LatticeState([1, 1]), 1.0, 1.0,
+        simulate_chain(model, 0.0, 1.0, [[1, 1]], 1.0, 1.0,
                        [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         simulate_chain(model, 0.0, 1.0, np.array([1, 1]), 1.0, 1.0,
@@ -116,13 +117,13 @@ def test_distribution_validation():
         Distribution(space, np.array([0.5, 0.5, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
         Distribution(space, np.array([1.1, -0.1, 0.0, 0.0, 0.0]))
-    d = Distribution.point_mass(space, LatticeState([2, 2]))
-    assert d.prob_of(LatticeState([2, 2])) == 1.0
+    d = Distribution.point_mass(space, [2, 2])
+    assert d.prob_of([2, 2]) == 1.0
 
 
 def test_master_evolve_zero_model_is_identity():
     space = SimplexGrid(2, 4)
-    dist = Distribution.point_mass(space, LatticeState([1, 3]))
+    dist = Distribution.point_mass(space, [1, 3])
     out = master_evolve(ZeroModel(), 0.0, 1.0, dist, 1.0, 0.0)
     assert np.allclose(out.probs, dist.probs, atol=1e-15)
 
@@ -130,16 +131,16 @@ def test_master_evolve_zero_model_is_identity():
 def test_master_evolve_two_state_closed_form():
     model = TwoTypeModel()
     space = SimplexGrid(2, 1)
-    dist = Distribution.point_mass(space, LatticeState([1, 0]))
+    dist = Distribution.point_mass(space, [1, 0])
     out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.0)
-    assert out.prob_of(LatticeState([0, 1])) == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
+    assert out.prob_of([0, 1]) == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_master_evolve_conserves_mass():
     model = TwoTypeModel()
     space = SimplexGrid(2, 6)
-    dist = Distribution.point_mass(space, LatticeState([6, 0]))
+    dist = Distribution.point_mass(space, [6, 0])
     out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.5)
     assert abs(out.probs.sum() - 1.0) <= 1e-10
     assert out.probs.min() >= 0.0
@@ -152,14 +153,14 @@ def test_master_evolve_flags_bad_steps():
 
     model = StiffModel()
     space = SimplexGrid(2, 8)
-    dist = Distribution.point_mass(space, LatticeState([8, 0]))
+    dist = Distribution.point_mass(space, [8, 0])
     with pytest.raises(IntegrationError):
         master_evolve(model, 0.0, 1.0, dist, 1.0, 1.0, ode_step=0.2)
 
 
 def test_simulator_matches_master_equation_tv():
     model = TwoTypeModel()
-    y = LatticeState([4, 0])
+    y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     space = emp.space
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(space, y), 1.0, 0.0)
@@ -191,7 +192,7 @@ def test_rate_matrix_override_reaches_every_form():
     assert np.allclose(model.drift(ts, xs, us, vs), 2.0 * base.drift(ts, xs, us, vs))
     assert np.allclose(model.drift_grid_multi(ts, xs), 2.0 * base.drift_grid_multi(ts, xs))
     # the simulator reads rate_matrix and the oracle the per-row form
-    y = LatticeState([4, 0])
+    y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
@@ -201,7 +202,7 @@ def test_simulator_matches_oracle_time_dependent_model():
     from chainguide.models import ThreeTypeRotorModel
 
     model = ThreeTypeRotorModel()
-    y = LatticeState([2, 1, 1])
+    y = [2, 1, 1]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
     oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 1.0)
     assert tv_distance(emp, oracle) <= 0.02
@@ -209,18 +210,18 @@ def test_simulator_matches_oracle_time_dependent_model():
 
 def test_dynkin_residual_zero_rates():
     assert dynkin_residual(ZeroModel(), lambda x: x[0], 0.0, 0.5,
-                           LatticeState([2, 2]), 1.0, 0.0) == 0.0
+                           [2, 2], 1.0, 0.0) == 0.0
 
 
 def test_dynkin_residual_constant_function():
     model = TwoTypeModel()
-    res = dynkin_residual(model, lambda x: 3.0, 0.0, 0.5, LatticeState([2, 2]), 1.0, 0.0)
+    res = dynkin_residual(model, lambda x: 3.0, 0.0, 0.5, [2, 2], 1.0, 0.0)
     assert res <= 1e-12
 
 
 def test_dynkin_residual_two_type():
     model = TwoTypeModel()
-    res = dynkin_residual(model, lambda x: x[0], 0.0, 0.5, LatticeState([2, 2]), 1.0, 0.0,
+    res = dynkin_residual(model, lambda x: x[0], 0.0, 0.5, [2, 2], 1.0, 0.0,
                           ode_step=0.002)
     assert res <= 1e-8
 
@@ -334,5 +335,66 @@ def test_sample_final_distribution_rate_bound_error():
     model = TwoTypeModel()
     model.declared_k = 0.5  # lie: actual rates reach 1.0
     with pytest.raises(RateBoundError):
-        sample_final_distribution(model, 0.0, 1.0, LatticeState([5, 5]), 1.0, 1.0,
+        sample_final_distribution(model, 0.0, 1.0, [5, 5], 1.0, 1.0,
                                   trials=50, seed=1)
+
+
+def _corrupt(counts, kind):
+    """A state input that is not a count row of ``counts``'s length, built from it."""
+    d = len(counts)
+    if kind == "non-integer":
+        return [counts[0] + 0.5] + counts[1:]
+    if kind == "negative":
+        return [sum(counts) + 1] + [0] * (d - 2) + [-1]
+    if kind == "wrong-length":
+        return counts + [0]
+    if kind == "zero-total":
+        return [0] * d
+    if kind == "mixed-totals":
+        return [counts, [counts[0] + 1] + counts[1:]]
+    return LatticeState(counts)
+
+
+STATE_ENTRY_POINTS = {
+    "check_counts": lambda model, y: check_counts(y, model.dimension),
+    "run_episodes": lambda model, y: run_episodes(
+        model, y, Partition.uniform(0.0, 1.0, 2), 1.0, 0.5, [np.random.default_rng(0)]),
+    "sample_final_distribution": lambda model, y: sample_final_distribution(
+        model, 0.0, 1.0, y, 1.0, 0.5, trials=2, seed=0),
+    "dynkin_residual": lambda model, y: dynkin_residual(
+        model, lambda x: x[0], 0.0, 0.1, y, 1.0, 0.5),
+    "Distribution.point_mass": lambda model, y: Distribution.point_mass(
+        SimplexGrid(model.dimension, 4), y),
+    "node_index": lambda model, y: SimplexGrid(model.dimension, 4).node_index(y),
+    # the kernel advances its batch in place, so it takes an integer array only
+    "simulate_chain": lambda model, y: simulate_chain(
+        model, 0.0, 1.0, y if isinstance(y, LatticeState) else np.array(y, ndmin=2),
+        1.0, 0.5, np.random.default_rng(0)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([TwoTypeModel(), ThreeTypeRotorModel()]), st.data())
+def test_one_state_form_checked_at_every_entry_point(model, data):
+    # the rows of total 4 are the lattice the node-index entry points read
+    parts = data.draw(st.lists(st.integers(0, 4), min_size=model.dimension - 1,
+                               max_size=model.dimension - 1).filter(lambda p: sum(p) <= 4))
+    counts = parts + [4 - sum(parts)]
+    kind = data.draw(st.sampled_from(["non-integer", "negative", "wrong-length",
+                                      "zero-total", "mixed-totals", "LatticeState"]))
+    bad = _corrupt(counts, kind)
+    for name, call in STATE_ENTRY_POINTS.items():
+        with pytest.raises(ValueError):
+            call(model, bad)
+            pytest.fail(f"{name} took a {kind} state")
+
+    # a list, a tuple and an int64 array of one state give the same bytes
+    forms = [counts, tuple(counts), np.array(counts, dtype=np.int64)]
+    partition = Partition.uniform(0.0, 1.0, 4)
+    payoffs = [run_episodes(model, y, partition, 1.0, 0.5,
+                            [np.random.default_rng([5, i]) for i in range(3)]).payoffs.tobytes()
+               for y in forms]
+    probs = [sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.5, trials=20,
+                                       seed=5).probs.tobytes() for y in forms]
+    assert payoffs[0] == payoffs[1] == payoffs[2]
+    assert probs[0] == probs[1] == probs[2]

@@ -1,9 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chainguide import harness
-from chainguide.cli import main
+from chainguide.cli import COMMANDS, main
 
 
 def write_scenario(tmp_path, **overrides):
@@ -72,6 +75,8 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {**THREE_TYPE, "lemma1": {"particle_count": 2000}},
     {**THREE_TYPE, "lemma1": {"state": [2000, 0, 0]}},
     {**THREE_TYPE, "lemma2": {"particle_count": 2000}},
+    {"model": "zero", "model_params": {"payoff_coordinate": 5}},
+    {"model": "zero", "model_params": {"dimension": 0}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
         "start-at-horizon", "state-not-a-mix", "string-constant-value",
@@ -81,13 +86,45 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
         "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon",
         "lemma1-particle-count-not-state-total", "over-cap-value-grid",
         "over-cap-oracle-total", "over-cap-dynkin-total", "over-cap-lemma1-total",
-        "over-cap-lemma1-state", "over-cap-lemma2-total"])
+        "over-cap-lemma1-state", "over-cap-lemma2-total", "zero-payoff-coordinate-past-dimension",
+        "zero-dimension-0"])
 def test_cli_bad_scenario_exits_2(tmp_path, capsys, no_value_solve, overrides):
     scen = write_scenario(tmp_path, **overrides)
     # every command here reads the start state (check-lemma2 draws its own)
     for command in ("value", "experiment", "oracle", "simulate", "check-lemma1"):
         assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("commands,overrides", [
+    (("value", "experiment", "simulate", "check-lemma2"),
+     {**THREE_TYPE, "value_grid": {"n_x": 8, "n_t": 1}}),
+    # the value step 1/600 passes at K = 300; the guides' fixed 0.01 does not
+    (("experiment", "corollary", "simulate", "check-lemma2"),
+     {"model_params": {"u_levels": [0, 300]}, "value_grid": {"n_x": 8, "n_t": 600}}),
+], ids=["value-time-step", "guide-ode-step"])
+def test_cli_step_too_large_for_the_rate_bound_exits_2(tmp_path, capsys, no_value_solve,
+                                                       commands, overrides):
+    scen = write_scenario(tmp_path, adversaries=[{"kind": "extremal"}], **overrides)
+    for command in commands:
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"model": "two-type", "model_params": {"horizon": 1e400}}',
+    b'\xff\xfe{"model": "two-type"}',
+], ids=["infinite-horizon", "not-utf-8"])
+def test_cli_unloadable_scenario_text_exits_2(tmp_path, capsys, no_value_solve, text):
+    scen = tmp_path / "scenario.json"
+    scen.write_bytes(text)
+    for command in COMMANDS:
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -151,6 +188,17 @@ def test_cli_default_out_is_results_kind(tmp_path, monkeypatch):
 
 def test_cli_missing_file(tmp_path):
     assert main(["oracle", "--scenario", str(tmp_path / "nope.json")]) == 2
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    scen = write_scenario(tmp_path, lemma1={"particle_count": 4, "state": [2, 2]})
+    # a path below a regular file can be neither made nor written
+    blocked = scen / "out"
+    assert main(["check-lemma1", "--scenario", str(scen), "--out", str(blocked)]) == 2
+    assert main(["value", "--scenario", str(scen), "--out", str(tmp_path / "v"),
+                 "--export-field", str(blocked / "field.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and err.count("\n") == 2
 
 
 def test_cli_value_with_export(tmp_path, capsys):
@@ -221,3 +269,55 @@ def test_cli_exit_code_reflects_failures(tmp_path):
                                   "tv_tolerance": 1e-9, "unit_check": False})
     assert main(["oracle", "--scenario", str(scen), "--out",
                  str(tmp_path / "fail")]) == 1
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """Small scenarios over every model, with horizons, controls and grids near their limits."""
+    model = draw(st.sampled_from(["two-type", "three-type", "zero"]))
+    params = {}
+    if draw(st.booleans()):
+        params["horizon"] = draw(st.sampled_from([0.0, -1.0, float("inf")])
+                                 | st.floats(0.05, 3.0))
+    dimension = {"two-type": 2, "three-type": 3}.get(model, 2)
+    levels = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3, unique=True)
+    if model == "zero":
+        if draw(st.booleans()):
+            dimension = params["dimension"] = draw(st.integers(-1, 5))
+        if draw(st.booleans()):
+            params["payoff_coordinate"] = draw(st.integers(-1, 5))
+    else:
+        for key in ("u_levels", "v_levels"):
+            if draw(st.booleans()):
+                params[key] = draw(levels)
+    state = [0.0] * max(dimension, 2)
+    state[draw(st.integers(0, len(state) - 1))] = 1.0
+    particles = draw(st.integers(1, 6))
+    return {
+        "model": model,
+        "model_params": params,
+        "particle_counts": [particles],
+        "initial_state": state,
+        "start_time": draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0)),
+        "trials": 1,
+        "adversaries": [draw(st.sampled_from([
+            {"kind": "extremal"}, {"kind": "random"}, {"kind": "greedy"},
+            {"kind": "constant", "value": 0.0}, {"kind": "constant", "value": 1.0}]))],
+        "value_grid": {"n_x": draw(st.integers(2, 10)), "n_t": draw(st.integers(1, 10))},
+        "simulate": {"episodes": 1, "partition_step_count": 2, "particle_count": particles},
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_scenarios())
+@example({**THREE_TYPE, "value_grid": {"n_x": 8, "n_t": 1}})
+@example({"model": "two-type", "model_params": {"horizon": float("inf")}})
+@example({"model": "zero", "model_params": {"payoff_coordinate": 5}})
+def test_cli_fuzzed_scenarios_exit_0_1_or_2(payload):
+    # main raises on a traceback; every other outcome is an exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = Path(tmp) / "scenario.json"
+        scen.write_text(json.dumps(payload))
+        for command in ("value", "simulate"):
+            assert main([command, "--scenario", str(scen), "--out", str(Path(tmp) / "out")]) \
+                in (0, 1, 2)

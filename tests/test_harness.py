@@ -26,7 +26,6 @@ from chainguide.models import (
     coupling_constants,
     estimate_constants,
 )
-from chainguide.simplex import LatticeState
 
 
 def small_scenario(**overrides):
@@ -131,7 +130,7 @@ def test_one_step_kernel_matches_exact_oracle():
     v_idx = np.full(20000, 2, dtype=np.int64)  # v = 1
     mc_mean, mc_sem = _one_step_squared_distance(
         model, constants.k, 0.1, 0.02, counts0, 2, v_idx, w_plus, 20000, rng)
-    exact = _exact_squared_distance(model, 0.1, 0.02, LatticeState(counts0),
+    exact = _exact_squared_distance(model, 0.1, 0.02, counts0,
                                     1.0, 1.0, w_plus)
     assert abs(mc_mean - exact) <= 3.5 * mc_sem
 
@@ -151,7 +150,7 @@ def test_one_step_kernel_coincident_start_noise_only():
         model, constants.k, 0.0, delta, counts0, 2, v_idx, w_plus, 20000, rng)
     assert mc_mean <= c_gain * h * delta + 3 * mc_sem
     # and the noise term is genuinely present
-    exact = _exact_squared_distance(model, 0.0, delta, LatticeState(counts0),
+    exact = _exact_squared_distance(model, 0.0, delta, counts0,
                                     1.0, 1.0, w_plus)
     assert exact > 0.0
     assert abs(mc_mean - exact) <= 3.5 * mc_sem

@@ -109,12 +109,12 @@ def test_project_rows_sums_a_long_vector_as_numpy_does():
 
 
 def test_lattice_state_basics():
+    # the class is kept for the benchmark tracer only; its check is check_counts
     s = LatticeState([2, 2])
     assert s.total == 4
-    assert s.spacing == 0.25
-    assert np.allclose(s.coords(), [0.5, 0.5])
+    assert s.counts.dtype == np.int64 and s.counts.tolist() == [2, 2]
     with pytest.raises(ValueError):
-        LatticeState([2, 2], total=5)
+        LatticeState([2.5, 1.5])
     with pytest.raises(ValueError):
         LatticeState([-1, 5])
 
@@ -156,16 +156,17 @@ def test_enumeration_cap():
 
 def test_round_to_lattice_preserves_total_and_is_nearest():
     y = round_to_lattice([1.0, 0.0], 20)
-    assert list(y.counts) == [20, 0]
+    assert y.dtype == np.int64 and not y.flags.writeable
+    assert list(y) == [20, 0]
     y = round_to_lattice([0.4999, 0.5001], 3)
-    assert y.total == 3
+    assert y.sum() == 3
     # largest remainder: 3*0.5001 = 1.5003 gets the extra particle
-    assert list(y.counts) == [1, 2]
+    assert list(y) == [1, 2]
 
 
 @given(st.integers(min_value=1, max_value=50), st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=4))
 def test_round_to_lattice_total_preserved(total, weights):
     w = np.asarray(weights)
     state = round_to_lattice(w / w.sum(), total)
-    assert state.total == total
-    assert np.all(np.abs(state.counts - w / w.sum() * total) < 1.0 + 1e-9)
+    assert state.sum() == total
+    assert np.all(np.abs(state - w / w.sum() * total) < 1.0 + 1e-9)

@@ -6,7 +6,7 @@ from chainguide import models
 from chainguide.chain import RateBoundError
 from chainguide.guide import advance_guides
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap, mirrored
-from chainguide.simplex import LatticeState, project_rows
+from chainguide.simplex import project_rows
 from chainguide.strategy import (
     GREEDY_PROBE,
     ConstantPolicy,
@@ -110,7 +110,7 @@ def test_strategy_selector_matches_displacement_sign(two_type_setup):
 
 def test_strategy_role_enforced(two_type_setup):
     model, field = two_type_setup
-    y = LatticeState([5, 5])
+    y = [5, 5]
     partition = Partition.uniform(0, 1, 5)
     # player 2 on the model itself, and player 1 on the mirror, are both refused
     with pytest.raises(ValueError, match="player 2"):
@@ -126,7 +126,7 @@ def test_zero_model_episode_is_static():
     model = ZeroModel()
     field = solve_value(model, 10, build_simplex_grid(2, 10))
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, LatticeState([3, 1]), Partition.uniform(0, 1, 10),
+    record = run_episodes(model, [3, 1], Partition.uniform(0, 1, 10),
                           strat, 0.0, [np.random.default_rng(1)], record=True).records[0]
     assert np.all(record.counts == [3, 1])
     assert np.allclose(record.guide1, [0.75, 0.25])
@@ -137,7 +137,7 @@ def test_zero_model_episode_is_static():
 def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, LatticeState([20, 0]), Partition.uniform(0, 1, 50),
+    record = run_episodes(model, [20, 0], Partition.uniform(0, 1, 50),
                           strat, ConstantPolicy(1.0), [np.random.default_rng(5)],
                           record_jumps=True).records[0]
     assert np.all(record.counts.sum(axis=1) == 20)
@@ -153,7 +153,7 @@ def test_batched_episodes_match_sequential_runs(two_type_setup):
     model, field = two_type_setup
     strat1 = ControlWithGuideStrategy(field, model)
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
-    y = LatticeState([16, 4])
+    y = [16, 4]
     partition = Partition.uniform(0.0, 1.0, 25)
 
     def seeded(n):
@@ -172,7 +172,7 @@ def test_both_guides_private_and_recorded(two_type_setup):
     model, field = two_type_setup
     strat1 = ControlWithGuideStrategy(field, model)
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
-    record = run_episodes(model, LatticeState([10, 10]), Partition.uniform(0, 1, 20),
+    record = run_episodes(model, [10, 10], Partition.uniform(0, 1, 20),
                           strat1, strat2, [np.random.default_rng(9)], record=True).records[0]
     assert record.guide1 is not None and record.guide2 is not None
     assert record.guide1.shape == record.guide2.shape == (21, 2)
@@ -185,7 +185,7 @@ def test_both_guides_private_and_recorded(two_type_setup):
 
 def test_random_policy_reproducible(two_type_setup):
     model, field = two_type_setup
-    y = LatticeState([10, 10])
+    y = [10, 10]
     partition = Partition.uniform(0.0, 1.0, 10)
     pol = RandomPolicy(model.v_grid)
     a = run_episodes(model, y, partition, 1.0, pol, [np.random.default_rng([4, 0])])
@@ -262,7 +262,7 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
     assert np.array_equal(flags, base_end < base_start - slack)
 
     # player 2 in the base game is player 1 in the mirrored game
-    y = LatticeState(counts[0])
+    y = counts[0]
     partition = Partition.uniform(0.0, base.horizon, 5)
     guided = ControlWithGuideStrategy(field.negated(), mirror)
     batch = run_episodes(base, y, partition, RandomPolicy(base.u_grid), guided,
@@ -285,7 +285,7 @@ def test_mean_payoff_tracks_value(two_type_setup):
     model, field = two_type_setup
     strat1 = ControlWithGuideStrategy(field, model)
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
-    y = LatticeState([40, 0])
+    y = [40, 0]
     partition = Partition.uniform(0.0, 1.0, 50)
     rngs = [np.random.default_rng([101, i]) for i in range(200)]
     batch = run_episodes(model, y, partition, strat1, strat2, rngs)
@@ -299,7 +299,7 @@ def test_mean_payoff_tracks_value(two_type_setup):
 def test_trajectory_record_serialization(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, LatticeState([8, 2]), Partition.uniform(0, 1, 5),
+    record = run_episodes(model, [8, 2], Partition.uniform(0, 1, 5),
                           strat, 0.5, [np.random.default_rng(13)],
                           record_jumps=True).records[0]
     payload = record.to_dict()
@@ -328,7 +328,7 @@ def test_rate_bound_resolved_once_per_run(monkeypatch):
 
     monkeypatch.setattr(models, "estimate_constants", counting)
     rngs = [np.random.default_rng([2, i]) for i in range(5)]
-    run_episodes(SampledKTwoType(), LatticeState([3, 2]), Partition.uniform(0.0, 1.0, 20),
+    run_episodes(SampledKTwoType(), [3, 2], Partition.uniform(0.0, 1.0, 20),
                  1.0, 0.5, rngs)
     assert len(calls) <= 1
 
@@ -338,7 +338,7 @@ def test_run_episodes_rate_bound_error():
     model.declared_k = 0.5  # lie: actual rates reach 1.0
     rngs = [np.random.default_rng([1, i]) for i in range(10)]
     with pytest.raises(RateBoundError):
-        run_episodes(model, LatticeState([5, 5]), Partition.uniform(0.0, 1.0, 10),
+        run_episodes(model, [5, 5], Partition.uniform(0.0, 1.0, 10),
                      1.0, 1.0, rngs)
 
 
@@ -346,12 +346,12 @@ def test_episode_batch_thinning_tallies():
     model = TwoTypeModel()
     partition = Partition.uniform(0.0, 1.0, 10)
     rngs = [np.random.default_rng([6, i]) for i in range(8)]
-    batch = run_episodes(model, LatticeState([6, 2]), partition, 1.0, 0.5, rngs)
+    batch = run_episodes(model, [6, 2], partition, 1.0, 0.5, rngs)
     # candidates arrive at rate (d-1) K M = 8 over unit time, per trial
     assert 0 < batch.accepted <= batch.candidates
     assert batch.candidates == pytest.approx(8 * 8, rel=0.5)
     assert batch.max_rate_ratio == 1.0
-    singles = [run_episodes(model, LatticeState([6, 2]), partition, 1.0, 0.5,
+    singles = [run_episodes(model, [6, 2], partition, 1.0, 0.5,
                             [np.random.default_rng([6, i])]) for i in range(8)]
     assert batch.candidates == sum(s.candidates for s in singles)
     assert batch.accepted == sum(s.accepted for s in singles)

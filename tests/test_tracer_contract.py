@@ -16,7 +16,6 @@ import pytest
 
 from chainguide import chain, guide, harness, strategy, value
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, estimate_constants
-from chainguide.simplex import LatticeState
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,12 +33,12 @@ def tracer():
 
 def _episodes():
     rngs = [np.random.default_rng([1, i]) for i in range(4)]
-    strategy.run_episodes(TwoTypeModel(), LatticeState([6, 2]),
+    strategy.run_episodes(TwoTypeModel(), [6, 2],
                           strategy.Partition.uniform(0.0, 1.0, 5), 1.0, 0.5, rngs)
 
 
 def _terminal_law():
-    chain.sample_final_distribution(TwoTypeModel(), 0.0, 1.0, LatticeState([3, 1]),
+    chain.sample_final_distribution(TwoTypeModel(), 0.0, 1.0, [3, 1],
                                     1.0, 0.0, trials=20, seed=3)
 
 

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -409,6 +410,34 @@ def test_field_load_rejects_uneven_times_and_non_finite_values():
         values[2][3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ValueField.from_dict(dict(payload, values=values))
+
+
+def test_field_load_rejects_malformed_payloads(tmp_path):
+    good = ValueField(build_simplex_grid(2, 4), np.linspace(0.0, 1.0, 3),
+                      np.zeros((3, 5))).to_dict()
+    bad = {
+        "not-a-mapping": [good],
+        "missing-times": {k: v for k, v in good.items() if k != "times"},
+        "missing-horizon": {k: v for k, v in good.items() if k != "horizon"},
+        "string-dimension": dict(good, dimension="2"),
+        "float-resolution": dict(good, resolution=4.0),
+        "string-horizon": dict(good, horizon="1.0"),
+        "mapping-times": dict(good, times={"t": 1.0}),
+        "mapping-values": dict(good, values=[[{}] * 5] * 3),
+        # the stored horizon used to be ignored: this loaded as horizon 1
+        "horizon-not-last-time": dict(good, horizon=5.0),
+    }
+    path = tmp_path / "field.json"
+    for name, payload in bad.items():
+        with pytest.raises(ValueError):
+            ValueField.from_dict(payload)
+            pytest.fail(name)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            ValueField.load(path)
+            pytest.fail(name)
+    path.write_text(json.dumps(dict(good, horizon=1)))
+    assert ValueField.load(path).horizon == 1.0
 
 
 def test_field_load_rejects_other_files(tmp_path):
