@@ -21,13 +21,14 @@ import numpy as np
 from . import __version__
 from .chain import (
     Distribution,
+    default_ode_step,
     dynkin_residual,
     master_evolve,
     sample_final_distribution,
     simulate_chain,
     tv_distance,
 )
-from .guide import ODE_STEP, advance_guides
+from .guide import ODE_STEP, CandidateFamily, advance_guides
 from .models import (
     ModelConstants,
     RateModel,
@@ -49,6 +50,7 @@ from .strategy import (
 )
 from .value import (
     LATTICE_CAP,
+    SOLVE_BLOCK_POINTS,
     SimplexGrid,
     ValueField,
     build_simplex_grid,
@@ -380,48 +382,62 @@ def _init_worker(setup):
     _worker_setup = setup
 
 
-def _run_trial_block(setup, config_index, m_steps, particle_count,
-                     adversary_spec, seat, lo, hi):
-    """Run trials [lo, hi) of one configuration, the guided player in ``seat``."""
+def _run_trial_block(setup, m_steps, adversary_spec, seat, block):
+    """Run one block of trials as one episode batch, the guided player in ``seat``.
+
+    ``block`` lists (configuration index, particle count, trial) entries of
+    configurations that share ``m_steps`` and the adversary. Each trial
+    draws only from the generator keyed by (seed, configuration index,
+    trial), so its results do not depend on what else shares its block.
+    """
     scenario, model, constants, field, starts = setup
-    y = starts[particle_count]
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
     guided = ControlWithGuideStrategy(*_seat_view(seat, field, model), constants)
     adversary = _build_adversary(adversary_spec, *_seat_view(3 - seat, field, model), constants)
     player1, player2 = (guided, adversary) if seat == 1 else (adversary, guided)
+    ys = np.array([starts[particle_count] for _, particle_count, _ in block])
     rngs = [np.random.default_rng([scenario.seed, config_index, trial])
-            for trial in range(lo, hi)]
-    batch = run_episodes(model, y, partition, player1, player2, rngs,
+            for config_index, _, trial in block]
+    batch = run_episodes(model, ys, partition, player1, player2, rngs,
                          rate_bound=constants.k)
-    return lo, batch.payoffs, batch.violation_fraction1, batch.violation_fraction2
+    return batch.payoffs, batch.violation_fraction1, batch.violation_fraction2
 
 
 def _worker_entry(args):
     return _run_trial_block(_worker_setup, *args)
 
 
-def _collect_trials(setup, config_index, m_steps, particle_count,
-                    adversary_spec, seat, workers, pool):
-    trials = setup.scenario.trials
-    payoffs = np.empty(trials)
-    viol1 = np.empty(trials)
-    viol2 = np.empty(trials)
-    chunk = math.ceil(trials / max(workers, 1))
-    tasks = [
-        (config_index, m_steps, particle_count, adversary_spec, seat,
-         lo, min(lo + chunk, trials))
-        for lo in range(0, trials, chunk)
-    ]
+def _collect_trials(setup, configs, seat, processes, pool):
+    """Per-configuration (payoffs, viol1, viol2) arrays, each (configurations, trials).
+
+    ``configs`` lists (partition steps, particle count, adversary index) in
+    configuration-index order. The trials of every configuration that
+    shares (partition steps, adversary) are pooled and cut into blocks of
+    about SOLVE_BLOCK_POINTS guide rows, small enough that every worker
+    process gets a block; each block is one task.
+    """
+    scenario, model, _, _, _ = setup
+    trials = scenario.trials
+    # the hull family of the guided player's own control grid
+    family = CandidateFamily.build((model.u_grid, model.v_grid)[seat - 1].values().size)
+    groups = {}
+    for config_index, (m_steps, particle_count, adv_index) in enumerate(configs):
+        groups.setdefault((m_steps, adv_index), []).extend(
+            (config_index, particle_count, trial) for trial in range(trials))
+    tasks = []
+    for (m_steps, adv_index), units in groups.items():
+        size = min(SOLVE_BLOCK_POINTS // family.count, math.ceil(len(units) / processes))
+        tasks.extend((m_steps, scenario.adversaries[adv_index], seat, units[lo:lo + size])
+                     for lo in range(0, len(units), size))
     if pool is None:
         results = [_run_trial_block(setup, *task) for task in tasks]
     else:
         results = pool.map(_worker_entry, tasks)
-    for lo, block_payoffs, block_v1, block_v2 in results:
-        hi = lo + block_payoffs.size
-        payoffs[lo:hi] = block_payoffs
-        viol1[lo:hi] = block_v1
-        viol2[lo:hi] = block_v2
-    return payoffs, viol1, viol2
+    outcomes = np.empty((3, len(configs), trials))
+    for task, block_outcomes in zip(tasks, results):
+        config_index, _, trial = np.array(task[-1]).T
+        outcomes[:, config_index, trial] = block_outcomes
+    return outcomes
 
 
 EXPERIMENT_COLUMNS = [
@@ -466,73 +482,74 @@ def _run_bound_experiment(scenario, seat, workers):
     # corollary gets the same figures as a separate branch would
     sign = 1.0 if seat == 1 else -1.0
 
+    configs = [(m_steps, particle_count, adv_index)
+               for m_steps in scenario.partition_steps
+               for particle_count in scenario.particle_counts
+               for adv_index in range(len(scenario.adversaries))]
     pool = None
-    processes = min(workers, scenario.trials)
+    processes = max(1, min(workers, scenario.trials))
     if processes > 1:
         # forked workers inherit the setup instead of rebuilding or unpickling it
         pool = multiprocessing.get_context("fork").Pool(
             processes, initializer=_init_worker, initargs=(setup,))
-    rows = []
-    gap_groups = {}
     try:
-        config_index = 0
-        for m_steps in scenario.partition_steps:
-            for particle_count in scenario.particle_counts:
-                for adv in scenario.adversaries:
-                    h = 1.0 / particle_count
-                    val0 = field.eval(scenario.start_time,
-                                      starts[particle_count] / particle_count)
-                    payoffs, viol1, viol2 = _collect_trials(
-                        setup, config_index, m_steps, particle_count, adv,
-                        seat, workers, pool)
-                    n = payoffs.size
-                    mean = float(np.sum(payoffs) / n)
-                    sem = float(np.std(payoffs, ddof=1) / math.sqrt(n))
-                    spread = r_const * math.sqrt(d_const * h)
-                    tail = (d_const * h) ** (1.0 / 3.0)
-                    mean_bound = val0 + sign * spread
-                    mean_ok = sign * mean <= sign * mean_bound + 2.0 * sem
-                    threshold = val0 + sign * (r_const * tail)
-                    exceed_count = int(np.sum(sign * payoffs >= sign * threshold))
-                    gap = sign * (mean - val0)
-                    own_viol, opp_viol = (float(np.sum(v) / n) for v in
-                                          ((viol1, viol2) if seat == 1 else (viol2, viol1)))
-                    exceed_prob = exceed_count / n
-                    exceed_ci = Z_95 * math.sqrt(exceed_prob * (1.0 - exceed_prob) / n)
-                    # the tail bound says nothing once its right side reaches 1,
-                    # nor at zero (a rate-free model sits exactly on the threshold)
-                    vacuous = tail >= 1.0 or tail <= 0.0
-                    exceed_ok = bool(vacuous or exceed_prob <= tail + exceed_ci)
-                    label = adversary_label(adv)
-                    rows.append({
-                        "h": h,
-                        "partition_diameter": (model.horizon - scenario.start_time) / m_steps,
-                        "adversary": label,
-                        "trials": n,
-                        "mean_payoff": mean,
-                        "sem": sem,
-                        "value_start": val0,
-                        "k": constants.k,
-                        "l": constants.l,
-                        "r": r_const,
-                        "d_const": d_const,
-                        "mean_bound": mean_bound,
-                        "mean_ok": bool(mean_ok),
-                        "exceed_threshold": threshold,
-                        "exceed_prob": exceed_prob,
-                        "exceed_ci": exceed_ci,
-                        "exceed_bound": tail,
-                        "exceed_vacuous": bool(vacuous),
-                        "exceed_ok": exceed_ok,
-                        "guide_violation_fraction": own_viol,
-                        "opp_guide_violation_fraction": opp_viol,
-                    })
-                    gap_groups.setdefault((label, m_steps), []).append((h, gap))
-                    config_index += 1
+        outcomes = _collect_trials(setup, configs, seat, processes, pool)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+
+    rows = []
+    gap_groups = {}
+    for config_index, (m_steps, particle_count, adv_index) in enumerate(configs):
+        adv = scenario.adversaries[adv_index]
+        h = 1.0 / particle_count
+        val0 = field.eval(scenario.start_time,
+                          starts[particle_count] / particle_count)
+        payoffs, viol1, viol2 = outcomes[:, config_index]
+        n = payoffs.size
+        mean = float(np.sum(payoffs) / n)
+        sem = float(np.std(payoffs, ddof=1) / math.sqrt(n))
+        spread = r_const * math.sqrt(d_const * h)
+        tail = (d_const * h) ** (1.0 / 3.0)
+        mean_bound = val0 + sign * spread
+        mean_ok = sign * mean <= sign * mean_bound + 2.0 * sem
+        threshold = val0 + sign * (r_const * tail)
+        exceed_count = int(np.sum(sign * payoffs >= sign * threshold))
+        gap = sign * (mean - val0)
+        own_viol, opp_viol = (float(np.sum(v) / n) for v in
+                              ((viol1, viol2) if seat == 1 else (viol2, viol1)))
+        exceed_prob = exceed_count / n
+        exceed_ci = Z_95 * math.sqrt(exceed_prob * (1.0 - exceed_prob) / n)
+        # the tail bound says nothing once its right side reaches 1,
+        # nor at zero (a rate-free model sits exactly on the threshold)
+        vacuous = tail >= 1.0 or tail <= 0.0
+        exceed_ok = bool(vacuous or exceed_prob <= tail + exceed_ci)
+        label = adversary_label(adv)
+        rows.append({
+            "h": h,
+            "partition_diameter": (model.horizon - scenario.start_time) / m_steps,
+            "adversary": label,
+            "trials": n,
+            "mean_payoff": mean,
+            "sem": sem,
+            "value_start": val0,
+            "k": constants.k,
+            "l": constants.l,
+            "r": r_const,
+            "d_const": d_const,
+            "mean_bound": mean_bound,
+            "mean_ok": bool(mean_ok),
+            "exceed_threshold": threshold,
+            "exceed_prob": exceed_prob,
+            "exceed_ci": exceed_ci,
+            "exceed_bound": tail,
+            "exceed_vacuous": bool(vacuous),
+            "exceed_ok": exceed_ok,
+            "guide_violation_fraction": own_viol,
+            "opp_guide_violation_fraction": opp_viol,
+        })
+        gap_groups.setdefault((label, m_steps), []).append((h, gap))
 
     slopes = {}
     multi_h = {}
@@ -616,7 +633,7 @@ def run_lemma1_check(scenario):
 
     per_delta = {}
     for delta in deltas:
-        dist = _evolve_point_mass(model, t0, delta, counts, u, v)
+        dist = _evolve_point_mass(model, t0, delta, counts, u, v, constants.k)
         single_mass = 0.0
         residuals = {}
         for (i, j) in neighbor_keys:
@@ -664,11 +681,15 @@ def run_lemma1_check(scenario):
                    state=counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
 
 
-def _evolve_point_mass(model, t0, delta, counts, u, v):
+def _evolve_point_mass(model, t0, delta, counts, u, v, rate_bound=None):
     """Exact law, ``delta`` after ``t0``, of the chain started at the count row ``counts``."""
-    space = SimplexGrid(model.dimension, int(np.sum(counts)))
-    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, counts),
-                         u, v, ode_step=min(0.002, delta / 10.0))
+    total = int(np.sum(counts))
+    space = SimplexGrid(model.dimension, total)
+    # RK4 on the forward equations is stable only while the step times the
+    # largest total jump rate, about M K, stays small
+    step = min(0.002, delta / 10.0, default_ode_step(model, total, rate_bound))
+    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, counts), u, v,
+                         ode_step=step)
 
 
 # -- one-step chain/guide coupling check --------------------------------------------
@@ -699,8 +720,8 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     return mean, sem
 
 
-def _exact_squared_distance(model, t0, delta, counts, u_val, v_val, w_plus):
-    dist = _evolve_point_mass(model, t0, delta, counts, u_val, v_val)
+def _exact_squared_distance(model, t0, delta, counts, u_val, v_val, w_plus, rate_bound=None):
+    dist = _evolve_point_mass(model, t0, delta, counts, u_val, v_val, rate_bound)
     sq = np.sum((dist.space.nodes - w_plus) ** 2, axis=1)
     return float(dist.probs @ sq)
 
@@ -754,6 +775,7 @@ def run_lemma2_check(scenario):
             w_plus = endpoints[0]
             rhs_base = (1.0 + beta * delta) * start_gap_sq + c_gain * h * delta
             allowance_coeff = float(coupling_allowance(model, constants, h, delta))
+            exact_by_v = {}  # v grid index -> exact mean, shared by the adversaries
             for adv_idx, adv in enumerate(scenario.adversaries):
                 kind = adv["kind"]
                 rng = np.random.default_rng([scenario.seed, 90002, p,
@@ -773,15 +795,15 @@ def run_lemma2_check(scenario):
                 mc_mean, mc_sem = _one_step_squared_distance(
                     model, constants.k, t0, delta, counts0, u_idx, v_trial_idx,
                     w_plus, trials, rng)
-                if kind == "random":
-                    exact = float(np.mean([
-                        _exact_squared_distance(model, t0, delta, counts0,
-                                                u_grid_vals[u_idx], v, w_plus)
-                        for v in v_grid_vals]))
-                else:
-                    exact = _exact_squared_distance(
-                        model, t0, delta, counts0, u_grid_vals[u_idx],
-                        v_grid_vals[v_trial_idx[0]], w_plus)
+                # the random reply's exact mean averages the whole v grid
+                replies = (range(v_grid_vals.size) if kind == "random"
+                           else [int(v_trial_idx[0])])
+                for v_idx in replies:
+                    if v_idx not in exact_by_v:
+                        exact_by_v[v_idx] = _exact_squared_distance(
+                            model, t0, delta, counts0, u_grid_vals[u_idx],
+                            v_grid_vals[v_idx], w_plus, constants.k)
+                exact = float(np.mean([exact_by_v[v_idx] for v_idx in replies]))
                 allowance = allowance_coeff * delta + 3.0 * mc_sem
                 violated = mc_mean > rhs_base + allowance
                 violations += int(violated)

@@ -61,8 +61,9 @@ def as_coords(x, d=None):
 def check_counts(counts, dimension):
     """Count rows of shape (..., dimension) as int64; raises ValueError unless they are states.
 
-    Entries must be nonnegative integer values and rows must share one
-    positive particle total. An empty batch passes.
+    Entries must be nonnegative integer values and every row must have a
+    positive particle total; rows of a batch may differ in total. An empty
+    batch passes.
     """
     raw = np.asarray(counts)
     if raw.ndim == 0 or raw.shape[-1] != dimension:
@@ -76,9 +77,8 @@ def check_counts(counts, dimension):
         raise ValueError("counts must be integers")
     if np.any(rows < 0):
         raise ValueError("particle counts must be nonnegative")
-    totals = rows.sum(axis=-1)
-    if totals.size and (np.any(totals != totals.flat[0]) or totals.flat[0] <= 0):
-        raise ValueError("count rows need one positive particle total")
+    if np.any(rows.sum(axis=-1) <= 0):
+        raise ValueError("count rows need a positive particle total")
     return rows
 
 

@@ -10,8 +10,10 @@ its own private guide.
 The episode runner is written over batches of trials: per-trial randomness
 comes from per-trial generators, and the deterministic numpy work
 (extremal selection, guide integration, value interpolation) is vectorized
-across the batch. Each trial's outputs depend only on its own generator,
-so results are independent of batch composition and worker layout.
+across the batch. A batch may mix particle totals, each row keeping its
+own lattice spacing. Each trial's outputs depend only on its own
+generator, so results are independent of batch composition and worker
+layout.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class EpisodeBatch:
 
 def run_episodes(model, y, partition, player1, player2, rngs,
                  rate_bound=None, record=False, record_jumps=False):
-    """Run one coupled episode per generator in ``rngs`` from the count row ``y``.
+    """Run one coupled episode per generator in ``rngs`` from the count rows ``y``.
 
     Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
     number (constant control). Player 1's guided strategy must be built on
@@ -245,11 +247,12 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     Strategy-side controls are held constant on each partition step; guide
     updates read the chain state from the start of the step they span.
 
-    All trials share the start state and partition. Strategy sides are
-    vectorized across trials; chain randomness is consumed strictly from
-    each trial's own generator, so per-trial results do not depend on how
-    trials are grouped into batches. With ``record`` the batch carries one
-    TrajectoryRecord per trial.
+    ``y`` is one count row that every trial starts from, or one row per
+    generator; rows may differ in particle total. All trials share the
+    partition. Strategy sides are vectorized across trials; chain
+    randomness is consumed strictly from each trial's own generator, so
+    per-trial results do not depend on how trials are grouped into batches.
+    With ``record`` the batch carries one TrajectoryRecord per trial.
     """
     y = check_counts(y, model.dimension)
     times = partition.times
@@ -266,12 +269,13 @@ def run_episodes(model, y, partition, player1, player2, rngs,
 
     n = len(rngs)
     d = model.dimension
-    total = int(y.sum())
-    h = 1.0 / total
+    if y.ndim != 1 and y.shape[:-1] != (n,):
+        raise ValueError("start from one count row, or from one row per generator")
+    counts = np.array(np.broadcast_to(y, (n, d)))
+    totals = counts.sum(axis=1, keepdims=True)
+    h = 1.0 / totals  # (n, 1): each row's lattice spacing
     steps = partition.steps
-    counts = np.tile(y, (n, 1))
-    start = y / total
-    guides = [np.tile(start, (n, 1)) if s is not None else None for s in strats]
+    guides = [counts / totals if s is not None else None for s in strats]
     viol = [np.zeros(n, dtype=np.int64) for _ in strats]
     replies = [None, None]
 

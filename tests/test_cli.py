@@ -271,6 +271,13 @@ def test_cli_exit_code_reflects_failures(tmp_path):
                  str(tmp_path / "fail")]) == 1
 
 
+def test_cli_lemma1_at_a_large_rate_bound_fails_without_a_traceback(tmp_path):
+    # with M K = 4e4 a fixed 0.002 RK4 step blows up the forward equations;
+    # the K-aware step does not, and the lemma's leading terms then fail
+    scen = write_scenario(tmp_path, particle_counts=[4], model_params={"u_levels": [0, 1e4]})
+    assert main(["check-lemma1", "--scenario", str(scen), "--out", str(tmp_path / "l1")]) == 1
+
+
 @st.composite
 def fuzzed_scenarios(draw):
     """Small scenarios over every model, with horizons, controls and grids near their limits."""

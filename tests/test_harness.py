@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainguide import harness
 from chainguide.harness import (
@@ -20,6 +22,7 @@ from chainguide.harness import (
     run_value,
 )
 from chainguide.chain import RateBoundError, simulate_chain
+from chainguide.strategy import ControlWithGuideStrategy, Partition, run_episodes
 from chainguide.models import (
     ThreeTypeRotorModel,
     TwoTypeModel,
@@ -277,6 +280,64 @@ def test_experiment_single_and_multi_worker_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert pa[0].endswith(".csv") and pb[1].endswith(".json")
+
+
+def _reference_experiment_rows(scenario, seat):
+    """Per-configuration figures from one ``run_episodes`` call per configuration.
+
+    Configuration c is the c-th (partition steps, particle count, adversary)
+    in that nesting order, and its trial i draws from (seed, c, i).
+    """
+    scenario, model, constants, field, starts = harness._setup(
+        scenario, scenario.particle_counts, adversary_seat=3 - seat)
+    rows = []
+    config_index = 0
+    for m_steps in scenario.partition_steps:
+        for particle_count in scenario.particle_counts:
+            for adv in scenario.adversaries:
+                partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
+                guided = ControlWithGuideStrategy(*harness._seat_view(seat, field, model),
+                                                  constants)
+                adversary = harness._build_adversary(
+                    adv, *harness._seat_view(3 - seat, field, model), constants)
+                players = (guided, adversary) if seat == 1 else (adversary, guided)
+                rngs = [np.random.default_rng([scenario.seed, config_index, trial])
+                        for trial in range(scenario.trials)]
+                batch = run_episodes(model, starts[particle_count], partition, *players,
+                                     rngs, rate_bound=constants.k)
+                n = scenario.trials
+                own, opp = ((batch.violation_fraction1, batch.violation_fraction2) if seat == 1
+                            else (batch.violation_fraction2, batch.violation_fraction1))
+                rows.append({
+                    "h": 1.0 / particle_count,
+                    "adversary": adversary_label(adv),
+                    "mean_payoff": float(np.sum(batch.payoffs) / n),
+                    "sem": float(np.std(batch.payoffs, ddof=1) / math.sqrt(n)),
+                    "guide_violation_fraction": float(np.sum(own) / n),
+                    "opp_guide_violation_fraction": float(np.sum(opp) / n),
+                })
+                config_index += 1
+    return rows
+
+
+@settings(max_examples=8, deadline=None)
+@given(seat=st.sampled_from([1, 2]), workers=st.sampled_from([1, 2]),
+       trials=st.integers(2, 7), block_trials=st.integers(1, 5), seed=st.integers(0, 50))
+def test_pooled_trial_blocks_match_one_batch_per_configuration(seat, workers, trials,
+                                                               block_trials, seed):
+    # a repeated particle count, two partitions and a block size that splits
+    # configurations: every block mixes totals and configurations
+    scen = small_scenario(
+        particle_counts=[20, 20, 7], partition_steps=[3, 2], trials=trials, seed=seed,
+        adversaries=[{"kind": "random"}, {"kind": "greedy"}, {"kind": "extremal"}],
+        value_grid={"n_x": 20, "n_t": 20})
+    run = run_theorem1_experiment if seat == 1 else run_corollary_experiment
+    with pytest.MonkeyPatch.context() as patch:
+        # 17 hull candidates per guide on the two-type grids
+        patch.setattr(harness, "SOLVE_BLOCK_POINTS", 17 * block_trials)
+        rows = run(scen, workers=workers).rows
+    expected = _reference_experiment_rows(scen, seat)
+    assert [{key: row[key] for key in expected[0]} for row in rows] == expected
 
 
 def test_corollary_bounds_hold():
