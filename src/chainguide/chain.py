@@ -225,16 +225,17 @@ def tv_distance(a, b):
     return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
-class _ForwardOperator:
-    """Precomputed jump bookkeeping for one lattice and constant controls; applies the generator."""
+class _LatticeGenerator:
+    """The chain's generator L on one count lattice, applied at any (t, u, v).
 
-    def __init__(self, model, space, u, v):
+    The d(d-1) single-jump neighbour tables are built once; u and v are
+    numbers or per-node arrays, as ``rate_matrix`` broadcasts them.
+    """
+
+    def __init__(self, model, grid):
         self.model = model
-        self.space = space
-        self.u = u
-        self.v = v
-        self.xs = space.nodes
-        counts = space.counts
+        self.grid = grid
+        counts = grid.counts
         d = model.dimension
         self.pairs = []
         for i in range(d):
@@ -245,34 +246,41 @@ class _ForwardOperator:
                 moved = counts[valid].copy()
                 moved[:, i] -= 1
                 moved[:, j] += 1
-                self.pairs.append((i, j, valid, space.node_index(moved)))
+                self.pairs.append((i, j, valid, grid.node_index(moved)))
 
-    def rates(self, t):
-        """counts_i * Q_ij for every state and ordered pair, as a list."""
+    def _jumps(self, t, u, v):
+        """(valid sources, target indices, counts_i * Q_ij) for every ordered pair i != j."""
         # q may omit the state axis when the rates do not depend on the state
-        q = self.model.rate_matrix(t, self.xs, self.u, self.v)
-        out = []
-        counts = self.space.counts
+        q = self.model.rate_matrix(t, self.grid.nodes, u, v)
+        counts = self.grid.counts
         for i, j, valid, to_idx in self.pairs:
-            out.append((valid, to_idx, counts[:, i] * q[..., i, j]))
-        return out
+            yield valid, to_idx, counts[:, i] * q[..., i, j]
 
-    def apply(self, t, p):
+    def forward(self, t, p, u, v):
+        """p L: the right side of the forward equations for the law p."""
         out = np.zeros_like(p)
-        for valid, to_idx, rate in self.rates(t):
+        for valid, to_idx, rate in self._jumps(t, u, v):
             flux = rate * p
             out -= flux
             np.add.at(out, to_idx, flux[valid])
         return out
 
-    def generator_on(self, t, fvals):
-        """(L f)(z) for every state z at time t."""
-        out = np.zeros_like(fvals)
-        for valid, to_idx, rate in self.rates(t):
-            diff = np.zeros_like(fvals)
-            diff[valid] = fvals[to_idx] - fvals[valid]
+    def backward(self, t, f, u, v):
+        """(L f)(z) at every node z for the node values f."""
+        out = np.zeros_like(f)
+        for valid, to_idx, rate in self._jumps(t, u, v):
+            diff = np.zeros_like(f)
+            diff[valid] = f[to_idx] - f[valid]
             out += rate * diff
         return out
+
+
+def _start_row(y, dimension):
+    """An oracle's start state: one count row, checked; a batch of rows raises."""
+    y = check_counts(y, dimension)
+    if y.ndim != 1:
+        raise ValueError("an oracle starts from a single count row, not a batch")
+    return y
 
 
 def default_ode_step(model, total, rate_bound=None):
@@ -283,26 +291,28 @@ def default_ode_step(model, total, rate_bound=None):
     return min(0.01, 0.1 / (total * k))
 
 
-def master_evolve(model, t0, t1, dist0, u, v, ode_step=None):
-    """Exact forward evolution of a lattice distribution under constant controls.
+def master_evolve(model, t0, t1, y, u, v, ode_step=None):
+    """Exact law at t1 of the chain started at the count row ``y`` at t0, under constant controls.
 
     Classic fourth-order fixed-step integration; the state spaces this
     oracle is meant for are tiny, so accuracy wins over speed.
     """
     if t1 < t0:
         raise ValueError("need t1 >= t0")
-    space = dist0.space
-    op = _ForwardOperator(model, space, u, v)
-    h = ode_step if ode_step is not None else default_ode_step(model, space.resolution)
+    y = _start_row(y, model.dimension)
+    grid = SimplexGrid(model.dimension, int(y.sum()))
+    gen = _LatticeGenerator(model, grid)
+    h = ode_step if ode_step is not None else default_ode_step(model, grid.resolution)
+    start = Distribution.point_mass(grid, y)
     span = t1 - t0
     if span == 0.0:
-        return Distribution(space, dist0.probs.copy())
+        return start
     steps = max(1, math.ceil(span / h))
     dt = span / steps
-    p = dist0.probs.copy()
+    p = start.probs
     t = t0
     for _ in range(steps):
-        p = rk4_step(op.apply, t, p, dt)
+        p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
         t += dt
     if p.min() < -NEGATIVE_PROB_TOL:
         raise IntegrationError(
@@ -311,7 +321,7 @@ def master_evolve(model, t0, t1, dist0, u, v, ode_step=None):
     if drift > PROB_SUM_TOL:
         raise IntegrationError(f"probability mass drifted by {drift:.3e}")
     project_rows(p)
-    return Distribution(space, p)
+    return Distribution(grid, p)
 
 
 def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
@@ -322,11 +332,11 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     the generator term along the stored trajectory, started from the count
     row ``y``. The residual therefore measures integrator consistency only.
     """
-    y = check_counts(y, model.dimension)
+    y = _start_row(y, model.dimension)
     total = int(y.sum())
-    space = SimplexGrid(model.dimension, total)
-    op = _ForwardOperator(model, space, u, v)
-    fvals = np.array([float(f(x)) for x in space.nodes])
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    fvals = np.array([float(f(x)) for x in grid.nodes])
     span = t1 - t0
     if span <= 0.0:
         raise ValueError("need t1 > t0")
@@ -334,13 +344,13 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     if steps % 2:
         steps += 1
     dt = span / steps
-    p = Distribution.point_mass(space, y).probs
+    p = Distribution.point_mass(grid, y).probs
     times = t0 + dt * np.arange(steps + 1)
     integrand = np.empty(steps + 1)
-    integrand[0] = p @ op.generator_on(times[0], fvals)
+    integrand[0] = p @ gen.backward(times[0], fvals, u, v)
     for step in range(steps):
-        p = rk4_step(op.apply, times[step], p, dt)
-        integrand[step + 1] = p @ op.generator_on(times[step + 1], fvals)
+        p = rk4_step(lambda s, q: gen.forward(s, q, u, v), times[step], p, dt)
+        integrand[step + 1] = p @ gen.backward(times[step + 1], fvals, u, v)
     # composite Simpson over the stored (even) grid
     integral = (dt / 3.0) * (integrand[0] + integrand[-1]
                              + 4.0 * integrand[1:-1:2].sum()
@@ -357,7 +367,7 @@ def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=N
     (seed, i); the generators are made TRIAL_BLOCK at a time. Results
     depend neither on execution order nor on the block size.
     """
-    y = check_counts(y, model.dimension)
+    y = _start_row(y, model.dimension)
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     finals = np.tile(y, (trials, 1))
     for lo in range(0, trials, TRIAL_BLOCK):

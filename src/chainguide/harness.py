@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    Distribution,
     default_ode_step,
     dynkin_residual,
     master_evolve,
@@ -633,7 +632,7 @@ def run_lemma1_check(scenario):
 
     per_delta = {}
     for delta in deltas:
-        dist = _evolve_point_mass(model, t0, delta, counts, u, v, constants.k)
+        dist = _lemma_law(model, t0, delta, counts, u, v, constants.k)
         single_mass = 0.0
         residuals = {}
         for (i, j) in neighbor_keys:
@@ -681,15 +680,12 @@ def run_lemma1_check(scenario):
                    state=counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
 
 
-def _evolve_point_mass(model, t0, delta, counts, u, v, rate_bound=None):
+def _lemma_law(model, t0, delta, counts, u, v, rate_bound=None):
     """Exact law, ``delta`` after ``t0``, of the chain started at the count row ``counts``."""
-    total = int(np.sum(counts))
-    space = SimplexGrid(model.dimension, total)
     # RK4 on the forward equations is stable only while the step times the
     # largest total jump rate, about M K, stays small
-    step = min(0.002, delta / 10.0, default_ode_step(model, total, rate_bound))
-    return master_evolve(model, t0, t0 + delta, Distribution.point_mass(space, counts), u, v,
-                         ode_step=step)
+    step = min(0.002, delta / 10.0, default_ode_step(model, int(np.sum(counts)), rate_bound))
+    return master_evolve(model, t0, t0 + delta, counts, u, v, ode_step=step)
 
 
 # -- one-step chain/guide coupling check --------------------------------------------
@@ -721,7 +717,7 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
 
 
 def _exact_squared_distance(model, t0, delta, counts, u_val, v_val, w_plus, rate_bound=None):
-    dist = _evolve_point_mass(model, t0, delta, counts, u_val, v_val, rate_bound)
+    dist = _lemma_law(model, t0, delta, counts, u_val, v_val, rate_bound)
     sq = np.sum((dist.space.nodes - w_plus) ** 2, axis=1)
     return float(dist.probs @ sq)
 
@@ -874,8 +870,7 @@ def run_oracle_check(scenario):
         """The simulated and the exact law at t0 + elapsed of the chain started at ``counts``."""
         empirical = sample_final_distribution(model, t0, t0 + elapsed, counts, u, v, trials,
                                               seed=seed, rate_bound=constants.k)
-        return empirical, master_evolve(model, t0, t0 + elapsed,
-                                        Distribution.point_mass(empirical.space, counts), u, v)
+        return empirical, master_evolve(model, t0, t0 + elapsed, counts, u, v)
 
     empirical, oracle = laws(starts[total], scenario.seed)
     tv = tv_distance(empirical, oracle)

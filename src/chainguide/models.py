@@ -258,22 +258,26 @@ def resolve_k(model, constants=None):
     return estimate_constants(model).constants.k
 
 
-def control_surface(model, t, x, xi):
-    """<xi, xQ(t, x, u, v)> over the control grids as an (nu, nv) array."""
-    coords = as_coords(x, model.dimension)
-    drifts = model.drift_grid_multi(t, coords[None, :])[0]
-    return drifts @ np.asarray(xi, dtype=float)
+def control_surface(model, t, xs, xis):
+    """<xi, xQ(t, x, u, v)> over the control grids for a batch of (x, xi) rows: (n, nu, nv)."""
+    drifts = model.drift_grid_multi(t, xs)
+    return np.einsum("nuvd,nd->nuv", drifts, xis)
+
+
+def _point_surface(model, t, x, xi):
+    return control_surface(model, t, as_coords(x, model.dimension)[None, :],
+                           as_coords(xi)[None, :])[0]
 
 
 def hamiltonian(model, t, x, xi):
     """min over u of max over v of <xi, xQ(t, x, u, v)> on the grids."""
-    s = control_surface(model, t, x, xi)
+    s = _point_surface(model, t, x, xi)
     return float(s.max(axis=1).min())
 
 
 def isaacs_gap(model, t, x, xi):
     """Gap between the two enumeration orders of the control surface (always >= 0)."""
-    s = control_surface(model, t, x, xi)
+    s = _point_surface(model, t, x, xi)
     return float(s.max(axis=1).min() - s.min(axis=0).max())
 
 
@@ -375,8 +379,6 @@ class SamplingSpec:
 class ConstantsReport:
     constants: ModelConstants
     sampled: dict
-    declared: dict
-    witnesses: dict
 
 
 def estimate_constants(model, spec=SamplingSpec(), seed=0):
@@ -384,19 +386,13 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
 
     K is the largest sampled |Q_ij|, L the steepest sampled slope of
     y -> yQ between simplex points, R the analogous slope of the payoff.
-    The witnesses record where each maximum was attained.
     """
     rng = np.random.default_rng(seed)
     d = model.dimension
-    witnesses = {}
 
     ts = rng.uniform(0.0, model.horizon, size=spec.samples)
     xs = random_simplex_points(rng, spec.samples, d)
-    rates = model.rate_matrix_grid_multi(ts, xs)
-    mags = np.abs(rates)
-    flat = int(np.argmax(mags))
-    sampled_k = float(mags.flat[flat])
-    witnesses["k"] = _unravel_sample(model, ts, xs, mags.shape[:3], flat // (d * d))
+    sampled_k = float(np.abs(model.rate_matrix_grid_multi(ts, xs)).max())
 
     m = spec.pair_samples
     y1 = random_simplex_points(rng, m, d)
@@ -414,18 +410,11 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
     d1 = model.drift_grid_multi(tp, y1)
     d2 = model.drift_grid_multi(tp, y2)
     slopes = np.linalg.norm(d1 - d2, axis=-1) / np.where(ok, gap, np.inf)[:, None, None]
-    flat = int(np.argmax(slopes))
-    sampled_l = float(slopes.flat[flat])
-    idx = np.unravel_index(flat, slopes.shape)
-    witnesses["l"] = (float(tp[idx[0]]), y1[idx[0]].copy(), y2[idx[0]].copy(),
-                      model.u_grid[idx[1]], model.v_grid[idx[2]])
+    sampled_l = float(slopes.max())
 
     s1 = model.terminal_payoff(y1)
     s2 = model.terminal_payoff(y2)
-    payoff_slopes = np.abs(s1 - s2) / np.where(ok, gap, np.inf)
-    flat = int(np.argmax(payoff_slopes))
-    sampled_r = float(payoff_slopes[flat])
-    witnesses["r"] = (y1[flat].copy(), y2[flat].copy())
+    sampled_r = float((np.abs(s1 - s2) / np.where(ok, gap, np.inf)).max())
 
     if model.gamma_rate is not None:
         gamma = GammaTable.linear(model.gamma_rate)
@@ -445,7 +434,6 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
         gamma = GammaTable(deltas, values)
         sampled_gamma = gamma
 
-    declared = {"k": model.declared_k, "l": model.declared_l, "r": model.declared_r}
     constants = ModelConstants(
         k=model.declared_k if model.declared_k is not None else sampled_k,
         l=model.declared_l if model.declared_l is not None else sampled_l,
@@ -453,7 +441,7 @@ def estimate_constants(model, spec=SamplingSpec(), seed=0):
         gamma=gamma,
     )
     sampled = {"k": sampled_k, "l": sampled_l, "r": sampled_r, "gamma": sampled_gamma}
-    return ConstantsReport(constants, sampled, declared, witnesses)
+    return ConstantsReport(constants, sampled)
 
 
 def coupling_constants(model, constants):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import simulate_chain
 from .guide import advance_guides
-from .models import mirrored, resolve_k
+from .models import control_surface, mirrored, resolve_k
 from .simplex import check_counts, project_rows
 from .value import monotonicity_tolerance
 
@@ -65,12 +65,6 @@ class Partition:
 # -- extremal-shift control selection -----------------------------------------
 
 
-def displacement_surface(model, t, xs, disps):
-    """<disp, x Q(t, x, u, v)> over the grids for a batch: (n, nu, nv)."""
-    drifts = model.drift_grid_multi(t, xs)
-    return np.einsum("nuvd,nd->nuv", drifts, disps)
-
-
 def extremal_indices(model, t, xs, guides):
     """Grid indices of player 1's shift control u and the announced reply v, batched.
 
@@ -81,7 +75,7 @@ def extremal_indices(model, t, xs, guides):
     """
     xs = np.asarray(xs, dtype=float)
     disps = xs - np.asarray(guides, dtype=float)
-    surface = displacement_surface(model, t, xs, disps)
+    surface = control_surface(model, t, xs, disps)
     own = np.argmin(surface.max(axis=2), axis=1)
     reply = np.argmax(surface.min(axis=1), axis=1)
     return own, reply

@@ -10,6 +10,7 @@ from chainguide.chain import (
     IntegrationError,
     JumpEvent,
     RateBoundError,
+    _LatticeGenerator,
     dynkin_residual,
     master_evolve,
     sample_final_distribution,
@@ -122,26 +123,20 @@ def test_distribution_validation():
 
 
 def test_master_evolve_zero_model_is_identity():
-    space = SimplexGrid(2, 4)
-    dist = Distribution.point_mass(space, [1, 3])
-    out = master_evolve(ZeroModel(), 0.0, 1.0, dist, 1.0, 0.0)
-    assert np.allclose(out.probs, dist.probs, atol=1e-15)
+    out = master_evolve(ZeroModel(), 0.0, 1.0, [1, 3], 1.0, 0.0)
+    assert np.allclose(out.probs, Distribution.point_mass(out.space, [1, 3]).probs, atol=1e-15)
 
 
 def test_master_evolve_two_state_closed_form():
     model = TwoTypeModel()
-    space = SimplexGrid(2, 1)
-    dist = Distribution.point_mass(space, [1, 0])
-    out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.0)
+    out = master_evolve(model, 0.0, 1.0, [1, 0], 1.0, 0.0)
     assert out.prob_of([0, 1]) == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_master_evolve_conserves_mass():
     model = TwoTypeModel()
-    space = SimplexGrid(2, 6)
-    dist = Distribution.point_mass(space, [6, 0])
-    out = master_evolve(model, 0.0, 1.0, dist, 1.0, 0.5)
+    out = master_evolve(model, 0.0, 1.0, [6, 0], 1.0, 0.5)
     assert abs(out.probs.sum() - 1.0) <= 1e-10
     assert out.probs.min() >= 0.0
 
@@ -152,18 +147,15 @@ def test_master_evolve_flags_bad_steps():
             return 40.0 * super().rate_matrix(t, x, u, v)
 
     model = StiffModel()
-    space = SimplexGrid(2, 8)
-    dist = Distribution.point_mass(space, [8, 0])
     with pytest.raises(IntegrationError):
-        master_evolve(model, 0.0, 1.0, dist, 1.0, 1.0, ode_step=0.2)
+        master_evolve(model, 0.0, 1.0, [8, 0], 1.0, 1.0, ode_step=0.2)
 
 
 def test_simulator_matches_master_equation_tv():
     model = TwoTypeModel()
     y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
-    space = emp.space
-    oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(space, y), 1.0, 0.0)
+    oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
 
 
@@ -194,7 +186,7 @@ def test_rate_matrix_override_reaches_every_form():
     # the simulator reads rate_matrix and the oracle the per-row form
     y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
-    oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 0.0)
+    oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 0.0)
     assert tv_distance(emp, oracle) <= 0.02
 
 
@@ -204,7 +196,7 @@ def test_simulator_matches_oracle_time_dependent_model():
     model = ThreeTypeRotorModel()
     y = [2, 1, 1]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
-    oracle = master_evolve(model, 0.0, 1.0, Distribution.point_mass(emp.space, y), 1.0, 1.0)
+    oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 1.0)
     assert tv_distance(emp, oracle) <= 0.02
 
 
@@ -224,6 +216,94 @@ def test_dynkin_residual_two_type():
     res = dynkin_residual(model, lambda x: x[0], 0.0, 0.5, [2, 2], 1.0, 0.0,
                           ode_step=0.002)
     assert res <= 1e-8
+
+
+class _ReferenceOperator:
+    """The per-control operator the lattice generator replaced: (u, v) fixed when built."""
+
+    def __init__(self, model, space, u, v):
+        self.model = model
+        self.space = space
+        self.u = u
+        self.v = v
+        self.xs = space.nodes
+        counts = space.counts
+        d = model.dimension
+        self.pairs = []
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                valid = counts[:, i] >= 1
+                moved = counts[valid].copy()
+                moved[:, i] -= 1
+                moved[:, j] += 1
+                self.pairs.append((i, j, valid, space.node_index(moved)))
+
+    def rates(self, t):
+        q = self.model.rate_matrix(t, self.xs, self.u, self.v)
+        out = []
+        counts = self.space.counts
+        for i, j, valid, to_idx in self.pairs:
+            out.append((valid, to_idx, counts[:, i] * q[..., i, j]))
+        return out
+
+    def apply(self, t, p):
+        out = np.zeros_like(p)
+        for valid, to_idx, rate in self.rates(t):
+            flux = rate * p
+            out -= flux
+            np.add.at(out, to_idx, flux[valid])
+        return out
+
+    def generator_on(self, t, fvals):
+        out = np.zeros_like(fvals)
+        for valid, to_idx, rate in self.rates(t):
+            diff = np.zeros_like(fvals)
+            diff[valid] = fvals[to_idx] - fvals[valid]
+            out += rate * diff
+        return out
+
+
+@pytest.mark.parametrize("model", [TwoTypeModel(), ThreeTypeRotorModel()])
+@pytest.mark.parametrize("total", [1, 2, 5])
+def test_lattice_generator_matches_per_control_operators(model, total):
+    rng = np.random.default_rng([model.dimension, total])
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    n = grid.node_count
+    for u in model.u_grid.points:
+        for v in model.v_grid.points:
+            ref = _ReferenceOperator(model, grid, u, v)
+            t = float(rng.uniform(0.0, model.horizon))
+            p = rng.dirichlet(np.ones(n))
+            f = rng.standard_normal(n)
+            want_forward = ref.apply(t, p).tobytes()
+            want_backward = ref.generator_on(t, f).tobytes()
+            # the same pair as numbers and as per-node arrays of one control
+            for uu, vv in ((u, v), (np.full(n, u), np.full(n, v))):
+                assert gen.forward(t, p, uu, vv).tobytes() == want_forward
+                assert gen.backward(t, f, uu, vv).tobytes() == want_backward
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([TwoTypeModel(), ThreeTypeRotorModel()]), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_lattice_generator_is_a_generator(model, total, seed):
+    rng = np.random.default_rng(seed)
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    n = grid.node_count
+    t = float(rng.uniform(0.0, model.horizon))
+    # per-node controls drawn from the grids: a feedback the generator must accept
+    u = rng.choice(model.u_grid.values(), size=n)
+    v = rng.choice(model.v_grid.values(), size=n)
+    p = rng.dirichlet(np.ones(n))
+    f = rng.standard_normal(n)
+    forward = gen.forward(t, p, u, v)
+    assert abs(forward.sum()) <= 1e-12
+    assert not gen.backward(t, np.full(n, 2.5), u, v).any()
+    assert abs(p @ gen.backward(t, f, u, v) - forward @ f) <= 1e-12
 
 
 def _reference_one_trial(model, t0, t1, start, u, v, rng):
@@ -374,6 +454,13 @@ def _corrupt(counts, kind):
         return [0] * d
     if kind == "mixed-totals":
         return [counts, [counts[0] + 1] + counts[1:]]
+    if kind == "batch":
+        # a second row of the same total: a batch that only a single-row check rejects
+        other = list(counts)
+        i = counts.index(max(counts))
+        other[i] -= 1
+        other[(i + 1) % d] += 1
+        return [counts, other]
     return LatticeState(counts)
 
 
@@ -386,6 +473,7 @@ STATE_ENTRY_POINTS = {
         model, 0.0, 1.0, y, 1.0, 0.5, trials=2, seed=0),
     "dynkin_residual": lambda model, y: dynkin_residual(
         model, lambda x: x[0], 0.0, 0.1, y, 1.0, 0.5),
+    "master_evolve": lambda model, y: master_evolve(model, 0.0, 0.1, y, 1.0, 0.5),
     "Distribution.point_mass": lambda model, y: Distribution.point_mass(
         SimplexGrid(model.dimension, 4), y),
     "node_index": lambda model, y: SimplexGrid(model.dimension, 4).node_index(y),
@@ -399,6 +487,9 @@ STATE_ENTRY_POINTS = {
 # the entry points that take a batch of rows, each row with its own total; the
 # node-index entry points read one lattice, so they still need one total
 MIXED_TOTAL_BATCHES = {"check_counts", "run_episodes", "simulate_chain"}
+SAME_TOTAL_BATCHES = MIXED_TOTAL_BATCHES | {"node_index"}
+# the oracles start from one row and say so when given a batch
+ORACLE_ENTRY_POINTS = {"master_evolve", "sample_final_distribution", "dynkin_residual"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -409,13 +500,15 @@ def test_one_state_form_checked_at_every_entry_point(model, data):
                                max_size=model.dimension - 1).filter(lambda p: sum(p) <= 4))
     counts = parts + [4 - sum(parts)]
     kind = data.draw(st.sampled_from(["non-integer", "negative", "wrong-length",
-                                      "zero-total", "mixed-totals", "LatticeState"]))
+                                      "zero-total", "mixed-totals", "batch", "LatticeState"]))
     bad = _corrupt(counts, kind)
     for name, call in STATE_ENTRY_POINTS.items():
-        if kind == "mixed-totals" and name in MIXED_TOTAL_BATCHES:
-            call(model, bad)  # a batch whose rows differ in total is still a batch
+        if (kind == "mixed-totals" and name in MIXED_TOTAL_BATCHES
+                or kind == "batch" and name in SAME_TOTAL_BATCHES):
+            call(model, bad)  # a batch, whether or not its rows differ in total
             continue
-        with pytest.raises(ValueError):
+        batch = kind in ("mixed-totals", "batch") and name in ORACLE_ENTRY_POINTS
+        with pytest.raises(ValueError, match="single count row" if batch else None):
             call(model, bad)
             pytest.fail(f"{name} took a {kind} state")
 

@@ -136,7 +136,7 @@ def test_hamiltonian_matches_brute_force():
         x = rng.dirichlet(np.ones(3))
         xi = rng.standard_normal(3)
         t = rng.uniform(0, 1)
-        surface = control_surface(m, t, x, xi)
+        surface = control_surface(m, t, x[None, :], xi[None, :])[0]
         minmax, maxmin = brute_force_minimax(surface)
         assert hamiltonian(m, t, x, xi) == minmax
         assert isaacs_gap(m, t, x, xi) == minmax - maxmin

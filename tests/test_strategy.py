@@ -15,7 +15,6 @@ from chainguide.strategy import (
     Partition,
     RandomPolicy,
     TrajectoryRecord,
-    displacement_surface,
     extremal_indices,
     run_episodes,
 )
@@ -64,7 +63,7 @@ def test_extremal_controls_brute_force_certificates():
         w = rng.dirichlet(np.ones(3))
         t = rng.uniform(0, 1)
         own, reply = extremal_indices(model, t, x[None, :], w[None, :])
-        s = displacement_surface(model, t, x[None, :], (x - w)[None, :])[0]
+        s = models.control_surface(model, t, x[None, :], (x - w)[None, :])[0]
         ui, vi = int(own[0]), int(reply[0])
         # optimality certificates of the two enumeration orders
         assert np.all(s[ui].max() <= s.max(axis=1) + 1e-15)
@@ -237,7 +236,7 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
 
     # player 2's extremal pair stated on the base surface: the v that
     # minimizes the worst growth over u, the u that maximizes the best
-    surface = displacement_surface(base, t, xs, xs - guides)
+    surface = models.control_surface(base, t, xs, xs - guides)
     own, reply = extremal_indices(mirror, t, xs, guides)
     assert np.array_equal(own, np.argmin(surface.max(axis=1), axis=1))
     assert np.array_equal(reply, np.argmax(surface.min(axis=2), axis=1))

@@ -2,10 +2,11 @@
 
 ``perfbench/spans.py`` wraps ``chain.simulate_chain`` wherever chainguide
 binds it and sums each result's ``candidates``; it wraps
-``SimplexGrid.interpolate`` on the class and sums the points. A chain path
-or a value reader that stopped going through those names would leave the
-traced per-layer figures empty. The tracer module is only imported here;
-the benchmark is not run.
+``SimplexGrid.interpolate`` on the class and sums the points; it also wraps
+``chain.master_evolve``, whose calls and self time ``perfbench/bench.py``
+reports. A chain path, a value reader or an exact-law path that stopped
+going through those names would leave the traced per-layer figures empty.
+The tracer module is only imported here; the benchmark is not run.
 """
 
 import importlib.util
@@ -73,3 +74,9 @@ def test_value_readers_call_the_traced_interpolation(tracer):
     guides = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
     guide.advance_guides(field, model, 0.1, 0.15, guides, np.array([0, 1]), 0.0)
     assert stat.calls > calls and stat.amount > points
+
+
+def test_exact_law_paths_call_the_traced_oracle(tracer):
+    harness._exact_squared_distance(TwoTypeModel(), 0.1, 0.05, np.array([3, 1]), 1.0, 0.5,
+                                    np.array([0.5, 0.5]))
+    assert tracer.get("chain.master_evolve").calls == 1
