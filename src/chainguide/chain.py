@@ -26,18 +26,30 @@ nothing, so a row's draws and its path do not depend on which other rows
 share its batch: batch composition never changes results. With one
 shared Generator, every round draws one vector per quantity over its
 live rows, so a row's path depends on the whole batch.
+
+Per-trial generators are keyed: trial ``row`` of a run with key prefix
+``prefix`` draws from ``np.random.default_rng([*prefix, *row])``.
+``trial_generators`` builds a block of them at once, bit for bit the same
+generators, by hashing every key row in one pass of NumPy's SeedSequence
+mixing instead of one SeedSequence per trial.
+
+The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
+which advances a batch of laws on one lattice generator at once;
+``master_evolve`` is that loop for one law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .models import resolve_k
-from .simplex import check_counts, project_rows, rk4_step
+from .simplex import check_counts, project_rows, rk4_step, row_totals
 from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
@@ -47,6 +59,106 @@ NEGATIVE_PROB_TOL = 1e-9
 # generators of independent trials are made this many at a time, so a large
 # trial count never holds all of its generators at once
 TRIAL_BLOCK = 512
+
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _hashmix(value, const):
+    """SeedSequence's ``hashmix`` of uint32 words: (hashed words, next hash constant)."""
+    value = value ^ np.uint32(const)
+    const = const * _MULT_A & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 word arrays."""
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _int_words(n):
+    """SeedSequence's uint32 words of a nonnegative int: low word first, 0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("seed entries must be nonnegative integers")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _state_words_type():
+    """A seed sequence that hands PCG64 its four precomputed state words."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed words serve PCG64's (4, uint64) request only")
+            return self.words
+
+    return StateWords
+
+
+def trial_generators(prefix, keys):
+    """``[np.random.default_rng([*prefix, *row]) for row in keys]``, hashed in one vectorized pass.
+
+    ``prefix`` holds nonnegative ints, each split into SeedSequence's
+    uint32 words; ``keys`` is an (n, k) integer array whose entries must
+    lie in [0, 2**32), so that each is one word. Every row's entropy then
+    has the same length, the hash constants run the same course for all
+    rows, and SeedSequence's pool mixing and ``generate_state(4, uint64)``
+    become uint32 column arithmetic. Each row's words reach ``PCG64``
+    through a minimal ``ISeedSequence``.
+    """
+    raw = np.asarray(keys)
+    if raw.ndim != 2 or (raw.size and raw.dtype.kind not in "iu"):
+        raise ValueError("trial keys must be an (n, k) integer array")
+    if raw.size and (raw.min() < 0 or raw.max() > _MASK32):
+        raise ValueError("trial keys must lie in [0, 2**32)")
+    n = raw.shape[0]
+    head = [np.full(n, w, dtype=np.uint32) for p in prefix for w in _int_words(p)]
+    entropy = head + list(raw.T.astype(np.uint32))
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32),
+                               const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            word, const = _hashmix(entropy[src], const)
+            pool[dst] = _mix(pool[dst], word)
+    # generate_state(4, uint64): eight words cycled from the pool, paired little-endian
+    state = np.empty((n, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word = word * np.uint32(const)
+        state[:, i] = word ^ (word >> _XSHIFT)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    StateWords = _state_words_type()
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    return [Generator(PCG64(StateWords(words))) for words in state]
 
 
 class RateBoundError(RuntimeError):
@@ -125,6 +237,13 @@ def _shared_rounds(rng, t0, t1, scales, d):
         yield active, times[active], rng.random(k), rng.integers(0, d - 1, size=k), rng.random(k)
 
 
+def _source_types(xs, src):
+    """Source type of each candidate: the first type whose cumulative share exceeds src."""
+    cdf = np.cumsum(xs, axis=1)
+    draw = src * cdf[:, -1]
+    return np.minimum(row_totals(draw[:, None] >= cdf), xs.shape[1] - 1)
+
+
 def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_events=True):
     """Simulate a batch of chains over [t0, t1] by thinning; returns a ChainBatch.
 
@@ -153,7 +272,7 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
     if not (n and (d - 1) * k_bound > 0.0):
         return out
-    totals = counts.sum(axis=1)
+    totals = row_totals(counts)
     # candidates of row r arrive at the dominating rate (d - 1) K totals[r]
     scales = 1.0 / ((d - 1) * k_bound * totals)
     if shared:
@@ -165,9 +284,7 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     for rows, times, src, offset, accept_u in rounds:
         xs = counts[rows] / totals[rows, None]
         # source type from the current mix, target uniform among the rest
-        cdf = np.cumsum(xs, axis=1)
-        draw = src * cdf[:, -1]
-        i_sel = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+        i_sel = _source_types(xs, src)
         j_sel = offset + (offset >= i_sel)
         q = model.rate_matrix_multi(times, xs, u_rows[rows], v_rows[rows])[
             np.arange(rows.size), i_sel, j_sel]
@@ -202,6 +319,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.space.node_count,):
             raise ValueError("probability vector does not match the state space")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if p.min() < -NEGATIVE_PROB_TOL:
             raise ValueError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
@@ -257,12 +376,12 @@ class _LatticeGenerator:
             yield valid, to_idx, counts[:, i] * q[..., i, j]
 
     def forward(self, t, p, u, v):
-        """p L: the right side of the forward equations for the law p."""
+        """p L: the right side of the forward equations for the law p (N,) or laws p (B, N)."""
         out = np.zeros_like(p)
         for valid, to_idx, rate in self._jumps(t, u, v):
             flux = rate * p
             out -= flux
-            np.add.at(out, to_idx, flux[valid])
+            np.add.at(out, (..., to_idx), flux[..., valid])
         return out
 
     def backward(self, t, f, u, v):
@@ -291,6 +410,35 @@ def default_ode_step(model, total, rate_bound=None):
     return min(0.01, 0.1 / (total * k))
 
 
+def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
+    """RK4 of the forward equations on ``gen``'s lattice: the laws at t1 of the laws ``p`` at t0.
+
+    ``p`` is one law (N,) or a batch (B, N); ``u`` and ``v`` are numbers
+    or (B, 1) columns, one control pair per law. The span is cut into
+    equal steps of at most ``ode_step``. Each law's result is the one a
+    batch of one would give, bit for bit.
+    """
+    if not (math.isfinite(ode_step) and ode_step > 0.0):
+        raise ValueError(f"the integrator step must be positive and finite, got {ode_step!r}")
+    span = t1 - t0
+    if span == 0.0:
+        return p
+    steps = max(1, math.ceil(span / ode_step))
+    dt = span / steps
+    t = t0
+    for _ in range(steps):
+        p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
+        t += dt
+    if p.min() < -NEGATIVE_PROB_TOL:
+        raise IntegrationError(
+            f"negative probability {p.min():.3e}; reduce the integrator step")
+    drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
+    if drift > PROB_SUM_TOL:
+        raise IntegrationError(f"probability mass drifted by {drift:.3e}")
+    project_rows(p)
+    return p
+
+
 def master_evolve(model, t0, t1, y, u, v, ode_step=None):
     """Exact law at t1 of the chain started at the count row ``y`` at t0, under constant controls.
 
@@ -301,27 +449,10 @@ def master_evolve(model, t0, t1, y, u, v, ode_step=None):
         raise ValueError("need t1 >= t0")
     y = _start_row(y, model.dimension)
     grid = SimplexGrid(model.dimension, int(y.sum()))
-    gen = _LatticeGenerator(model, grid)
     h = ode_step if ode_step is not None else default_ode_step(model, grid.resolution)
-    start = Distribution.point_mass(grid, y)
-    span = t1 - t0
-    if span == 0.0:
-        return start
-    steps = max(1, math.ceil(span / h))
-    dt = span / steps
-    p = start.probs
-    t = t0
-    for _ in range(steps):
-        p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
-        t += dt
-    if p.min() < -NEGATIVE_PROB_TOL:
-        raise IntegrationError(
-            f"negative probability {p.min():.3e}; reduce the integrator step")
-    drift = abs(p.sum() - 1.0)
-    if drift > PROB_SUM_TOL:
-        raise IntegrationError(f"probability mass drifted by {drift:.3e}")
-    project_rows(p)
-    return Distribution(grid, p)
+    start = Distribution.point_mass(grid, y).probs
+    return Distribution(grid, _evolve_laws(_LatticeGenerator(model, grid), t0, t1, start,
+                                           u, v, h))
 
 
 def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
@@ -363,16 +494,19 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
 def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=None):
     """Empirical law of the chain state at t1 over independent trials.
 
-    Trial i starts from the count row ``y`` and draws from its own generator keyed by
-    (seed, i); the generators are made TRIAL_BLOCK at a time. Results
-    depend neither on execution order nor on the block size.
+    Trial i starts from the count row ``y`` and draws from its own generator,
+    ``np.random.default_rng([seed, i])``, built by ``trial_generators``
+    TRIAL_BLOCK at a time. Results depend neither on execution order nor
+    on the block size. ``trials`` must be at least 1.
     """
     y = _start_row(y, model.dimension)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     finals = np.tile(y, (trials, 1))
     for lo in range(0, trials, TRIAL_BLOCK):
         hi = min(lo + TRIAL_BLOCK, trials)
-        rngs = [np.random.default_rng([seed, trial]) for trial in range(lo, hi)]
+        rngs = trial_generators([seed], np.arange(lo, hi)[:, None])
         simulate_chain(model, t0, t1, finals[lo:hi], u, v, rngs,
                        rate_bound=k_bound, record_events=False)
     space = SimplexGrid(model.dimension, int(y.sum()))

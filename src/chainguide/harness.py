@@ -20,11 +20,14 @@ import numpy as np
 
 from . import __version__
 from .chain import (
+    _evolve_laws,
+    _LatticeGenerator,
     default_ode_step,
     dynkin_residual,
     master_evolve,
     sample_final_distribution,
     simulate_chain,
+    trial_generators,
     tv_distance,
 )
 from .guide import ODE_STEP, CandidateFamily, advance_guides
@@ -395,8 +398,8 @@ def _run_trial_block(setup, m_steps, adversary_spec, seat, block):
     adversary = _build_adversary(adversary_spec, *_seat_view(3 - seat, field, model), constants)
     player1, player2 = (guided, adversary) if seat == 1 else (adversary, guided)
     ys = np.array([starts[particle_count] for _, particle_count, _ in block])
-    rngs = [np.random.default_rng([scenario.seed, config_index, trial])
-            for config_index, _, trial in block]
+    keys = [(config_index, trial) for config_index, _, trial in block]
+    rngs = trial_generators([scenario.seed], keys)
     batch = run_episodes(model, ys, partition, player1, player2, rngs,
                          rate_bound=constants.k)
     return batch.payoffs, batch.violation_fraction1, batch.violation_fraction2
@@ -632,7 +635,8 @@ def run_lemma1_check(scenario):
 
     per_delta = {}
     for delta in deltas:
-        dist = _lemma_law(model, t0, delta, counts, u, v, constants.k)
+        dist = master_evolve(model, t0, t0 + delta, counts, u, v,
+                             ode_step=_lemma_step(model, delta, m, constants.k))
         single_mass = 0.0
         residuals = {}
         for (i, j) in neighbor_keys:
@@ -680,12 +684,11 @@ def run_lemma1_check(scenario):
                    state=counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
 
 
-def _lemma_law(model, t0, delta, counts, u, v, rate_bound=None):
-    """Exact law, ``delta`` after ``t0``, of the chain started at the count row ``counts``."""
+def _lemma_step(model, delta, total, rate_bound=None):
+    """RK4 step for a lemma oracle's exact law over ``delta`` on ``total`` particles."""
     # RK4 on the forward equations is stable only while the step times the
     # largest total jump rate, about M K, stays small
-    step = min(0.002, delta / 10.0, default_ode_step(model, int(np.sum(counts)), rate_bound))
-    return master_evolve(model, t0, t0 + delta, counts, u, v, ode_step=step)
+    return min(0.002, delta / 10.0, default_ode_step(model, total, rate_bound))
 
 
 # -- one-step chain/guide coupling check --------------------------------------------
@@ -714,12 +717,6 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     mean = float(np.sum(sq) / trials)
     sem = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, sem
-
-
-def _exact_squared_distance(model, t0, delta, counts, u_val, v_val, w_plus, rate_bound=None):
-    dist = _lemma_law(model, t0, delta, counts, u_val, v_val, rate_bound)
-    sq = np.sum((dist.space.nodes - w_plus) ** 2, axis=1)
-    return float(dist.probs @ sq)
 
 
 def run_lemma2_check(scenario):
@@ -752,6 +749,7 @@ def run_lemma2_check(scenario):
 
     u_grid_vals = model.u_grid.values()
     v_grid_vals = model.v_grid.values()
+    gen = _LatticeGenerator(model, space)
     rows = []
     kappa_hat = {delta: 0.0 for delta in deltas}
     violations = 0
@@ -764,6 +762,24 @@ def run_lemma2_check(scenario):
         own_idx, reply_idx = extremal_indices(model, t0, x_star[None, :], w_star[None, :])
         u_idx = int(own_idx[0])
         v_star_idx = int(reply_idx[0])
+        # each adversary's reply indices, the same at every delta; the random
+        # reply's exact mean averages the whole v grid
+        replies = []
+        for adv in scenario.adversaries:
+            kind = adv["kind"]
+            if kind == "random":
+                replies.append(range(v_grid_vals.size))
+            elif kind == "constant":
+                replies.append([model.v_grid.index_of(adv["value"])])
+            elif kind == "greedy":
+                replies.append([model.v_grid.index_of(GreedyPolicy(mirror).step_values(
+                    t0, counts0[None, :], h, [None])[0])])
+            else:  # extremal: player 2's guide starts on the chain state
+                replies.append([int(extremal_indices(mirror, t0, x_star[None, :],
+                                                     x_star[None, :])[0][0])])
+        needed = sorted(set().union(*replies))
+        point_masses = np.zeros((len(needed), space.node_count))
+        point_masses[:, state_idx[p]] = 1.0
         for delta in deltas:
             endpoints, _, _, _, _ = advance_guides(
                 field, model, t0, t0 + delta, w_star[None, :],
@@ -771,35 +787,24 @@ def run_lemma2_check(scenario):
             w_plus = endpoints[0]
             rhs_base = (1.0 + beta * delta) * start_gap_sq + c_gain * h * delta
             allowance_coeff = float(coupling_allowance(model, constants, h, delta))
-            exact_by_v = {}  # v grid index -> exact mean, shared by the adversaries
+            # the exact laws of every needed reply, evolved as one batch
+            laws = _evolve_laws(gen, t0, t0 + delta, point_masses, u_grid_vals[u_idx],
+                                v_grid_vals[needed][:, None],
+                                _lemma_step(model, delta, total, constants.k))
+            sq = np.sum((space.nodes - w_plus) ** 2, axis=1)
+            # row by row: a (B, N) @ (N,) product may add in another order
+            exact_by_v = {v_idx: float(laws[b] @ sq) for b, v_idx in enumerate(needed)}
             for adv_idx, adv in enumerate(scenario.adversaries):
-                kind = adv["kind"]
                 rng = np.random.default_rng([scenario.seed, 90002, p,
                                              deltas.index(delta), adv_idx])
-                if kind == "random":
+                if adv["kind"] == "random":
                     v_trial_idx = rng.integers(0, v_grid_vals.size, size=trials)
                 else:
-                    if kind == "constant":
-                        v_idx = model.v_grid.index_of(adv["value"])
-                    elif kind == "greedy":
-                        v_idx = model.v_grid.index_of(GreedyPolicy(mirror).step_values(
-                            t0, counts0[None, :], h, [None])[0])
-                    else:  # extremal: player 2's guide starts on the chain state
-                        v_idx = int(extremal_indices(mirror, t0, x_star[None, :],
-                                                     x_star[None, :])[0][0])
-                    v_trial_idx = np.full(trials, v_idx, dtype=np.int64)
+                    v_trial_idx = np.full(trials, replies[adv_idx][0], dtype=np.int64)
                 mc_mean, mc_sem = _one_step_squared_distance(
                     model, constants.k, t0, delta, counts0, u_idx, v_trial_idx,
                     w_plus, trials, rng)
-                # the random reply's exact mean averages the whole v grid
-                replies = (range(v_grid_vals.size) if kind == "random"
-                           else [int(v_trial_idx[0])])
-                for v_idx in replies:
-                    if v_idx not in exact_by_v:
-                        exact_by_v[v_idx] = _exact_squared_distance(
-                            model, t0, delta, counts0, u_grid_vals[u_idx],
-                            v_grid_vals[v_idx], w_plus, constants.k)
-                exact = float(np.mean([exact_by_v[v_idx] for v_idx in replies]))
+                exact = float(np.mean([exact_by_v[v_idx] for v_idx in replies[adv_idx]]))
                 allowance = allowance_coeff * delta + 3.0 * mc_sem
                 violated = mc_mean > rhs_base + allowance
                 violations += int(violated)
@@ -948,7 +953,7 @@ def run_simulate(scenario):
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
     player1 = ControlWithGuideStrategy(field, model, constants)
     player2 = _build_adversary(adv, *_seat_view(2, field, model), constants)
-    rngs = [np.random.default_rng([scenario.seed, 0, i]) for i in range(episodes)]
+    rngs = trial_generators([scenario.seed, 0], np.arange(episodes)[:, None])
     batch = run_episodes(model, starts[total], partition, player1, player2, rngs,
                          rate_bound=constants.k, record=True,
                          record_jumps=record_jumps)

@@ -10,11 +10,14 @@ from chainguide.chain import (
     IntegrationError,
     JumpEvent,
     RateBoundError,
+    _evolve_laws,
     _LatticeGenerator,
+    _source_types,
     dynkin_residual,
     master_evolve,
     sample_final_distribution,
     simulate_chain,
+    trial_generators,
     tv_distance,
 )
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
@@ -149,6 +152,104 @@ def test_master_evolve_flags_bad_steps():
     model = StiffModel()
     with pytest.raises(IntegrationError):
         master_evolve(model, 0.0, 1.0, [8, 0], 1.0, 1.0, ode_step=0.2)
+
+
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.nan, math.inf])
+def test_master_evolve_rejects_a_bad_step(step):
+    # a negative step used to run one RK4 step over the whole span, and 0 or
+    # NaN failed with an unrelated error
+    with pytest.raises(ValueError, match="positive and finite"):
+        master_evolve(TwoTypeModel(), 0.0, 1.0, [2, 0], 0.0, 1.0, ode_step=step)
+
+
+@pytest.mark.parametrize("model", [TwoTypeModel(), ThreeTypeRotorModel()])
+@pytest.mark.parametrize("total", [1, 5, 20])
+def test_batched_laws_equal_per_reply_master_evolve(model, total):
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    rng = np.random.default_rng([model.dimension, total, 26])
+    pairs = [(u, v) for u in model.u_grid.points for v in model.v_grid.points]
+    us = np.array([[u] for u, _ in pairs])
+    vs = np.array([[v] for _, v in pairs])
+    for t0, delta in ((0.0, 0.02), (0.37, 0.005), (0.8, 0.2)):
+        node = int(rng.integers(grid.node_count))
+        y = grid.counts[node]
+        step = min(0.002, delta / 10.0)
+        want = [master_evolve(model, t0, t0 + delta, y, u, v, ode_step=step).probs
+                for u, v in pairs]
+        starts = np.zeros((len(pairs), grid.node_count))
+        starts[:, node] = 1.0
+        # both controls as columns, and one u with a column of replies as lemma 2 uses
+        laws = _evolve_laws(gen, t0, t0 + delta, starts, us, vs, step)
+        for b in range(len(pairs)):
+            assert laws[b].tobytes() == want[b].tobytes()
+        u = model.u_grid.points[-1]
+        replies = [b for b, (pu, _) in enumerate(pairs) if pu == u]
+        laws = _evolve_laws(gen, t0, t0 + delta, starts[replies], u, vs[replies], step)
+        for row, b in enumerate(replies):
+            assert laws[row].tobytes() == want[b].tobytes()
+
+
+_KEY = st.integers(0, 2**32 - 1) | st.just(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=3),
+       st.integers(0, 2).flatmap(lambda k: st.lists(
+           st.lists(_KEY, min_size=k, max_size=k), min_size=1, max_size=4)))
+def test_trial_generators_equal_default_rng(prefix, keys):
+    k = len(keys[0])
+    gens = trial_generators(prefix, np.array(keys, dtype=np.int64).reshape(len(keys), k))
+    assert len(gens) == len(keys)
+    for gen, row in zip(gens, keys):
+        ref = np.random.default_rng([*prefix, *row])
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.random() == ref.random()
+        assert gen.exponential(0.3) == ref.exponential(0.3)
+        assert gen.integers(7) == ref.integers(7)
+
+
+@pytest.mark.parametrize("prefix, keys", [
+    ([1], [[2**32]]),
+    ([1], [[0, -1]]),
+    ([-1], [[0]]),
+    ([1], [0, 1]),
+    ([1], [[0.5]]),
+])
+def test_trial_generators_reject_bad_keys(prefix, keys):
+    with pytest.raises(ValueError):
+        trial_generators(prefix, np.array(keys))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_source_pick_equals_the_summed_comparison(d):
+    rng = np.random.default_rng(d)
+    counts = rng.integers(0, 4, size=(2000, d))
+    counts[:, 0] += 1
+    xs = counts / counts.sum(axis=1, keepdims=True)
+    src = rng.random(2000)
+    # draws that land exactly on a cumulative share, where >= decides the type
+    cdf = np.cumsum(xs, axis=1)
+    src[:200] = cdf[:200, 1] / cdf[:200, -1]
+    src[200:300] = 0.0
+    draw = src * cdf[:, -1]
+    old = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+    new = _source_types(xs, src)
+    assert new.dtype == old.dtype
+    assert np.array_equal(new, old)
+    assert set(np.unique(new)) == set(range(d))
+
+
+def test_sample_final_distribution_needs_a_trial():
+    # zero trials used to give an all-NaN law with only a RuntimeWarning
+    with pytest.raises(ValueError, match="at least one trial"):
+        sample_final_distribution(TwoTypeModel(), 0, 1, [2, 0], 1, 0, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distribution_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Distribution(SimplexGrid(2, 2), np.array([bad, 0.5, 0.5]))
 
 
 def test_simulator_matches_master_equation_tv():

@@ -9,7 +9,7 @@ from chainguide import harness
 from chainguide.harness import (
     Scenario,
     ScenarioError,
-    _exact_squared_distance,
+    _lemma_step,
     _one_step_squared_distance,
     adversary_label,
     emit_results,
@@ -21,7 +21,7 @@ from chainguide.harness import (
     run_theorem1_experiment,
     run_value,
 )
-from chainguide.chain import RateBoundError, simulate_chain
+from chainguide.chain import RateBoundError, master_evolve, simulate_chain
 from chainguide.strategy import ControlWithGuideStrategy, Partition, run_episodes
 from chainguide.models import (
     ThreeTypeRotorModel,
@@ -122,6 +122,13 @@ def test_lemma1_zero_model_is_exact():
     stay = [row for row in result.rows if row["target"] == "stay"]
     assert all(row["probability"] == 1.0 for row in stay)
     assert all(row["residual"] == 0.0 for row in stay)
+
+
+def _exact_squared_distance(model, t0, delta, counts, u, v, w_plus):
+    """Exact E||X(t0 + delta) - w_plus||^2 from the law master_evolve gives at lemma 2's step."""
+    dist = master_evolve(model, t0, t0 + delta, counts, u, v,
+                         ode_step=_lemma_step(model, delta, int(np.sum(counts))))
+    return float(dist.probs @ np.sum((dist.space.nodes - w_plus) ** 2, axis=1))
 
 
 def test_one_step_kernel_matches_exact_oracle():

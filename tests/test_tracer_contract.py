@@ -77,6 +77,11 @@ def test_value_readers_call_the_traced_interpolation(tracer):
 
 
 def test_exact_law_paths_call_the_traced_oracle(tracer):
-    harness._exact_squared_distance(TwoTypeModel(), 0.1, 0.05, np.array([3, 1]), 1.0, 0.5,
-                                    np.array([0.5, 0.5]))
-    assert tracer.get("chain.master_evolve").calls == 1
+    # lemma 1 reads one exact law per delta through master_evolve; lemma 2
+    # evolves its laws in batches through the private chain._evolve_laws,
+    # whose RK4 time the tracer still sees under simplex.rk4_step
+    scenario = harness.Scenario.from_dict({
+        "model": "two-type", "particle_counts": [4], "initial_state": [0.5, 0.5],
+        "lemma1": {"deltas": [0.02, 0.01]}})
+    harness.run_lemma1_check(scenario)
+    assert tracer.get("chain.master_evolve").calls == 2
