@@ -410,6 +410,11 @@ def default_ode_step(model, total, rate_bound=None):
     return min(0.01, 0.1 / (total * k))
 
 
+def _check_ode_step(ode_step):
+    if not (math.isfinite(ode_step) and ode_step > 0.0):
+        raise ValueError(f"the integrator step must be positive and finite, got {ode_step!r}")
+
+
 def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
     """RK4 of the forward equations on ``gen``'s lattice: the laws at t1 of the laws ``p`` at t0.
 
@@ -418,8 +423,7 @@ def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
     equal steps of at most ``ode_step``. Each law's result is the one a
     batch of one would give, bit for bit.
     """
-    if not (math.isfinite(ode_step) and ode_step > 0.0):
-        raise ValueError(f"the integrator step must be positive and finite, got {ode_step!r}")
+    _check_ode_step(ode_step)
     span = t1 - t0
     if span == 0.0:
         return p
@@ -462,7 +466,9 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     integrated distribution, the right from composite Simpson quadrature of
     the generator term along the stored trajectory, started from the count
     row ``y``. The residual therefore measures integrator consistency only.
+    ``ode_step`` must be positive and finite.
     """
+    _check_ode_step(ode_step)
     y = _start_row(y, model.dimension)
     total = int(y.sum())
     grid = SimplexGrid(model.dimension, total)

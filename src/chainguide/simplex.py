@@ -10,6 +10,8 @@ layer. The lattice as a whole, enumerated and ranked, is ``value.SimplexGrid``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 PROJECTION_LIMIT = 1e-6  # larger displacements indicate a real simplex exit
@@ -23,7 +25,8 @@ def project_rows(points):
     """In-place clip+renormalize for a batch of row vectors.
 
     Returns how far the rows were off the simplex: the largest clipped
-    negative coordinate or deviation of a row total from 1.
+    negative coordinate or deviation of a row total from 1, and ``math.inf``
+    for rows with a NaN entry, which no comparison with a limit would catch.
     """
     lowest = float(points.min())
     np.maximum(points, 0.0, out=points)
@@ -38,7 +41,8 @@ def project_rows(points):
     else:
         total = points.sum(axis=-1, keepdims=True)
     points /= total
-    return max(-lowest, float(np.max(np.abs(total - 1.0))))
+    shift = max(-lowest, float(np.max(np.abs(total - 1.0))))
+    return math.inf if math.isnan(shift) else shift
 
 
 def rk4_step(rate, t, y, dt):

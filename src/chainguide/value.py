@@ -6,7 +6,12 @@ controls of the interpolated next-slice value at the Euler-shifted point.
 A slice is solved in blocks of nodes, SOLVE_BLOCK_POINTS shifted points at
 a time, so that the drift, shift, projection, interpolation and min-max
 temporaries of one block stay in cache instead of each taking megabytes
-of fresh pages. Every node's value is computed from its own shifted
+of fresh pages. A block is column-major: its points, every node under
+every control pair, are a (d, points) array with one contiguous row per
+coordinate, and the control values are flat columns built once per solve.
+So one ``model.drift`` call covers the block, every elementwise pass runs
+at unit stride, and the projection and interpolation read the (points, d)
+transpose view. Every node's value is computed from its own shifted
 points alone, so the table is byte-identical whatever the block size, and
 the simplex-exit check takes the largest displacement over the whole slice.
 The scheme is monotone because interpolation only forms convex
@@ -33,7 +38,10 @@ to the index. A vertex whose raised coordinate already sat at n lies off
 the simplex; it always has barycentric weight exactly 0, and step[k, n] = 0
 keeps its index on a valid node, so no vertex needs masking.
 
-The walk order needs no sort. Pairwise comparisons of the fractional parts
+The stencil works on (d - 1, m) arrays, one contiguous row per cumulative
+coordinate, and writes its (m, d) outputs column by column, so a point
+batch in either memory layout gives the same bytes at unit stride. The walk
+order needs no sort. Pairwise comparisons of the fractional parts
 give each coordinate the walk step that raises it: of columns a < b, b goes
 first when f_b >= f_a, so an exact tie raises the larger column first and
 keeps every vertex on the lattice. Vertex j is the base index plus the step
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from math import comb
 
@@ -158,53 +167,65 @@ class SimplexGrid:
         return np.einsum("mk,mk->m", lam, values[idx])
 
     def _kuhn_stencil(self, x):
-        """Vertex indices and barycentric weights, both (m, d), of points x for d >= 3."""
+        """Vertex indices and barycentric weights, both (m, d), of points x for d >= 3.
+
+        The work arrays are (k, m), one contiguous row per cumulative
+        coordinate, so every pass runs over unit-stride memory whatever the
+        layout of ``x``; the outputs are written column by column.
+        """
         m, d = x.shape
         n = self.resolution
         k = d - 1
-        cum = np.empty((m, k))
-        cum[:, 0] = x[:, 0]
+        cum = np.empty((k, m))
+        cum[0] = x[:, 0]
         for c in range(1, k):
-            np.add(cum[:, c - 1], x[:, c], out=cum[:, c])
+            np.add(cum[c - 1], x[:, c], out=cum[c])
         s = _snap(np.clip(n * cum, 0.0, float(n)), n)
         g = np.floor(s).astype(np.int64)
         f = s - g
         # the walk raises cumulative coordinates in descending order of their
-        # fractional parts; turn[:, c] is the walk step that raises column c.
+        # fractional parts; turn[c] is the walk step that raises column c.
         # An exact tie raises the larger column first, so that vertex prefixes
         # stay monotone in cumulative coordinates
-        turn = np.zeros((m, k), dtype=np.int64)
+        turn = np.zeros((k, m), dtype=np.int64)
         for a in range(k):
             for b in range(a + 1, k):
-                b_first = f[:, b] >= f[:, a]
-                turn[:, a] += b_first
-                turn[:, b] += ~b_first
+                b_first = f[b] >= f[a]
+                turn[a] += b_first
+                turn[b] += ~b_first
         # the descending fractional parts themselves do not depend on how ties
         # are broken: an odd-even transposition network of exact max/min
         f_sorted = f.copy()
         for r in range(k):
             for a in range(r % 2, k - 1, 2):
-                hi = np.maximum(f_sorted[:, a], f_sorted[:, a + 1])
-                np.minimum(f_sorted[:, a], f_sorted[:, a + 1], out=f_sorted[:, a + 1])
-                f_sorted[:, a] = hi
+                hi = np.maximum(f_sorted[a], f_sorted[a + 1])
+                np.minimum(f_sorted[a], f_sorted[a + 1], out=f_sorted[a + 1])
+                f_sorted[a] = hi
         lam = np.empty((m, d))
-        lam[:, 0] = 1.0 - f_sorted[:, 0]
-        lam[:, 1:k] = f_sorted[:, : k - 1] - f_sorted[:, 1:]
-        lam[:, k] = f_sorted[:, k - 1]
+        np.subtract(1.0, f_sorted[0], out=lam[:, 0])
+        for j in range(1, k):
+            np.subtract(f_sorted[j - 1], f_sorted[j], out=lam[:, j])
+        lam[:, k] = f_sorted[k - 1]
 
         # flat positions of (c, g_c) in the rank and step tables; vertex 0 is
-        # the base node and vertex j has raised every column with turn < j
-        at = g + np.arange(k) * (n + 1)
+        # the base node, vertex j has raised every column with turn < j, and
+        # the last vertex has raised them all
+        at = g + (np.arange(k) * (n + 1))[:, None]
         ranks = self._rank.take(at)
         steps = self._step.take(at)
-        idx = np.empty((m, d), dtype=np.int64)
-        idx[:, 0] = ranks[:, 0]
+        base = ranks[0]
         for c in range(1, k):
-            idx[:, 0] += ranks[:, c]
-        for j in range(1, d):
-            idx[:, j] = idx[:, 0]
+            base += ranks[c]
+        idx = np.empty((m, d), dtype=np.int64)
+        idx[:, 0] = base
+        for j in range(1, k):
+            vertex = base.copy()
             for c in range(k):
-                idx[:, j] += steps[:, c] * (turn[:, c] < j)
+                vertex += steps[c] * (turn[c] < j)
+            idx[:, j] = vertex
+        for c in range(k):
+            base += steps[c]
+        idx[:, k] = base
         return idx, lam
 
 
@@ -338,9 +359,13 @@ def check_step(model, step, k_bound, interpolated=True, what="time step"):
 def solve_value(model, n_t, grid, constants=None):
     """Backward min-max recursion for the game value on the grid.
 
-    The time step horizon/n_t must pass ``check_step``. A slice whose
-    shifted points leave the simplex by more than PROJECTION_LIMIT raises
-    ``ProjectionError`` once all its blocks are done.
+    The time step horizon/n_t must pass ``check_step``. Each block of
+    nodes takes one ``model.drift`` call on flat columns: x of shape
+    (points, d), a column-major view, and u and v of shape (points,),
+    ordered as ``drift_grid_multi`` orders them. A slice whose shifted
+    points leave the simplex by more than PROJECTION_LIMIT raises
+    ``ProjectionError`` once all its blocks are done; a NaN drift raises
+    at once, before its points are interpolated.
     """
     if n_t < 1:
         raise ValueError("need at least one time slice")
@@ -356,15 +381,25 @@ def solve_value(model, n_t, grid, constants=None):
     table[n_t] = model.terminal_payoff(nodes)
     nu = len(model.u_grid)
     nv = len(model.v_grid)
-    block = max(1, SOLVE_BLOCK_POINTS // (nu * nv))
+    block = min(grid.node_count, max(1, SOLVE_BLOCK_POINTS // (nu * nv)))
+    # point p of a block is node p // (nu * nv) under control pair
+    # (u_grid[p // nv % nu], v_grid[p % nv]): the order of drift_grid_multi
+    u_cols = np.tile(np.repeat(model.u_grid.values(), nv), block)
+    v_cols = np.tile(model.v_grid.values(), nu * block)
     for k in range(n_t - 1, -1, -1):
         worst = 0.0
         for lo in range(0, grid.node_count, block):
             x = nodes[lo:lo + block]
-            shifted = x[:, None, None, :] + delta * model.drift_grid_multi(times[k], x)
-            flat = shifted.reshape(-1, d)
-            worst = max(worst, project_rows(flat))
-            vals = grid.interpolate(table[k + 1], flat).reshape(-1, nu, nv)
+            # (d, points): one contiguous row per coordinate
+            cols = np.repeat(x.T, nu * nv, axis=1)
+            p = cols.shape[1]
+            drift = model.drift(times[k], cols.T, u_cols[:p], v_cols[:p])
+            shifted = np.multiply(delta, drift.T, order="C")
+            np.add(cols, shifted, out=shifted)
+            worst = max(worst, project_rows(shifted.T))
+            if worst == math.inf:
+                break  # a NaN drift; its points must not reach the interpolation
+            vals = grid.interpolate(table[k + 1], shifted.T).reshape(-1, nu, nv)
             # min over u of max over v, one control column at a time
             top = vals[:, :, 0]
             for b in range(1, nv):

@@ -312,6 +312,15 @@ def test_dynkin_residual_constant_function():
     assert res <= 1e-12
 
 
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.nan, math.inf])
+def test_dynkin_residual_rejects_a_bad_step(step):
+    # -0.1 used to integrate [0, 1] in two steps and return 0.000713, 0 raised
+    # ZeroDivisionError and NaN a cast error
+    with pytest.raises(ValueError, match="positive and finite"):
+        dynkin_residual(TwoTypeModel(), lambda x: x[0], 0.0, 1.0, [2, 0], 0.0, 1.0,
+                        ode_step=step)
+
+
 def test_dynkin_residual_two_type():
     model = TwoTypeModel()
     res = dynkin_residual(model, lambda x: x[0], 0.0, 0.5, [2, 2], 1.0, 0.0,

@@ -1,11 +1,21 @@
-"""The seeded tables of the oracle, lemma-2 and simulate commands, pinned by digest.
+"""Seeded command tables and solved value tables, pinned by digest.
 
-Each case runs one command on a small scenario through ``emit_results``
-and compares the sha256 of the CSV table with the digest the same
-scenario gave before the per-trial generators were built by
-``chain.trial_generators`` and lemma 2's exact laws were evolved in
+Each command case runs one command on a small scenario through
+``emit_results`` and compares the sha256 of the CSV table with the
+digest the same scenario gave before the per-trial generators were built
+by ``chain.trial_generators`` and lemma 2's exact laws were evolved in
 batches. Both changes keep every stream and every float, so the tables
 must not move.
+
+Each value case compares the sha256 of ``solve_value(...).table.tobytes()``
+with the digest the same solve gave before the solve moved to column-major
+node blocks (one flat ``drift`` call per block and a column-major Kuhn
+stencil). That change keeps every float operation and its order, so the
+bytes must not move: on three-type, on its mirror, on two-type, and on a
+three-type model that declares only its rates, whose derived
+``RateModel.drift`` contracts the column-major points. The experiment
+digests were taken at the same commit and pin the whole guarantee path
+that reads those tables.
 
 ROADMAP item 7 (counter-based random streams) changes these digests on
 purpose. The change that lands it replaces the constants below and
@@ -22,7 +32,10 @@ from chainguide.harness import (
     run_lemma2_check,
     run_oracle_check,
     run_simulate,
+    run_theorem1_experiment,
 )
+from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, mirrored
+from chainguide.value import build_simplex_grid, solve_value
 
 ADVERSARIES = [{"kind": "extremal"}, {"kind": "constant", "value": 1.0},
                {"kind": "random"}, {"kind": "greedy"}]
@@ -46,16 +59,20 @@ SCENARIOS = {
     },
 }
 
-COMMANDS = {"oracle": run_oracle_check, "check-lemma2": run_lemma2_check,
+COMMANDS = {"experiment": run_theorem1_experiment, "oracle": run_oracle_check, "check-lemma2": run_lemma2_check,
             "simulate": run_simulate}
 
 DIGESTS = {
+    ("two-type", "experiment"):
+        "082cf87056a585d88ed3aa473dec3a2a23ed8c2552a665f4364e72832a0c511e",
     ("two-type", "oracle"):
         "333fe9fc4bf8a42192196832612aaefc1184be423e3dc1269831e6db6bf737c6",
     ("two-type", "check-lemma2"):
         "8cae7e6497bf414667c86df46568bbb040c98959cc93340523932b950a6abdf6",
     ("two-type", "simulate"):
         "50134550c692266f6435d41da18946163ee85b26143453aad4b052491138ae1a",
+    ("three-type", "experiment"):
+        "0aa5951cf1a3960e722fa7086ee626683286229bc7e87e078dc7317596dfce12",
     ("three-type", "oracle"):
         "b6fad59292d686cbe24610ef219b479a9067b6ce2f96918ea643c7a5f587de2e",
     ("three-type", "check-lemma2"):
@@ -72,3 +89,34 @@ def test_seeded_table_digest(tmp_path, model, command):
     table, _ = emit_results(result, tmp_path / f"{model}-{command}")
     with open(table, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[(model, command)]
+
+
+class RatesOnlyRotor(ThreeTypeRotorModel):
+    """Three-type with its rates redefined as they are, so it drops the closed-form drift."""
+
+    def rate_matrix(self, t, x, u, v):
+        return super().rate_matrix(t, x, u, v)
+
+
+# name: (model, n_x, n_t, sha256 of the solved table's bytes)
+VALUE_TABLES = {
+    "three-type": (ThreeTypeRotorModel(), 100, 100,
+                   "4822327442e7161175105af2cc4a62c9586d8f8662ffc74d12dc4ef887a2a7b9"),
+    "mirrored(three-type)": (mirrored(ThreeTypeRotorModel()), 100, 100,
+                             "e554ba3e0883171b8ab96c4391d4e23dbd2e46150ba3d47d97f1223d1824c266"),
+    "two-type": (TwoTypeModel(), 200, 200,
+                 "951c796167b6b85536b5823cb024dc7a1a1635044953d71b9d11affb168eecea"),
+    "rates-only three-type": (RatesOnlyRotor(), 30, 30,
+                              "7a52e3abcd4403877d1625e8819e5cca30c38c8a9051e39a9d912791f3f87ead"),
+}
+
+
+def test_rates_only_rotor_uses_the_derived_drift():
+    assert RatesOnlyRotor.drift is not ThreeTypeRotorModel.drift
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TABLES))
+def test_solved_value_table_digest(name):
+    model, n_x, n_t, digest = VALUE_TABLES[name]
+    field = solve_value(model, n_t, build_simplex_grid(model.dimension, n_x))
+    assert hashlib.sha256(field.table.tobytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import numpy as np
@@ -70,6 +71,12 @@ def test_project_reports_displacement():
     # the measure is the worst row's: a clipped negative or a total off by 0.1
     assert project_rows(np.array([[0.5, 0.5], [0.5, 0.6]])) == pytest.approx(0.1)
     assert project_rows(np.array([[0.5, 0.5], [1.02, -0.02]])) == pytest.approx(0.02)
+
+
+def test_project_reports_a_nan_row_as_infinitely_far():
+    # max(0.0, nan) is 0.0, so a NaN displacement would pass every limit check
+    assert project_rows(np.array([[np.nan, 1.0], [0.5, 0.5]])) == math.inf
+    assert project_rows(np.array([[0.5, 0.5], [0.25, np.nan]])) == math.inf
 
 
 def project_rows_by_np_sum(points):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chainguide import value
 from chainguide.chain import Distribution
+from chainguide.guide import advance_guides
 from chainguide.models import ControlGrid, RateModel, ThreeTypeRotorModel, TwoTypeModel
 from chainguide.simplex import ProjectionError, project_rows, random_simplex_points
 from chainguide.value import (
@@ -195,6 +196,22 @@ def test_interpolation_matches_reference_stencil_bit_for_bit(case, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(grid_points(), st.integers(0, 2**32 - 1))
+def test_interpolation_does_not_depend_on_the_point_layout(case, seed):
+    # the value solve hands over column-major (Fortran-order) points
+    grid, points = case
+    columns = np.asfortranarray(points)
+    values = np.random.default_rng(seed).standard_normal(grid.node_count)
+    want = grid.interpolate(values, points)
+    assert grid.interpolate(values, columns).tobytes() == want.tobytes()
+    if grid.dimension > 2:
+        idx, lam = grid._kuhn_stencil(points)
+        col_idx, col_lam = grid._kuhn_stencil(columns)
+        assert col_idx.tobytes() == idx.tobytes()
+        assert col_lam.tobytes() == lam.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_points(), st.integers(0, 2**32 - 1))
 # an edge point within 1e-9 / n of a node, which a wider snap moved onto the node
 @example((SimplexGrid(5, 7), np.array([[0.0, 0.0, 1.27e-10, 0.0, 1.0 - 1.27e-10]])), 0)
 def test_interpolation_is_affine_exact_and_convex(case, seed):
@@ -364,6 +381,31 @@ def test_simplex_exit_raises_at_the_same_slice_in_any_block(d):
     for points in (1, 6 * 7, WHOLE):
         with pytest.raises(ProjectionError, match=r"by 1\.000e-01 at slice 4$"):
             _solve_in_blocks(LeakyModel(d), 10, 10, points)
+
+
+class NanDriftModel(LeakyModel):
+    """LeakyModel with every rate NaN before t = 0.45, so its drift turns NaN there."""
+
+    name = "nan-drift"
+
+    def rate_matrix(self, t, x, u, v):
+        q = super().rate_matrix(t, x, u, v)
+        return np.where(np.asarray(t)[..., None, None] < 0.45, np.nan, q)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nan_drift_raises_projection_error(d):
+    # a NaN displacement used to pass the projection check: the solve then
+    # failed elsewhere and a guide flow could return NaN endpoints
+    model = NanDriftModel(d)
+    for points in (1, WHOLE):
+        with pytest.raises(ProjectionError, match=r"by inf at slice 4$"):
+            _solve_in_blocks(model, 10, 10, points)
+    grid = build_simplex_grid(d, 10)
+    field = ValueField(grid, np.linspace(0.0, 1.0, 11), np.zeros((11, grid.node_count)))
+    guides = np.full((2, d), 1.0 / d)
+    with pytest.raises(ProjectionError, match="guide hull trajectory left the simplex by inf"):
+        advance_guides(field, model, 0.1, 0.2, guides, np.array([0, 2]), 0.0)
 
 
 def test_solver_rejects_overlong_time_step():
