@@ -31,7 +31,10 @@ Per-trial generators are keyed: trial ``row`` of a run with key prefix
 ``prefix`` draws from ``np.random.default_rng([*prefix, *row])``.
 ``trial_generators`` builds a block of them at once, bit for bit the same
 generators, by hashing every key row in one pass of NumPy's SeedSequence
-mixing instead of one SeedSequence per trial.
+mixing instead of one SeedSequence per trial. The episode paths of the
+harness use them, so a trial's result does not depend on which worker or
+pooled block runs it. ``sample_final_distribution`` and lemma 2's one-step
+check draw one whole tile of trials from one shared Generator instead.
 
 The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
 which advances a batch of laws on one lattice generator at once;
@@ -54,11 +57,6 @@ from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
 NEGATIVE_PROB_TOL = 1e-9
-
-
-# generators of independent trials are made this many at a time, so a large
-# trial count never holds all of its generators at once
-TRIAL_BLOCK = 512
 
 
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -224,24 +222,34 @@ def _row_rounds(rngs, t0, t1, scales, d):
 
 def _shared_rounds(rng, t0, t1, scales, d):
     """Candidate rounds from one generator: each round draws vectors over its rows."""
-    n = scales.size
-    times = np.full(n, float(t0))
-    active = np.arange(n)
-    while True:
-        # bit-equal to exponential(scales[active]) and cheaper than an array of scales
-        times[active] = times[active] + scales[active] * rng.standard_exponential(active.size)
-        active = active[times[active] < t1]
-        if not active.size:
-            return
+    # the first round covers every row, so it needs no gathers; scaling a
+    # standard exponential is bit-equal to exponential(scales) and cheaper
+    times = float(t0) + scales * rng.standard_exponential(scales.size)
+    active = np.flatnonzero(times < t1)
+    while active.size:
         k = active.size
         yield active, times[active], rng.random(k), rng.integers(0, d - 1, size=k), rng.random(k)
+        times[active] = times[active] + scales[active] * rng.standard_exponential(k)
+        active = active[times[active] < t1]
 
 
 def _source_types(xs, src):
-    """Source type of each candidate: the first type whose cumulative share exceeds src."""
-    cdf = np.cumsum(xs, axis=1)
-    draw = src * cdf[:, -1]
-    return np.minimum(row_totals(draw[:, None] >= cdf), xs.shape[1] - 1)
+    """Source type of each candidate: the first type whose cumulative share exceeds src.
+
+    The cumulative shares are added column by column, in a cumsum's order,
+    so they round as ``np.cumsum(xs, axis=1)`` does. Shares never decrease,
+    so the type is the number of leading shares the draw reaches, which is
+    at most d - 1 when the last share is left out.
+    """
+    d = xs.shape[1]
+    shares = [xs[:, 0]]
+    for c in range(1, d):
+        shares.append(shares[-1] + xs[:, c])
+    draw = src * shares[-1]
+    picked = (draw >= shares[0]).astype(np.int64)
+    for share in shares[1:-1]:
+        picked += draw >= share
+    return picked
 
 
 def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_events=True):
@@ -500,21 +508,18 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
 def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=None):
     """Empirical law of the chain state at t1 over independent trials.
 
-    Trial i starts from the count row ``y`` and draws from its own generator,
-    ``np.random.default_rng([seed, i])``, built by ``trial_generators``
-    TRIAL_BLOCK at a time. Results depend neither on execution order nor
-    on the block size. ``trials`` must be at least 1.
+    Every trial starts from the count row ``y``. All trials advance as one
+    (trials, d) batch in one ``simulate_chain`` call on the shared generator
+    ``np.random.default_rng(seed)``, so the law depends on the trial count
+    as a whole: the first k trials of a larger run do not repeat a run of k
+    trials. ``trials`` must be at least 1.
     """
     y = _start_row(y, model.dimension)
     if trials < 1:
         raise ValueError("need at least one trial")
-    k_bound = resolve_k(model) if rate_bound is None else rate_bound
     finals = np.tile(y, (trials, 1))
-    for lo in range(0, trials, TRIAL_BLOCK):
-        hi = min(lo + TRIAL_BLOCK, trials)
-        rngs = trial_generators([seed], np.arange(lo, hi)[:, None])
-        simulate_chain(model, t0, t1, finals[lo:hi], u, v, rngs,
-                       rate_bound=k_bound, record_events=False)
+    simulate_chain(model, t0, t1, finals, u, v, np.random.default_rng(seed),
+                   rate_bound=rate_bound, record_events=False)
     space = SimplexGrid(model.dimension, int(y.sum()))
     hits = np.bincount(space.node_index(finals), minlength=space.node_count)
     return Distribution(space, hits / trials)

@@ -15,6 +15,7 @@ grid error. The family depends only on the grid size and is built once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,9 @@ LAM_POINTS = 9    # even weight grid on [0, 1] of the hull family's adjacent-pai
 def _flow(velocity, t0, t1, states, ode_step, what):
     """RK4 rows over [t0, t1], each step followed by a clip-and-renormalize projection."""
     span = float(t1) - float(t0)
-    steps = max(1, int(np.ceil(span / ode_step)))
+    # a span a few ulps over a whole number of steps, as the differences of
+    # a uniform 100-step partition of [0, 1] are, takes no extra step
+    steps = max(1, math.ceil(span / ode_step - 1e-9))
     dt = span / steps
     t = float(t0)
     worst = 0.0
@@ -81,8 +84,11 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, slack):
     ``guides`` is (n, d); ``fixed_idx`` gives each row's announced v as a
     grid index (the reply of rule-(12) extremal selection). Every candidate
     hull trajectory over the u grid is integrated and the one with the
-    least interpolated value at t1 wins. Rows whose best candidate still
-    raises the value by more than ``slack`` are flagged, not rejected.
+    least interpolated value at t1 wins, ties going to the lowest candidate
+    index. All candidates of all rows are integrated as one batch, with one
+    drift call over every row and one more over the mixture rows per
+    velocity evaluation. Rows whose best candidate still raises the value
+    by more than ``slack`` are flagged, not rejected.
 
     Returns (endpoints (n, d), value_start (n,), value_end (n,),
     violation (n,), candidate index (n,)).
@@ -97,23 +103,34 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, slack):
     if span <= 0.0:
         raise ValueError("need t1 > t0")
 
-    # tile trial rows per candidate: row r*nc + c is candidate c of trial r
-    states = np.repeat(guides, nc, axis=0)
-    v = np.repeat(fixed, nc)
-    u_a = np.tile(u_values[family.first_idx], n)
-    u_b = np.tile(u_values[family.second_idx], n)
-    lam = np.tile(family.weight, n)[:, None]
+    # candidate-major rows: row c*n + r is candidate c of trial r, and the
+    # pure candidates come first. A pure candidate's velocity, 1 * f + 0 * f,
+    # is f itself, so one drift call over every row serves the pure rows and
+    # a second runs on the mixture rows only
+    states = np.tile(guides, (nc, 1))
+    v = np.tile(fixed, nc)
+    u_a = np.repeat(u_values[family.first_idx], n)
+    pure = u_values.size
+    mix = slice(pure * n, None)
+    u_b = np.repeat(u_values[family.second_idx[pure:]], n)
+    v_mix = v[mix]
+    # weights at the full (rows, d) shape: a broadcast (rows, 1) multiply is slower
+    lam = np.repeat(family.weight[pure:], n)[:, None] * np.ones(d)
+    rest = 1.0 - lam
 
     def velocity(t, x):
-        return lam * model.drift(t, x, u_a, v) + (1.0 - lam) * model.drift(t, x, u_b, v)
+        out = model.drift(t, x, u_a, v)
+        out[mix] = lam * out[mix] + rest * model.drift(t, x[mix], u_b, v_mix)
+        return out
 
     states = _flow(velocity, t0, t1, states, ODE_STEP, "guide hull trajectory")
 
     value_start = field.eval_batch(t0, guides)
-    end_values = field.eval_batch(t1, states).reshape(n, nc)
-    best = np.argmin(end_values, axis=1)
+    end_values = field.eval_batch(t1, states).reshape(nc, n)
+    # over axis 0, so ties still go to the lowest candidate index
+    best = np.argmin(end_values, axis=0)
     rows = np.arange(n)
-    value_end = end_values[rows, best]
-    endpoints = states.reshape(n, nc, d)[rows, best]
+    value_end = end_values[best, rows]
+    endpoints = states.reshape(nc, n, d)[best, rows]
     violation = value_end > value_start + slack
     return endpoints, value_start, value_end, violation, best

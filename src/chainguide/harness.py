@@ -713,7 +713,12 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     simulate_chain(model, t0, t0 + delta, counts, model.u_grid.values()[u_idx],
                    model.v_grid.values()[v_idx], rng, rate_bound=k_bound,
                    record_events=False)
-    sq = np.sum((counts / int(np.sum(counts0)) - w_plus) ** 2, axis=1)
+    gap = counts / int(np.sum(counts0)) - w_plus
+    # on rows shorter than 8 entries numpy's sum also adds left to right, so
+    # column adds round the same and skip the short-axis reduction
+    sq = gap[:, 0] ** 2
+    for c in range(1, gap.shape[1]):
+        sq += gap[:, c] ** 2
     mean = float(np.sum(sq) / trials)
     sem = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, sem

@@ -171,7 +171,10 @@ class RateModel:
 
     # -- optional -----------------------------------------------------------
     def drift(self, t, x, u, v):
-        """Velocity xQ(t, x, u, v) of the normalized state: S + (d,)."""
+        """Velocity xQ(t, x, u, v) of the normalized state: S + (d,), a new writable array.
+
+        ``guide.advance_guides`` writes its hull mixtures into the result.
+        """
         x = np.asarray(x, dtype=float)
         q = self.rate_matrix(t, x, u, v)
         d = x.shape[-1]

@@ -147,13 +147,19 @@ class SimplexGrid:
         first if they might not). The result at every point is a convex
         combination of node values, and affine functions are reproduced up
         to round-off: a scaled coordinate is moved onto a lattice value only
-        within SNAP_ULPS ulps of the resolution.
+        within SNAP_ULPS ulps of the resolution. A point with a non-finite
+        coordinate raises ValueError.
         """
         x = np.asarray(points, dtype=float)
         m, d = x.shape
         n = self.resolution
         if d != self.dimension:
             raise ValueError("point dimension does not match the grid")
+        finite = np.isfinite(x)
+        if not finite.all():
+            # a NaN would reach the integer cast below and index out of range
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"cannot interpolate at the non-finite point {x[bad]} (row {bad})")
         if d == 2:
             s = _snap(np.clip(n * x[:, 0], 0.0, float(n)), n)
             g = np.minimum(np.floor(s).astype(np.int64), n - 1)

@@ -240,6 +240,40 @@ def test_source_pick_equals_the_summed_comparison(d):
     assert set(np.unique(new)) == set(range(d))
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 6), data=st.data())
+def test_source_pick_equals_the_cumsum_reference_bit_for_bit(d, data):
+    rows = data.draw(st.integers(1, 40))
+    counts = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 30), min_size=d, max_size=d).filter(any),
+        min_size=rows, max_size=rows)))
+    xs = counts / counts.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(xs, axis=1)
+    src = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                      min_size=rows, max_size=rows)))
+    # draws that land exactly on a cumulative share, where >= decides the type
+    on_share = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    col = data.draw(st.integers(0, d - 1))
+    src = np.where(on_share, cdf[:, col] / cdf[:, -1], src)
+    draw = src * cdf[:, -1]
+    old = np.minimum((draw[:, None] >= cdf).sum(axis=1), d - 1)
+    new = _source_types(xs, src)
+    assert new.dtype == old.dtype
+    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("model, y", [(TwoTypeModel(), [3, 1]), (ThreeTypeRotorModel(), [2, 1, 2])])
+def test_sample_final_distribution_is_one_shared_stream_tile(model, y):
+    trials = 700
+    emp = sample_final_distribution(model, 0.1, 0.9, y, 1.0, 0.5, trials=trials, seed=8)
+    finals = np.tile(np.array(y, dtype=np.int64), (trials, 1))
+    simulate_chain(model, 0.1, 0.9, finals, 1.0, 0.5, np.random.default_rng(8),
+                   record_events=False)
+    grid = SimplexGrid(model.dimension, sum(y))
+    expect = np.bincount(grid.node_index(finals), minlength=grid.node_count) / trials
+    assert emp.probs.tobytes() == expect.tobytes()
+
+
 def test_sample_final_distribution_needs_a_trial():
     # zero trials used to give an all-NaN law with only a RuntimeWarning
     with pytest.raises(ValueError, match="at least one trial"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainguide.guide import LAM_POINTS, ODE_STEP, CandidateFamily, _flow, advance_guides
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, mirrored
-from chainguide.strategy import ControlWithGuideStrategy
+from chainguide.strategy import ControlWithGuideStrategy, Partition
 from chainguide.value import ValueField, build_simplex_grid, solve_value
 
 
@@ -65,6 +65,24 @@ def test_characteristic_time_dependent_schedules():
     out = _flow(velocity, 0.0, 1.0, np.array([[1.0, 0.0]]), 0.005, "characteristic")[0]
     # stage sampling smears the control switch across one step
     assert out[0] == pytest.approx(np.exp(-0.5), abs=2e-3)
+
+
+def test_flow_takes_no_extra_substep_for_round_off():
+    # a uniform 100-step partition of [0, 1] used to take 180 substeps
+    calls = []
+
+    def velocity(t, x):
+        calls.append(t)
+        return np.zeros_like(x)
+
+    def substeps(t0, t1):
+        calls.clear()
+        _flow(velocity, t0, t1, np.array([[0.5, 0.5]]), ODE_STEP, "flow")
+        return len(calls) // 4  # four RK4 stages per substep
+
+    times = Partition.uniform(0.0, 1.0, 100).times
+    assert [substeps(a, b) for a, b in zip(times[:-1], times[1:])] == [1] * 100
+    assert substeps(0.0, 0.015) == 2
 
 
 def test_characteristic_three_type_stays_on_simplex():

@@ -24,6 +24,8 @@ from chainguide.harness import (
 from chainguide.chain import RateBoundError, master_evolve, simulate_chain
 from chainguide.strategy import ControlWithGuideStrategy, Partition, run_episodes
 from chainguide.models import (
+    ControlGrid,
+    RateModel,
     ThreeTypeRotorModel,
     TwoTypeModel,
     coupling_constants,
@@ -206,6 +208,45 @@ def test_one_step_kernel_reproduces_shared_stream(model, counts0):
     simulate_chain(model, 0.3, 0.3 + 0.05, counts, model.u_grid[1], model.v_grid.values()[v_idx],
                    np.random.default_rng(9), rate_bound=model.declared_k, record_events=False)
     assert np.array_equal(counts, expect)
+
+
+class UniformJumps(RateModel):
+    """Any dimension: every particle jumps to each other type at rate u."""
+
+    name = "uniform-jumps"
+    horizon = 1.0
+    declared_k = 1.0
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.u_grid = ControlGrid((0.5, 1.0))
+        self.v_grid = ControlGrid((0.0, 1.0))
+
+    def rate_matrix(self, t, x, u, v):
+        d = self.dimension
+        return np.asarray(u)[..., None, None] * (np.ones((d, d)) - d * np.eye(d))
+
+    def terminal_payoff(self, x):
+        return np.asarray(x, dtype=float)[..., 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), data=st.data())
+def test_one_step_squared_distance_equals_the_row_sum_reference(d, data):
+    model = UniformJumps(d)
+    counts0 = np.array(data.draw(st.lists(st.integers(0, 12), min_size=d, max_size=d)
+                                 .filter(any)), dtype=np.int64)
+    w_plus = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(d))
+    trials = data.draw(st.integers(2, 60))
+    v_idx = np.zeros(trials, dtype=np.int64)
+    mean, sem = _one_step_squared_distance(model, 1.0, 0.2, 0.3, counts0, 1, v_idx, w_plus,
+                                           trials, np.random.default_rng(d))
+    counts = np.tile(counts0, (trials, 1))
+    simulate_chain(model, 0.2, 0.5, counts, 1.0, 0.0, np.random.default_rng(d),
+                   rate_bound=1.0, record_events=False)
+    sq = np.sum((counts / int(counts0.sum()) - w_plus) ** 2, axis=1)
+    assert mean == float(np.sum(sq) / trials)
+    assert sem == float(np.std(sq, ddof=1) / math.sqrt(trials))
 
 
 def test_one_step_kernel_rate_bound_error():

@@ -259,6 +259,21 @@ def test_interpolation_is_convex_combination(d, n):
     assert np.all(got >= values.min() - 1e-12)
 
 
+@pytest.mark.parametrize("model, n_x", [(TwoTypeModel(), 20), (ThreeTypeRotorModel(), 8)])
+def test_field_read_at_a_non_finite_point_raises(model, n_x):
+    # a NaN used to reach the integer cast and fail with an IndexError
+    field = solve_value(model, 5, build_simplex_grid(model.dimension, n_x))
+    for bad in (np.nan, np.inf):
+        point = np.full(model.dimension, 1.0 / model.dimension)
+        point[-1] = bad
+        with pytest.raises(ValueError, match="non-finite point"):
+            field.eval(0.3, point)
+    points = np.full((4, model.dimension), 1.0 / model.dimension)
+    points[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\(row 2\)"):
+        field.eval_batch(0.3, points)
+
+
 def test_boundary_slice_is_terminal_payoff():
     model = TwoTypeModel()
     grid = build_simplex_grid(2, 50)
