@@ -18,23 +18,15 @@ strategy holds its control between partition times. One trial is a
 row draws its next candidate, then source choice, the rate-bound check,
 acceptance and the count update run vectorized over the round.
 
-Randomness comes in one of two layouts. With a list of n generators, row
-r draws from its own generator in a fixed order: the exponential gap,
-then (if the candidate falls inside the interval) the source uniform, the
-target offset ``integers(d - 1)`` and the accept uniform. The rates draw
-nothing, so a row's draws and its path do not depend on which other rows
-share its batch: batch composition never changes results. With one
-shared Generator, every round draws one vector per quantity over its
-live rows, so a row's path depends on the whole batch.
-
-Per-trial generators are keyed: trial ``row`` of a run with key prefix
-``prefix`` draws from ``np.random.default_rng([*prefix, *row])``.
-``trial_generators`` builds a block of them at once, bit for bit the same
-generators, by hashing every key row in one pass of NumPy's SeedSequence
-mixing instead of one SeedSequence per trial. The episode paths of the
-harness use them, so a trial's result does not depend on which worker or
-pooled block runs it. ``sample_final_distribution`` and lemma 2's one-step
-check draw one whole tile of trials from one shared Generator instead.
+All randomness of a call comes from one shared Generator: every round
+draws one vector per quantity over its live rows (the exponential gaps,
+the source uniforms, the target offsets ``integers(d - 1)`` and the
+accept uniforms), so a row's path depends on the whole batch and on the
+generator's state, not on the row alone. The episode paths of the
+harness run each trial block on a generator keyed by the block, whose
+rows the scenario fixes, so results do not depend on the worker count.
+``sample_final_distribution`` and lemma 2's one-step check draw one whole
+tile of trials from one generator in the same way.
 
 The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
 which advances a batch of laws on one lattice generator at once;
@@ -43,9 +35,7 @@ which advances a batch of laws on one lattice generator at once;
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,106 +47,6 @@ from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
 NEGATIVE_PROB_TOL = 1e-9
-
-
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-
-
-def _hashmix(value, const):
-    """SeedSequence's ``hashmix`` of uint32 words: (hashed words, next hash constant)."""
-    value = value ^ np.uint32(const)
-    const = const * _MULT_A & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> _XSHIFT), const
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two uint32 word arrays."""
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> _XSHIFT)
-
-
-def _int_words(n):
-    """SeedSequence's uint32 words of a nonnegative int: low word first, 0 is one word."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("seed entries must be nonnegative integers")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.cache
-def _state_words_type():
-    """A seed sequence that hands PCG64 its four precomputed state words."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateWords(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("precomputed words serve PCG64's (4, uint64) request only")
-            return self.words
-
-    return StateWords
-
-
-def trial_generators(prefix, keys):
-    """``[np.random.default_rng([*prefix, *row]) for row in keys]``, hashed in one vectorized pass.
-
-    ``prefix`` holds nonnegative ints, each split into SeedSequence's
-    uint32 words; ``keys`` is an (n, k) integer array whose entries must
-    lie in [0, 2**32), so that each is one word. Every row's entropy then
-    has the same length, the hash constants run the same course for all
-    rows, and SeedSequence's pool mixing and ``generate_state(4, uint64)``
-    become uint32 column arithmetic. Each row's words reach ``PCG64``
-    through a minimal ``ISeedSequence``.
-    """
-    raw = np.asarray(keys)
-    if raw.ndim != 2 or (raw.size and raw.dtype.kind not in "iu"):
-        raise ValueError("trial keys must be an (n, k) integer array")
-    if raw.size and (raw.min() < 0 or raw.max() > _MASK32):
-        raise ValueError("trial keys must lie in [0, 2**32)")
-    n = raw.shape[0]
-    head = [np.full(n, w, dtype=np.uint32) for p in prefix for w in _int_words(p)]
-    entropy = head + list(raw.T.astype(np.uint32))
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32),
-                               const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            word, const = _hashmix(entropy[src], const)
-            pool[dst] = _mix(pool[dst], word)
-    # generate_state(4, uint64): eight words cycled from the pool, paired little-endian
-    state = np.empty((n, 8), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(8):
-        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        word = word * np.uint32(const)
-        state[:, i] = word ^ (word >> _XSHIFT)
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    StateWords = _state_words_type()
-    Generator, PCG64 = np.random.Generator, np.random.PCG64
-    return [Generator(PCG64(StateWords(words))) for words in state]
 
 
 class RateBoundError(RuntimeError):
@@ -187,37 +77,6 @@ class ChainBatch:
     accepted: int = 0              # candidates accepted as jumps
     max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
     events: Optional[list] = None  # per-row JumpEvent lists, when recorded
-
-
-def _row_rounds(rngs, t0, t1, scales, d):
-    """Candidate rounds with one generator per row, each row in its own fixed draw order.
-
-    Row r draws from ``rngs[r]`` only: the exponential gap of mean
-    ``scales[r]``, then (while the candidate falls before t1) the source
-    uniform, the target offset and the accept uniform. Yields (rows, times,
-    source uniforms, target offsets, accept uniforms) over the rows whose
-    next candidate falls before t1.
-    """
-    scales = scales.tolist()
-    times = [float(t0)] * len(rngs)
-    active = range(len(rngs))
-    while True:
-        rows, src, offset, accept = [], [], [], []
-        for r in active:
-            rng = rngs[r]
-            t = times[r] + rng.exponential(scales[r])
-            times[r] = t
-            if t < t1:
-                rows.append(r)
-                src.append(rng.random())
-                # integers(1) returns 0 without drawing, so d = 2 skips the call
-                offset.append(rng.integers(d - 1) if d > 2 else 0)
-                accept.append(rng.random())
-        if not rows:
-            return
-        active = rows
-        yield (np.array(rows), np.array([times[r] for r in rows]), np.array(src),
-               np.array(offset, dtype=np.int64), np.array(accept))
 
 
 def _shared_rounds(rng, t0, t1, scales, d):
@@ -258,8 +117,8 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     ``counts`` is an (n, d) integer array of nonnegative counts, advanced
     in place; each row has its own positive particle total. ``u`` and ``v``
     are the controls, constant over the interval: a number for every row or
-    an array of n per-row values. ``rng`` is either a list of n generators, one per row,
-    or one shared Generator (see the module docstring for both layouts).
+    an array of n per-row values. Every row draws from the one shared
+    Generator ``rng`` (see the module docstring).
 
     Raises RateBoundError if the model ever produces an off-diagonal rate
     above the bound K used for thinning (``rate_bound``, else the model's
@@ -273,9 +132,8 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     n, d = counts.shape
     if not t0 < t1 <= model.horizon + 1e-12:
         raise ValueError("need t0 < t1 <= horizon")
-    shared = isinstance(rng, np.random.Generator)
-    if not shared and len(rng) != n:
-        raise ValueError("need one generator per row, or one shared Generator")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("a batch of chains draws from one shared Generator")
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
     if not (n and (d - 1) * k_bound > 0.0):
@@ -283,13 +141,9 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     totals = row_totals(counts)
     # candidates of row r arrive at the dominating rate (d - 1) K totals[r]
     scales = 1.0 / ((d - 1) * k_bound * totals)
-    if shared:
-        rounds = _shared_rounds(rng, t0, t1, scales, d)
-    else:
-        rounds = _row_rounds(rng, t0, t1, scales, d)
     u_rows = np.broadcast_to(np.asarray(u, dtype=float), (n,))
     v_rows = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-    for rows, times, src, offset, accept_u in rounds:
+    for rows, times, src, offset, accept_u in _shared_rounds(rng, t0, t1, scales, d):
         xs = counts[rows] / totals[rows, None]
         # source type from the current mix, target uniform among the rest
         i_sel = _source_types(xs, src)

@@ -78,6 +78,28 @@ class CandidateFamily:
         return self.weight.size
 
 
+@lru_cache(maxsize=32)
+def _hull_rows(u_levels, n, d):
+    """The candidate-major hull rows of ``n`` guides that depend only on the u grid.
+
+    Returns (u_a, u_b, lam, rest): each row's first control, the second
+    control of the mixture rows, and the mixture weights and their
+    complements at the full (rows, d) shape (a broadcast (rows, 1)
+    multiply is slower). One set serves every call with the same u levels,
+    n and d, so the arrays are read-only.
+    """
+    u_values = np.array(u_levels)
+    family = CandidateFamily.build(u_values.size)
+    pure = u_values.size
+    u_a = np.repeat(u_values[family.first_idx], n)
+    u_b = np.repeat(u_values[family.second_idx[pure:]], n)
+    lam = np.repeat(family.weight[pure:], n)[:, None] * np.ones(d)
+    rest = 1.0 - lam
+    for arr in (u_a, u_b, lam, rest):
+        arr.flags.writeable = False
+    return u_a, u_b, lam, rest
+
+
 def advance_guides(field, model, t0, t1, guides, fixed_idx, slack):
     """Advance a batch of player 1's guides over [t0, t1] with the reply v fixed.
 
@@ -109,14 +131,9 @@ def advance_guides(field, model, t0, t1, guides, fixed_idx, slack):
     # a second runs on the mixture rows only
     states = np.tile(guides, (nc, 1))
     v = np.tile(fixed, nc)
-    u_a = np.repeat(u_values[family.first_idx], n)
-    pure = u_values.size
-    mix = slice(pure * n, None)
-    u_b = np.repeat(u_values[family.second_idx[pure:]], n)
+    u_a, u_b, lam, rest = _hull_rows(tuple(u_values.tolist()), n, d)
+    mix = slice(u_values.size * n, None)
     v_mix = v[mix]
-    # weights at the full (rows, d) shape: a broadcast (rows, 1) multiply is slower
-    lam = np.repeat(family.weight[pure:], n)[:, None] * np.ones(d)
-    rest = 1.0 - lam
 
     def velocity(t, x):
         out = model.drift(t, x, u_a, v)

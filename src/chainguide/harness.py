@@ -1,10 +1,11 @@
 """Scenario-driven Monte Carlo experiments and verification checks.
 
-Everything here is deterministic for a fixed scenario seed: trials draw
-from per-trial generators keyed by (seed, configuration index, trial
-index), aggregation happens over arrays assembled in trial order, and the
-emitted files contain no timestamps or environment-dependent content, so
-reruns and different worker counts produce byte-identical output.
+Everything here is deterministic for a fixed scenario seed: each block of
+trials draws from one generator keyed by the block, the blocks are cut
+from the scenario alone, aggregation happens over arrays assembled in
+trial order, and the emitted files contain no timestamps or
+environment-dependent content, so reruns and different worker counts
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .chain import (
     master_evolve,
     sample_final_distribution,
     simulate_chain,
-    trial_generators,
     tv_distance,
 )
 from .guide import ODE_STEP, CandidateFamily, advance_guides
@@ -63,6 +63,10 @@ from .value import (
 )
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# the most work one command may imply, in expected thinning candidates plus
+# RK4 node-steps (steps times lattice nodes); checked before anything runs
+WORK_BUDGET = 10**8
 
 
 class ScenarioError(ValueError):
@@ -291,6 +295,16 @@ def _result(kind, scenario, columns, rows, passed, **extra):
     return ExperimentResult(kind, columns, rows, summary, passed)
 
 
+def _thinning_work(model, k, trials, total, span):
+    """Expected thinning candidates of ``trials`` chains of ``total`` particles over ``span``."""
+    return trials * (model.dimension - 1) * k * total * span
+
+
+def _rk4_work(model, total, span, step):
+    """Node-steps of one RK4 run over ``span`` on the lattice of ``total`` particles."""
+    return math.ceil(span / step) * lattice_size(model.dimension, total)
+
+
 class _ExperimentSetup(NamedTuple):
     """What a command's work shares: built, checked and solved once."""
 
@@ -301,7 +315,7 @@ class _ExperimentSetup(NamedTuple):
     starts: dict  # particle total -> the start mix rounded onto its lattice, a count row
 
 
-def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
+def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=(), work=None):
     """Build the model, check the scenario against it, then estimate and solve.
 
     Every check on the scenario alone runs before ``estimate_constants``: a
@@ -310,7 +324,8 @@ def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
     must play a point of that player's control grid, and the particle
     totals whose whole count lattice the command enumerates (``lattices``)
     must be within the lattice cap. The estimate and the solve bracket the
-    checks of the guides' RK4 step (with ``adversary_seat``) and the time step.
+    checks of the guides' RK4 step (with ``adversary_seat``), the time step
+    and the command's implied work, ``work(model, K)``, against WORK_BUDGET.
     """
     model = build_model(scenario.model, scenario.model_params)
     for total in lattices:
@@ -334,6 +349,11 @@ def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=()):
                        what="value_grid.n_t time step")
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+    implied = work(model, constants.k) if work is not None else 0
+    if implied > WORK_BUDGET:
+        raise ScenarioError(f"the scenario implies about {implied:.3g} thinning candidates and "
+                            f"RK4 node-steps at K = {constants.k:.6g}; the budget is "
+                            f"{WORK_BUDGET:.0e}")
     field = None
     if solve:
         grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
@@ -384,23 +404,25 @@ def _init_worker(setup):
     _worker_setup = setup
 
 
-def _run_trial_block(setup, m_steps, adversary_spec, seat, block):
+def _run_trial_block(setup, m_steps, adv_index, seat, lo, block):
     """Run one block of trials as one episode batch, the guided player in ``seat``.
 
     ``block`` lists (configuration index, particle count, trial) entries of
-    configurations that share ``m_steps`` and the adversary. Each trial
-    draws only from the generator keyed by (seed, configuration index,
-    trial), so its results do not depend on what else shares its block.
+    configurations that share ``m_steps`` and the adversary, and starts at
+    entry ``lo`` of their pooled trial list. The whole block draws from one
+    generator, ``np.random.default_rng([seed, m_steps, adv_index, lo])``,
+    so a trial's results depend on its block; ``_collect_trials`` cuts the
+    blocks from the scenario alone.
     """
     scenario, model, constants, field, starts = setup
     partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
     guided = ControlWithGuideStrategy(*_seat_view(seat, field, model), constants)
-    adversary = _build_adversary(adversary_spec, *_seat_view(3 - seat, field, model), constants)
+    adversary = _build_adversary(scenario.adversaries[adv_index],
+                                 *_seat_view(3 - seat, field, model), constants)
     player1, player2 = (guided, adversary) if seat == 1 else (adversary, guided)
     ys = np.array([starts[particle_count] for _, particle_count, _ in block])
-    keys = [(config_index, trial) for config_index, _, trial in block]
-    rngs = trial_generators([scenario.seed], keys)
-    batch = run_episodes(model, ys, partition, player1, player2, rngs,
+    rng = np.random.default_rng([scenario.seed, m_steps, adv_index, lo])
+    batch = run_episodes(model, ys, partition, player1, player2, rng,
                          rate_bound=constants.k)
     return batch.payoffs, batch.violation_fraction1, batch.violation_fraction2
 
@@ -409,14 +431,15 @@ def _worker_entry(args):
     return _run_trial_block(_worker_setup, *args)
 
 
-def _collect_trials(setup, configs, seat, processes, pool):
+def _collect_trials(setup, configs, seat, pool):
     """Per-configuration (payoffs, viol1, viol2) arrays, each (configurations, trials).
 
     ``configs`` lists (partition steps, particle count, adversary index) in
     configuration-index order. The trials of every configuration that
     shares (partition steps, adversary) are pooled and cut into blocks of
-    about SOLVE_BLOCK_POINTS guide rows, small enough that every worker
-    process gets a block; each block is one task.
+    SOLVE_BLOCK_POINTS // (hull candidates) trials, the last block taking
+    the remainder. The cut depends on the scenario alone, never on the
+    worker count; each block is one task on its own keyed generator.
     """
     scenario, model, _, _, _ = setup
     trials = scenario.trials
@@ -428,8 +451,8 @@ def _collect_trials(setup, configs, seat, processes, pool):
             (config_index, particle_count, trial) for trial in range(trials))
     tasks = []
     for (m_steps, adv_index), units in groups.items():
-        size = min(SOLVE_BLOCK_POINTS // family.count, math.ceil(len(units) / processes))
-        tasks.extend((m_steps, scenario.adversaries[adv_index], seat, units[lo:lo + size])
+        size = min(SOLVE_BLOCK_POINTS // family.count, len(units))
+        tasks.extend((m_steps, adv_index, seat, lo, units[lo:lo + size])
                      for lo in range(0, len(units), size))
     if pool is None:
         results = [_run_trial_block(setup, *task) for task in tasks]
@@ -475,7 +498,11 @@ def run_corollary_experiment(scenario, workers=1):
 
 def _run_bound_experiment(scenario, seat, workers):
     """The guided player in ``seat`` against each adversary, its bounds on its signed payoff."""
-    setup = _setup(scenario, scenario.particle_counts, adversary_seat=3 - seat)
+    runs = len(scenario.partition_steps) * len(scenario.adversaries) * scenario.trials
+    setup = _setup(scenario, scenario.particle_counts, adversary_seat=3 - seat,
+                   work=lambda model, k: sum(
+                       _thinning_work(model, k, runs, total, model.horizon - scenario.start_time)
+                       for total in scenario.particle_counts))
     _, model, constants, field, starts = setup
     _, c_gain = coupling_constants(model, constants)
     d_const = c_gain * model.horizon
@@ -495,7 +522,7 @@ def _run_bound_experiment(scenario, seat, workers):
         pool = multiprocessing.get_context("fork").Pool(
             processes, initializer=_init_worker, initargs=(setup,))
     try:
-        outcomes = _collect_trials(setup, configs, seat, processes, pool)
+        outcomes = _collect_trials(setup, configs, seat, pool)
     finally:
         if pool is not None:
             pool.close()
@@ -610,13 +637,16 @@ def run_lemma1_check(scenario):
     cfg = scenario.lemma1
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     totals = () if "state" in cfg else (total,)
-    _, model, constants, _, starts = _setup(scenario, totals, solve=False, lattices=totals)
+    m = sum(cfg["state"]) if "state" in cfg else total
+    deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
+    _, model, constants, _, starts = _setup(
+        scenario, totals, solve=False, lattices=totals,
+        work=lambda model, k: sum(_rk4_work(model, m, delta, _lemma_step(model, delta, m, k))
+                                  for delta in deltas))
     # Scenario checked a stated lemma1.state against the model
     counts = np.array(cfg["state"], dtype=np.int64) if "state" in cfg else starts[total]
-    m = int(counts.sum())
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
-    deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
     min_ratio = float(cfg.get("min_ratio", 3.0))
     t0 = scenario.start_time
     h = 1.0 / m
@@ -735,12 +765,20 @@ def run_lemma2_check(scenario):
     """
     cfg = scenario.lemma2
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    _, model, constants, field, _ = _setup(scenario, adversary_seat=2, lattices=(total,))
-    mirror = mirrored(model)
-    beta, c_gain = coupling_constants(model, constants)
     pairs = int(cfg.get("pairs", 100))
     deltas = sorted(cfg.get("deltas", [0.02, 0.01, 0.005]), reverse=True)
     trials = int(cfg.get("trials_per_pair", 10_000))
+    # per pair and step: every adversary's one-step draws, and the exact law
+    # of every reply on the v grid at most
+    _, model, constants, field, _ = _setup(
+        scenario, adversary_seat=2, lattices=(total,),
+        work=lambda model, k: pairs * sum(
+            len(scenario.adversaries) * _thinning_work(model, k, trials, total, delta)
+            + len(model.v_grid) * _rk4_work(model, total, delta,
+                                            _lemma_step(model, delta, total, k))
+            for delta in deltas))
+    mirror = mirrored(model)
+    beta, c_gain = coupling_constants(model, constants)
     h = 1.0 / total
     d = model.dimension
     space = SimplexGrid(d, total)
@@ -778,7 +816,7 @@ def run_lemma2_check(scenario):
                 replies.append([model.v_grid.index_of(adv["value"])])
             elif kind == "greedy":
                 replies.append([model.v_grid.index_of(GreedyPolicy(mirror).step_values(
-                    t0, counts0[None, :], h, [None])[0])])
+                    t0, counts0[None, :], total, None)[0])])
             else:  # extremal: player 2's guide starts on the chain state
                 replies.append([int(extremal_indices(mirror, t0, x_star[None, :],
                                                      x_star[None, :])[0][0])])
@@ -866,12 +904,24 @@ def run_oracle_check(scenario):
     dyn = cfg.get("dynkin", {})
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     dyn_total = int(dyn.get("particle_count", total))
-    _, model, constants, _, starts = _setup(scenario, (total, 1, dyn_total), solve=False,
-                                            lattices=(total, dyn_total))
     trials = int(cfg.get("trials", 100_000))
+    t0 = scenario.start_time
+    dyn_step = float(dyn.get("ode_step", 0.002))
+
+    def work(model, k):
+        """Both terminal laws' draws and forward equations, and the Dynkin residual's RK4."""
+        span = cfg.get("elapsed", model.horizon - t0)
+        units = _rk4_work(model, dyn_total, dyn.get("elapsed", min(0.5, model.horizon - t0)),
+                          min(dyn_step, default_ode_step(model, dyn_total, k)))
+        for m in (total, 1) if cfg.get("unit_check", True) else (total,):
+            units += (_thinning_work(model, k, trials, m, span)
+                      + _rk4_work(model, m, span, default_ode_step(model, m, k)))
+        return units
+
+    _, model, constants, _, starts = _setup(scenario, (total, 1, dyn_total), solve=False,
+                                            lattices=(total, dyn_total), work=work)
     u = float(cfg.get("u", max(model.u_grid.points)))
     v = float(cfg.get("v", min(model.v_grid.points)))
-    t0 = scenario.start_time
     elapsed = float(cfg.get("elapsed", model.horizon - t0))
     tv_tol = float(cfg.get("tv_tolerance", 0.01))
     rows = []
@@ -905,7 +955,7 @@ def run_oracle_check(scenario):
     dyn_tol = float(dyn.get("tolerance", 1e-8))
     residual = dynkin_residual(
         model, lambda x: x[coord], t0, t0 + dyn_elapsed, starts[dyn_total], u, v,
-        ode_step=float(dyn.get("ode_step", 0.002)))
+        ode_step=dyn_step)
     rows.append({"check": "expectation_identity_residual", "statistic": residual,
                  "tolerance": dyn_tol, "ok": bool(residual <= dyn_tol)})
 
@@ -951,15 +1001,18 @@ def run_simulate(scenario):
     cfg = scenario.simulate
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
-    _, model, constants, field, starts = _setup(scenario, (total,), adversary_seat=2)
     episodes = int(cfg.get("episodes", 5))
+    _, model, constants, field, starts = _setup(
+        scenario, (total,), adversary_seat=2,
+        work=lambda model, k: _thinning_work(model, k, episodes, total,
+                                             model.horizon - scenario.start_time))
     record_jumps = bool(cfg.get("record_jumps", True))
     steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
     player1 = ControlWithGuideStrategy(field, model, constants)
     player2 = _build_adversary(adv, *_seat_view(2, field, model), constants)
-    rngs = trial_generators([scenario.seed, 0], np.arange(episodes)[:, None])
-    batch = run_episodes(model, starts[total], partition, player1, player2, rngs,
+    batch = run_episodes(model, np.tile(starts[total], (episodes, 1)), partition, player1,
+                         player2, np.random.default_rng([scenario.seed, 0]),
                          rate_bound=constants.k, record=True,
                          record_jumps=record_jumps)
     rows = []

@@ -7,17 +7,19 @@ reply in turn drives the guide update. Episodes advance the chain by exact
 thinned simulation between corrections while each strategy side maintains
 its own private guide.
 
-The episode runner is written over batches of trials: per-trial randomness
-comes from per-trial generators, and the deterministic numpy work
-(extremal selection, guide integration, value interpolation) is vectorized
-across the batch. A batch may mix particle totals, each row keeping its
-own lattice spacing. Each trial's outputs depend only on its own
-generator, so results are independent of batch composition and worker
-layout.
+The episode runner is written over batches of trials: the whole batch
+draws from one shared generator (the chain's thinning rounds and the
+random policy's per-step control vector), and the deterministic numpy
+work (extremal selection, guide integration, value interpolation) is
+vectorized across the batch. A batch may mix particle totals, each row
+keeping its own lattice spacing. A trial's outputs therefore depend on
+the batch it runs in and on the batch's generator; the harness fixes both
+from the scenario alone, so results do not depend on the worker layout.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,13 +74,34 @@ def extremal_indices(model, t, xs, guides):
     over v) and the announced v maximizes the best-case growth (max over v
     of min over u): player 1 shifts the chain toward its guide. Ties
     resolve to the lowest grid index.
+
+    The grids are short, so the max, the min and the arg-extrema run
+    column by column over the batch rather than as short-axis reductions.
     """
     xs = np.asarray(xs, dtype=float)
     disps = xs - np.asarray(guides, dtype=float)
     surface = control_surface(model, t, xs, disps)
-    own = np.argmin(surface.max(axis=2), axis=1)
-    reply = np.argmax(surface.min(axis=1), axis=1)
+    nu, nv = surface.shape[1:]
+    worst = functools.reduce(np.maximum, (surface[:, :, j] for j in range(nv)))
+    best = functools.reduce(np.minimum, (surface[:, i, :] for i in range(nu)))
+    own = _first_extremum([worst[:, i] for i in range(nu)], np.less)
+    reply = _first_extremum([best[:, j] for j in range(nv)], np.greater)
     return own, reply
+
+
+def _first_extremum(columns, beats):
+    """Per row, the index of the first column that ``beats`` every earlier one.
+
+    A strict ``beats`` keeps the earlier column on a tie, so ``np.less``
+    gives ``argmin`` and ``np.greater`` gives ``argmax`` on finite values.
+    """
+    lead = columns[0]
+    idx = np.zeros(lead.shape, dtype=np.int64)
+    for i, column in enumerate(columns[1:], start=1):
+        ahead = beats(column, lead)
+        idx[ahead] = i
+        lead = np.where(ahead, column, lead)
+    return idx
 
 
 # -- strategies ----------------------------------------------------------------
@@ -125,8 +148,12 @@ class ControlWithGuideStrategy:
 class ControlPolicy:
     """Stepwise control process for one side: may read (t, state), not controls."""
 
-    def step_values(self, t, counts, h, rngs):
-        """Control value per trial at the start of a partition step."""
+    def step_values(self, t, counts, totals, rng):
+        """Control value per trial at the start of a partition step.
+
+        ``counts`` is the (n, d) batch, ``totals`` its (n, 1) particle
+        totals and ``rng`` the batch's shared generator.
+        """
         raise NotImplementedError
 
 
@@ -134,8 +161,8 @@ class ConstantPolicy(ControlPolicy):
     def __init__(self, value):
         self.value = float(value)
 
-    def step_values(self, t, counts, h, rngs):
-        return np.full(len(rngs), self.value)
+    def step_values(self, t, counts, totals, rng):
+        return np.full(len(counts), self.value)
 
 
 class RandomPolicy(ControlPolicy):
@@ -144,10 +171,8 @@ class RandomPolicy(ControlPolicy):
     def __init__(self, grid):
         self.values = grid.values()
 
-    def step_values(self, t, counts, h, rngs):
-        idx = np.fromiter((rng.integers(self.values.size) for rng in rngs),
-                          dtype=np.int64, count=len(rngs))
-        return self.values[idx]
+    def step_values(self, t, counts, totals, rng):
+        return self.values[rng.integers(self.values.size, size=len(counts))]
 
 
 class GreedyPolicy(ControlPolicy):
@@ -159,8 +184,8 @@ class GreedyPolicy(ControlPolicy):
     def __init__(self, model):
         self.model = model
 
-    def step_values(self, t, counts, h, rngs):
-        xs = counts * h
+    def step_values(self, t, counts, totals, rng):
+        xs = counts / totals
         drifts = self.model.drift_grid_multi(t, xs)
         probes = xs[:, None, None, :] + GREEDY_PROBE * drifts
         project_rows(probes)
@@ -230,9 +255,9 @@ class EpisodeBatch:
     max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
 
 
-def run_episodes(model, y, partition, player1, player2, rngs,
+def run_episodes(model, y, partition, player1, player2, rng,
                  rate_bound=None, record=False, record_jumps=False):
-    """Run one coupled episode per generator in ``rngs`` from the count rows ``y``.
+    """Run one coupled episode per count row of ``y`` on the shared generator ``rng``.
 
     Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
     number (constant control). Player 1's guided strategy must be built on
@@ -241,19 +266,21 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     Strategy-side controls are held constant on each partition step; guide
     updates read the chain state from the start of the step they span.
 
-    ``y`` is one count row that every trial starts from, or one row per
-    generator; rows may differ in particle total. All trials share the
-    partition. Strategy sides are vectorized across trials; chain
-    randomness is consumed strictly from each trial's own generator, so
-    per-trial results do not depend on how trials are grouped into batches.
-    With ``record`` the batch carries one TrajectoryRecord per trial.
+    ``y`` is an (n, d) start batch, one count row per trial (a single row
+    is one trial); rows may differ in particle total, and x = counts /
+    total is formed by one division per row. All trials share the
+    partition. Strategy sides are vectorized across trials, and every
+    random draw of the batch comes from ``rng``: per step, player 1's
+    policy draws first, then player 2's, then the chain. So a trial's
+    result depends on the whole batch and the generator, not on the trial
+    alone. With ``record`` the batch carries one TrajectoryRecord per trial.
     """
     y = check_counts(y, model.dimension)
     times = partition.times
     if times[-1] > model.horizon + 1e-12:
         raise ValueError("partition extends past the model horizon")
     # per-player lists; player 1 goes first in every loop, so policy draws
-    # from the trial generators keep their order
+    # from the shared generator keep their order
     sides = [as_side(player1), as_side(player2)]
     strats = [s if isinstance(s, ControlWithGuideStrategy) else None for s in sides]
     if strats[0] is not None and strats[0].model is not model:
@@ -261,13 +288,9 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     if strats[1] is not None and mirrored(strats[1].model) is not model:
         raise ValueError("player 2's strategy must be built on mirrored(model)")
 
-    n = len(rngs)
-    d = model.dimension
-    if y.ndim != 1 and y.shape[:-1] != (n,):
-        raise ValueError("start from one count row, or from one row per generator")
-    counts = np.array(np.broadcast_to(y, (n, d)))
+    counts = np.array(y, ndmin=2)
+    n, d = counts.shape
     totals = counts.sum(axis=1, keepdims=True)
-    h = 1.0 / totals  # (n, 1): each row's lattice spacing
     steps = partition.steps
     guides = [counts / totals if s is not None else None for s in strats]
     viol = [np.zeros(n, dtype=np.int64) for _ in strats]
@@ -296,20 +319,19 @@ def run_episodes(model, y, partition, player1, player2, rngs,
     for k in range(steps):
         t0 = float(times[k])
         t1 = float(times[k + 1])
-        xs = counts * h
+        xs = counts / totals
 
         controls = []
         for p, (side, strat) in enumerate(zip(sides, strats)):
             if strat is not None:
                 vals, _, replies[p] = strat.select_batch(t0, xs, guides[p])
             else:
-                vals = side.step_values(t0, counts, h, rngs)
+                vals = side.step_values(t0, counts, totals, rng)
             controls.append(vals)
         u_vals, v_vals = controls
 
-        # the chain advances under the step controls, each trial drawing
-        # from its own generator
-        chains = simulate_chain(model, t0, t1, counts, u_vals, v_vals, rngs,
+        # the chain advances under the step controls
+        chains = simulate_chain(model, t0, t1, counts, u_vals, v_vals, rng,
                                 rate_bound=k_bound, record_events=record_jumps)
         candidates += chains.candidates
         accepted += chains.accepted
@@ -335,7 +357,7 @@ def run_episodes(model, y, partition, player1, player2, rngs,
             rec_u[:, k] = u_vals
             rec_v[:, k] = v_vals
 
-    payoffs = model.terminal_payoff(counts * h)
+    payoffs = model.terminal_payoff(counts / totals)
     batch = EpisodeBatch(
         payoffs=payoffs,
         violation_fraction1=viol[0] / steps,

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,23 +19,19 @@ from chainguide.chain import (
     master_evolve,
     sample_final_distribution,
     simulate_chain,
-    trial_generators,
     tv_distance,
 )
+from chainguide.harness import Scenario, ScenarioError, _run_trial_block, _setup
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
 from chainguide.simplex import LatticeState, check_counts
-from chainguide.strategy import Partition, run_episodes
+from chainguide.models import mirrored
+from chainguide.strategy import ControlWithGuideStrategy, Partition, RandomPolicy, run_episodes
 from chainguide.value import SimplexGrid
 
 
 def two_state_absorb_prob(elapsed):
     """P(the single particle has converted) when u=1, v=0: 1 - exp(-t)."""
     return 1.0 - math.exp(-elapsed)
-
-
-def _trial_rngs(seed, trials):
-    """Per-row generators keyed by (seed, trial): row r draws trial r's own stream."""
-    return [np.random.default_rng([seed, trial]) for trial in range(trials)]
 
 
 def _replay(start, events):
@@ -55,7 +53,7 @@ def test_jump_event_validation():
 def test_zero_model_never_jumps():
     counts = np.array([[3, 1]])
     batch = simulate_chain(ZeroModel(), 0.0, 1.0, counts, 1.0, 0.0,
-                           [np.random.default_rng(0)])
+                           np.random.default_rng(0))
     assert batch.events == [[]]
     assert counts.tolist() == [[3, 1]]
 
@@ -63,7 +61,7 @@ def test_zero_model_never_jumps():
 def test_counts_conserved_along_path():
     model = TwoTypeModel()
     counts = np.array([[5, 5]])
-    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, [np.random.default_rng(7)])
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(7))
     states = _replay([5, 5], batch.events[0])
     assert states
     for state in states:
@@ -76,7 +74,7 @@ def test_single_particle_conversion_matches_closed_form():
     model = TwoTypeModel()
     trials = 20000
     counts = np.tile([1, 0], (trials, 1))
-    simulate_chain(model, 0.0, 1.0, counts, 1.0, 0.0, _trial_rngs(123, trials),
+    simulate_chain(model, 0.0, 1.0, counts, 1.0, 0.0, np.random.default_rng(123),
                    record_events=False)
     p_hat = np.count_nonzero(counts[:, 1] == 1) / trials
     p_true = two_state_absorb_prob(1.0)
@@ -89,7 +87,7 @@ def test_candidate_count_bounded_by_dominating_rate():
     lam = (model.dimension - 1) * model.declared_k * 20  # = 20
     trials = 2000
     batch = simulate_chain(model, 0.0, 0.5, np.tile([10, 10], (trials, 1)), 1.0, 1.0,
-                           _trial_rngs(9, trials), record_events=False)
+                           np.random.default_rng(9), record_events=False)
     mean = batch.candidates / trials
     # candidates are Poisson(lam * 0.5); accepted jumps are a subset
     assert mean == pytest.approx(lam * 0.5, rel=0.05)
@@ -99,20 +97,19 @@ def test_rate_bound_violation_aborts():
     model = TwoTypeModel()
     model.declared_k = 0.5  # lie: actual rates reach 1.0
     with pytest.raises(RateBoundError):
-        simulate_chain(model, 0.0, 1.0, np.tile([5, 5], (50, 1)), 1.0, 1.0, _trial_rngs(1, 50))
+        simulate_chain(model, 0.0, 1.0, np.tile([5, 5], (50, 1)), 1.0, 1.0, np.random.default_rng(1))
 
 
 def test_kernel_takes_only_the_batch_form():
     model = TwoTypeModel()
     with pytest.raises(ValueError):
-        simulate_chain(model, 0.0, 1.0, [[1, 1]], 1.0, 1.0,
-                       [np.random.default_rng(0)])
+        simulate_chain(model, 0.0, 1.0, [[1, 1]], 1.0, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        simulate_chain(model, 0.0, 1.0, np.array([1, 1]), 1.0, 1.0,
-                       [np.random.default_rng(0)])
-    with pytest.raises(ValueError):
+        simulate_chain(model, 0.0, 1.0, np.array([1, 1]), 1.0, 1.0, np.random.default_rng(0))
+    # one generator per row is not a layout the kernel takes
+    with pytest.raises(ValueError, match="one shared Generator"):
         simulate_chain(model, 0.0, 1.0, np.array([[1, 1], [2, 0]]), 1.0, 1.0,
-                       [np.random.default_rng(0)])
+                       [np.random.default_rng(0), np.random.default_rng(1)])
 
 
 def test_distribution_validation():
@@ -190,35 +187,56 @@ def test_batched_laws_equal_per_reply_master_evolve(model, total):
             assert laws[row].tobytes() == want[b].tobytes()
 
 
-_KEY = st.integers(0, 2**32 - 1) | st.just(0)
+_BLOCK_SCENARIO = {"model": "two-type", "particle_counts": [6, 9], "partition_steps": [3],
+                   "initial_state": [0.7, 0.3], "trials": 4,
+                   "adversaries": [{"kind": "extremal"}, {"kind": "random"}],
+                   "value_grid": {"n_x": 8, "n_t": 8}}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=3),
-       st.integers(0, 2).flatmap(lambda k: st.lists(
-           st.lists(_KEY, min_size=k, max_size=k), min_size=1, max_size=4)))
-def test_trial_generators_equal_default_rng(prefix, keys):
-    k = len(keys[0])
-    gens = trial_generators(prefix, np.array(keys, dtype=np.int64).reshape(len(keys), k))
-    assert len(gens) == len(keys)
-    for gen, row in zip(gens, keys):
-        ref = np.random.default_rng([*prefix, *row])
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert gen.random() == ref.random()
-        assert gen.exponential(0.3) == ref.exponential(0.3)
-        assert gen.integers(7) == ref.integers(7)
+@functools.cache
+def _block_setup(seat):
+    return _setup(Scenario.from_dict(_BLOCK_SCENARIO), [6, 9], adversary_seat=3 - seat)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**40), m_steps=st.integers(1, 4), lo=st.integers(0, 10**6),
+       seat=st.sampled_from([1, 2]),
+       block=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([6, 9]), st.integers(0, 3)),
+                      min_size=1, max_size=4))
+def test_trial_generators_equal_default_rng(seed, m_steps, lo, seat, block):
+    # a trial block draws everything from default_rng([seed, m_steps, adversary, lo])
+    setup = _block_setup(seat)
+    setup = setup._replace(scenario=dataclasses.replace(setup.scenario, seed=seed))
+    scenario, model, constants, field, starts = setup
+    adv_index = 1  # the random adversary draws from the block's stream every step
+    got = _run_trial_block(setup, m_steps, adv_index, seat, lo, block)
+    guided, adversary = (ControlWithGuideStrategy(field, model, constants),
+                         RandomPolicy(mirrored(model).u_grid))
+    if seat == 2:
+        guided = ControlWithGuideStrategy(field.negated(), mirrored(model), constants)
+        adversary = RandomPolicy(model.u_grid)
+    players = (guided, adversary) if seat == 1 else (adversary, guided)
+    batch = run_episodes(model, [starts[count] for _, count, _ in block],
+                         Partition.uniform(0.0, 1.0, m_steps), *players,
+                         np.random.default_rng([seed, m_steps, adv_index, lo]),
+                         rate_bound=constants.k)
+    want = (batch.payoffs, batch.violation_fraction1, batch.violation_fraction2)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+# (seed, partition steps): the scenario entries of a block key
+# [seed, m_steps, adversary, lo]; adversary and lo are built as indices
 @pytest.mark.parametrize("prefix, keys", [
-    ([1], [[2**32]]),
-    ([1], [[0, -1]]),
-    ([-1], [[0]]),
-    ([1], [0, 1]),
-    ([1], [[0.5]]),
+    ([-1], [3]),
+    ([0.5], [3]),
+    ([True], [3]),
+    ([1], [0]),
+    ([1], [2.5]),
 ])
 def test_trial_generators_reject_bad_keys(prefix, keys):
-    with pytest.raises(ValueError):
-        trial_generators(prefix, np.array(keys))
+    # a block key never holds a negative or non-integer entry: the scenario refuses it at load
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(dict(_BLOCK_SCENARIO, seed=prefix[0], partition_steps=keys))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -478,16 +496,53 @@ def _one_row_runs(model, t0, t1, starts, us, vs, seeds):
     finals, candidates = [], 0
     for start, u, v, seed in zip(starts, us, vs, seeds):
         counts = start[None, :].copy()
-        run = simulate_chain(model, t0, t1, counts, u, v, [np.random.default_rng(seed)],
+        run = simulate_chain(model, t0, t1, counts, u, v, np.random.default_rng(seed),
                              record_events=False)
         finals.append(counts[0])
         candidates += run.candidates
     return np.array(finals), candidates
 
 
+def _reference_shared_rounds(model, t0, t1, starts, us, vs, rng):
+    """The shared-stream kernel restated row by row within each round: (final counts, candidates).
+
+    Every round draws one vector per quantity over its live rows, in the
+    kernel's order: the gaps (of every row in the first round), then the
+    source uniforms, the target offsets and the accept uniforms; the next
+    gaps follow the round's jumps.
+    """
+    d = model.dimension
+    k = model.declared_k
+    counts = np.array(starts, dtype=np.int64)
+    totals = counts.sum(axis=1)
+    scales = 1.0 / ((d - 1) * k * totals)
+    times = t0 + scales * rng.standard_exponential(len(counts))
+    live = [r for r in range(len(counts)) if times[r] < t1]
+    candidates = 0
+    while live:
+        n = len(live)
+        draws = zip(live, rng.random(n), rng.integers(0, d - 1, size=n), rng.random(n))
+        for r, src, offset, accept in draws:
+            x = counts[r] / totals[r]
+            cdf = np.cumsum(x)
+            i = min(int(np.searchsorted(cdf, src * cdf[-1], side="right")), d - 1)
+            j = int(offset) + (offset >= i)
+            if accept * k < float(model.rate_matrix(times[r], x, us[r], vs[r])[i, j]):
+                counts[r, i] -= 1
+                counts[r, j] += 1
+        candidates += n
+        for r, gap in zip(live, rng.standard_exponential(n)):
+            times[r] = times[r] + scales[r] * gap
+        live = [r for r in live if times[r] < t1]
+    return counts, candidates
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batch_composition_never_changes_results(data):
+    # a batch's result is a function of its rows and its one generator: a
+    # one-row batch is the one-trial loop, and any batch is the round-by-round
+    # reference with every row drawing from the shared vectors
     model = data.draw(st.sampled_from([TwoTypeModel(), ThreeTypeRotorModel()]))
     d = model.dimension
     n = data.draw(st.integers(1, 6))
@@ -512,31 +567,32 @@ def test_batch_composition_never_changes_results(data):
     assert expect_candidates == sum(c for _, c in reference)
 
     counts = starts.copy()
-    batch = simulate_chain(model, t0, t1, counts, us, vs,
-                           [np.random.default_rng(s) for s in seeds], record_events=False)
+    batch = simulate_chain(model, t0, t1, counts, us, vs, np.random.default_rng(seeds[0]),
+                           record_events=False)
     assert isinstance(batch, ChainBatch)
-    assert np.array_equal(counts, expect)
-    assert batch.candidates == expect_candidates
+    want, want_candidates = _reference_shared_rounds(model, t0, t1, starts, us, vs,
+                                                     np.random.default_rng(seeds[0]))
+    assert np.array_equal(counts, want)
+    assert batch.candidates == want_candidates
     assert 0 <= batch.accepted <= batch.candidates
 
+    # the parts of a split batch are batches of their own, each on its own stream
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=3))) | {n})
-    lo, split_candidates = 0, 0
+    lo = 0
     counts = starts.copy()
-    for hi in cuts:
-        part = simulate_chain(model, t0, t1, counts[lo:hi], us[lo:hi], vs[lo:hi],
-                              [np.random.default_rng(s) for s in seeds[lo:hi]],
-                              record_events=False)
-        split_candidates += part.candidates
+    for part, hi in enumerate(cuts):
+        simulate_chain(model, t0, t1, counts[lo:hi], us[lo:hi], vs[lo:hi],
+                       np.random.default_rng([part, *seeds]), record_events=False)
+        want, _ = _reference_shared_rounds(model, t0, t1, starts[lo:hi], us[lo:hi], vs[lo:hi],
+                                           np.random.default_rng([part, *seeds]))
+        assert np.array_equal(counts[lo:hi], want)
         lo = hi
-    assert np.array_equal(counts, expect)
-    assert split_candidates == expect_candidates
 
 
 def test_batch_tallies_and_events():
     model = TwoTypeModel()
     counts = np.array([[3, 1], [0, 4], [2, 2]], dtype=np.int64)
-    rngs = [np.random.default_rng([4, r]) for r in range(3)]
-    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, rngs)
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(4))
     # u = v = K = 1: every candidate has rate exactly K and is accepted
     assert batch.accepted == batch.candidates > 0
     assert batch.max_rate_ratio == 1.0
@@ -556,25 +612,20 @@ def test_batch_mixed_totals_run_row_by_row(model):
     starts = np.array([[1] * (d - 1) + [1], [2] + [0] * (d - 1), [7] * d, [0] * (d - 1) + [30]],
                       dtype=np.int64)
     totals = starts.sum(axis=1)
-    seeds = [[6, r] for r in range(len(starts))]
-    # per-row generators: every row gets exactly what it gets alone
+    # rows interleave their draws on the shared stream, each at its own
+    # dominating rate, and keep their totals
     counts = starts.copy()
-    batch = simulate_chain(model, 0.1, 0.9, counts, 0.5, 0.25,
-                           [np.random.default_rng(s) for s in seeds])
-    candidates = 0
-    for r in range(len(starts)):
-        alone = starts[r:r + 1].copy()
-        part = simulate_chain(model, 0.1, 0.9, alone, 0.5, 0.25,
-                              [np.random.default_rng(seeds[r])])
-        assert np.array_equal(alone[0], counts[r])
-        assert part.events[0] == batch.events[r]
-        candidates += part.candidates
+    batch = simulate_chain(model, 0.1, 0.9, counts, 0.5, 0.25, np.random.default_rng(6))
+    n = len(starts)
+    want, candidates = _reference_shared_rounds(model, 0.1, 0.9, starts, [0.5] * n,
+                                                [0.25] * n, np.random.default_rng(6))
+    assert np.array_equal(counts, want)
     assert candidates == batch.candidates
-    # one shared generator: rows interleave their draws but keep their totals
-    shared = starts.copy()
-    simulate_chain(model, 0.0, 1.0, shared, 1.0, 0.5, np.random.default_rng(6))
-    assert np.array_equal(shared.sum(axis=1), totals)
-    assert shared.min() >= 0
+    assert np.array_equal(counts.sum(axis=1), totals)
+    assert counts.min() >= 0
+    for r in range(n):
+        states = _replay(starts[r], batch.events[r])
+        assert np.array_equal(states[-1] if states else starts[r], counts[r])
 
 
 def test_sample_final_distribution_rate_bound_error():
@@ -611,8 +662,7 @@ def _corrupt(counts, kind):
 STATE_ENTRY_POINTS = {
     "check_counts": lambda model, y: check_counts(y, model.dimension),
     "run_episodes": lambda model, y: run_episodes(
-        model, y, Partition.uniform(0.0, 1.0, 2), 1.0, 0.5,
-        [np.random.default_rng(r) for r in range(len(y) if np.ndim(y) == 2 else 1)]),
+        model, y, Partition.uniform(0.0, 1.0, 2), 1.0, 0.5, np.random.default_rng(0)),
     "sample_final_distribution": lambda model, y: sample_final_distribution(
         model, 0.0, 1.0, y, 1.0, 0.5, trials=2, seed=0),
     "dynkin_residual": lambda model, y: dynkin_residual(
@@ -660,7 +710,7 @@ def test_one_state_form_checked_at_every_entry_point(model, data):
     forms = [counts, tuple(counts), np.array(counts, dtype=np.int64)]
     partition = Partition.uniform(0.0, 1.0, 4)
     payoffs = [run_episodes(model, y, partition, 1.0, 0.5,
-                            [np.random.default_rng([5, i]) for i in range(3)]).payoffs.tobytes()
+                            np.random.default_rng(5)).payoffs.tobytes()
                for y in forms]
     probs = [sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.5, trials=20,
                                        seed=5).probs.tobytes() for y in forms]

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,27 @@ def test_cli_lemma1_at_a_large_rate_bound_fails_without_a_traceback(tmp_path):
     # the K-aware step does not, and the lemma's leading terms then fail
     scen = write_scenario(tmp_path, particle_counts=[4], model_params={"u_levels": [0, 1e4]})
     assert main(["check-lemma1", "--scenario", str(scen), "--out", str(tmp_path / "l1")]) == 1
+
+
+@pytest.mark.parametrize("command, overrides", [
+    # at K = 1e6 the oracle's thinning and forward equations ran for minutes
+    ("oracle", {"particle_counts": [4], "model_params": {"u_levels": [0, 1e6]},
+                "oracle": {"trials": 10, "u": 1e6}}),
+    ("experiment", {"trials": 10**6, "particle_counts": [200]}),
+    ("corollary", {"trials": 10**6, "particle_counts": [200]}),
+    ("simulate", {"simulate": {"episodes": 10**8}}),
+    ("check-lemma1", {"particle_counts": [4], "model_params": {"u_levels": [0, 1e9]}}),
+    ("check-lemma2", {"lemma2": {"pairs": 1000, "trials_per_pair": 10**6}}),
+])
+def test_cli_work_over_budget_exits_2_before_running(tmp_path, capsys, no_value_solve,
+                                                     command, overrides):
+    scen = write_scenario(tmp_path, **overrides)
+    start = time.monotonic()
+    assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+    assert time.monotonic() - start < 5.0
+    assert not (tmp_path / "out.csv").exists()
 
 
 @st.composite

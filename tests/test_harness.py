@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -330,41 +331,56 @@ def test_experiment_single_and_multi_worker_identical(tmp_path):
     assert pa[0].endswith(".csv") and pb[1].endswith(".json")
 
 
-def _reference_experiment_rows(scenario, seat):
-    """Per-configuration figures from one ``run_episodes`` call per configuration.
+def _reference_experiment_rows(scenario, seat, block_trials):
+    """Per-configuration figures from one ``run_episodes`` call per trial block, run in order.
 
     Configuration c is the c-th (partition steps, particle count, adversary)
-    in that nesting order, and its trial i draws from (seed, c, i).
+    in that nesting order. The trials of the configurations that share a
+    partition and an adversary are listed configuration by configuration
+    and cut into blocks of ``block_trials``; the block that starts at entry
+    lo of that list draws from (seed, partition steps, adversary index, lo).
     """
     scenario, model, constants, field, starts = harness._setup(
         scenario, scenario.particle_counts, adversary_seat=3 - seat)
-    rows = []
-    config_index = 0
+    n = scenario.trials
+    configs = [(m_steps, particle_count, adv_index)
+               for m_steps in scenario.partition_steps
+               for particle_count in scenario.particle_counts
+               for adv_index in range(len(scenario.adversaries))]
+    outcomes = {}
     for m_steps in scenario.partition_steps:
-        for particle_count in scenario.particle_counts:
-            for adv in scenario.adversaries:
-                partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
-                guided = ControlWithGuideStrategy(*harness._seat_view(seat, field, model),
-                                                  constants)
-                adversary = harness._build_adversary(
-                    adv, *harness._seat_view(3 - seat, field, model), constants)
-                players = (guided, adversary) if seat == 1 else (adversary, guided)
-                rngs = [np.random.default_rng([scenario.seed, config_index, trial])
-                        for trial in range(scenario.trials)]
-                batch = run_episodes(model, starts[particle_count], partition, *players,
-                                     rngs, rate_bound=constants.k)
-                n = scenario.trials
-                own, opp = ((batch.violation_fraction1, batch.violation_fraction2) if seat == 1
-                            else (batch.violation_fraction2, batch.violation_fraction1))
-                rows.append({
-                    "h": 1.0 / particle_count,
-                    "adversary": adversary_label(adv),
-                    "mean_payoff": float(np.sum(batch.payoffs) / n),
-                    "sem": float(np.std(batch.payoffs, ddof=1) / math.sqrt(n)),
-                    "guide_violation_fraction": float(np.sum(own) / n),
-                    "opp_guide_violation_fraction": float(np.sum(opp) / n),
-                })
-                config_index += 1
+        for adv_index, adv in enumerate(scenario.adversaries):
+            group = [c for c, (ms, _, ai) in enumerate(configs)
+                     if (ms, ai) == (m_steps, adv_index)]
+            ys = np.array([starts[configs[c][1]] for c in group for _ in range(n)])
+            partition = Partition.uniform(scenario.start_time, model.horizon, m_steps)
+            guided = ControlWithGuideStrategy(*harness._seat_view(seat, field, model),
+                                              constants)
+            adversary = harness._build_adversary(
+                adv, *harness._seat_view(3 - seat, field, model), constants)
+            players = (guided, adversary) if seat == 1 else (adversary, guided)
+            parts = []
+            for lo in range(0, len(ys), block_trials):
+                rng = np.random.default_rng([scenario.seed, m_steps, adv_index, lo])
+                batch = run_episodes(model, ys[lo:lo + block_trials], partition, *players,
+                                     rng, rate_bound=constants.k)
+                parts.append((batch.payoffs, batch.violation_fraction1,
+                              batch.violation_fraction2))
+            joined = [np.concatenate(column).reshape(len(group), n) for column in zip(*parts)]
+            for row, c in enumerate(group):
+                outcomes[c] = [column[row] for column in joined]
+    rows = []
+    for c, (_, particle_count, adv_index) in enumerate(configs):
+        payoffs, viol1, viol2 = outcomes[c]
+        own, opp = (viol1, viol2) if seat == 1 else (viol2, viol1)
+        rows.append({
+            "h": 1.0 / particle_count,
+            "adversary": adversary_label(scenario.adversaries[adv_index]),
+            "mean_payoff": float(np.sum(payoffs) / n),
+            "sem": float(np.std(payoffs, ddof=1) / math.sqrt(n)),
+            "guide_violation_fraction": float(np.sum(own) / n),
+            "opp_guide_violation_fraction": float(np.sum(opp) / n),
+        })
     return rows
 
 
@@ -374,7 +390,8 @@ def _reference_experiment_rows(scenario, seat):
 def test_pooled_trial_blocks_match_one_batch_per_configuration(seat, workers, trials,
                                                                block_trials, seed):
     # a repeated particle count, two partitions and a block size that splits
-    # configurations: every block mixes totals and configurations
+    # configurations: every block mixes totals and configurations, and each
+    # block's figures are those of one batch on its own keyed stream
     scen = small_scenario(
         particle_counts=[20, 20, 7], partition_steps=[3, 2], trials=trials, seed=seed,
         adversaries=[{"kind": "random"}, {"kind": "greedy"}, {"kind": "extremal"}],
@@ -384,8 +401,30 @@ def test_pooled_trial_blocks_match_one_batch_per_configuration(seat, workers, tr
         # 17 hull candidates per guide on the two-type grids
         patch.setattr(harness, "SOLVE_BLOCK_POINTS", 17 * block_trials)
         rows = run(scen, workers=workers).rows
-    expected = _reference_experiment_rows(scen, seat)
+    expected = _reference_experiment_rows(scen, seat, block_trials)
     assert [{key: row[key] for key in expected[0]} for row in rows] == expected
+
+
+@pytest.mark.parametrize("seat", [1, 2])
+def test_collect_trials_same_with_and_without_a_pool(seat):
+    # 3 configurations x 5 trials in one group, cut into blocks of 10 and 5;
+    # a cut that halved the trials for two workers would give 8 and 7
+    scen = small_scenario(particle_counts=[10, 20, 7], partition_steps=[4], trials=5,
+                          adversaries=[{"kind": "random"}], value_grid={"n_x": 20, "n_t": 20})
+    setup = harness._setup(scen, scen.particle_counts, adversary_seat=3 - seat)
+    configs = [(4, count, 0) for count in scen.particle_counts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "SOLVE_BLOCK_POINTS", 17 * 10)
+        alone = harness._collect_trials(setup, configs, seat, None)
+        pool = multiprocessing.get_context("fork").Pool(
+            2, initializer=harness._init_worker, initargs=(setup,))
+        try:
+            pooled = harness._collect_trials(setup, configs, seat, pool)
+        finally:
+            pool.close()
+            pool.join()
+    assert alone.shape == (3, 3, 5)
+    assert alone.tobytes() == pooled.tobytes()
 
 
 def test_corollary_bounds_hold():
@@ -471,3 +510,15 @@ def test_run_simulate_records():
     rec = result.summary["records"][0]
     assert len(rec["counts"]) == 21
     assert "jumps" in rec
+    # the episodes are one batch on the stream keyed by (seed, 0)
+    _, model, constants, field, starts = harness._setup(scen, (10,), adversary_seat=2)
+    batch = run_episodes(model, np.tile(starts[10], (3, 1)), Partition.uniform(0.0, 1.0, 20),
+                         ControlWithGuideStrategy(field, model, constants),
+                         harness._build_adversary(scen.adversaries[0],
+                                                  *harness._seat_view(2, field, model),
+                                                  constants),
+                         np.random.default_rng([scen.seed, 0]), rate_bound=constants.k,
+                         record=True, record_jumps=True)
+    assert [row["payoff"] for row in result.rows] == batch.payoffs.tolist()
+    assert [r["counts"] for r in result.summary["records"]] == [
+        r.counts.tolist() for r in batch.records]

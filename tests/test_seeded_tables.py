@@ -2,12 +2,13 @@
 
 Each command case runs one command on a small scenario through
 ``emit_results`` and compares the sha256 of the CSV table with a pinned
-digest. The ``experiment`` and ``simulate`` digests date from before the
-per-trial generators were built by ``chain.trial_generators`` and lemma
-2's exact laws were evolved in batches; both changes kept every stream
-and every float. The ``oracle`` digests were taken when
-``sample_final_distribution`` moved from keyed per-trial generators to
-one shared generator per call, which changes the draws on purpose. The
+digest. The ``experiment`` and ``simulate`` digests were taken when the
+episode paths moved from keyed per-trial generators to one keyed shared
+generator per trial block and began to form the chain state as counts /
+total, both of which change the draws on purpose. The ``oracle`` digests
+were taken when ``sample_final_distribution`` moved from keyed per-trial
+generators to one shared generator per call, which changes the draws on
+purpose. The
 ``check-lemma2`` digests were taken when the guide flow stopped adding an
 RK4 substep for round-off in a span that is a whole number of steps,
 which changes the guide endpoints lemma 2 compares against.
@@ -19,12 +20,10 @@ stencil). That change keeps every float operation and its order, so the
 bytes must not move: on three-type, on its mirror, on two-type, and on a
 three-type model that declares only its rates, whose derived
 ``RateModel.drift`` contracts the column-major points. The experiment
-digests were taken at the same commit and pin the whole guarantee path
-that reads those tables.
+digests pin the whole guarantee path that reads those tables.
 
-A change that moves seeded draws on purpose, such as counter-based
-random streams for the episodes, replaces the constants below and
-records the old and new digests in CHANGES.md.
+A change that moves seeded draws on purpose replaces the constants below
+and records the old and new digests in CHANGES.md.
 """
 
 import hashlib
@@ -69,21 +68,21 @@ COMMANDS = {"experiment": run_theorem1_experiment, "oracle": run_oracle_check, "
 
 DIGESTS = {
     ("two-type", "experiment"):
-        "082cf87056a585d88ed3aa473dec3a2a23ed8c2552a665f4364e72832a0c511e",
+        "944fae69d71dc49c20846a50cf8d670978fb724a9f25152e3e567f78fde6a1d2",
     ("two-type", "oracle"):
         "261d80c23dbedce3baeaebd996b0c3f12701304766c9c92fe6b8da877df78eb6",
     ("two-type", "check-lemma2"):
         "5e353ec24619e7f354816f06438c8dc4b62868980b65ea1040d2c6685f94778e",
     ("two-type", "simulate"):
-        "50134550c692266f6435d41da18946163ee85b26143453aad4b052491138ae1a",
+        "62c76957882e4e6501b0035ee80653ecda5261bf78dc675cdd6f1aa15b7a4346",
     ("three-type", "experiment"):
-        "0aa5951cf1a3960e722fa7086ee626683286229bc7e87e078dc7317596dfce12",
+        "2892ea240f896291940c4f5ba01e82da5d6d4927eb867c55465764f791d9310d",
     ("three-type", "oracle"):
         "aaea77cd3cf00d9717bcc563b7923c8158b077c606739abc42589131c5690bb5",
     ("three-type", "check-lemma2"):
         "7bfb432e74caff4775d5c53f6be48d7e3aa0f6c3f926f296b50a008eb2caedbf",
     ("three-type", "simulate"):
-        "78dba363e305d2dca717c30fe61ee04bfb865583c611644661ff10775704b3f1",
+        "f69d3e9da26113f1c621095edb183d0a04ed32981a1d67132dee0feb2ef14687",
 }
 
 

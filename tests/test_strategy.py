@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainguide import models
-from chainguide.chain import RateBoundError
+from chainguide.chain import RateBoundError, simulate_chain
 from chainguide.guide import advance_guides
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaacs_gap, mirrored
 from chainguide.simplex import project_rows
@@ -73,6 +73,32 @@ def test_extremal_controls_brute_force_certificates():
             assert np.all(s[ui, :][None, :] <= s[:, vi][:, None] + 1e-12)
 
 
+@pytest.mark.parametrize("model", [TwoTypeModel(), ThreeTypeRotorModel()])
+def test_extremal_indices_match_the_short_axis_formula(model):
+    # the column-wise selection against argmin(max) / argmax(min) over the
+    # surface's short axes, ties included
+    rng = np.random.default_rng([model.dimension, 31])
+    d = model.dimension
+    tied_own = tied_reply = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        # small lattice totals leave types empty, where controls acting on
+        # them tie, and a guide on the chain ties every control
+        xs = rng.multinomial(4, rng.dirichlet(np.ones(d)), size=n) / 4
+        guides = rng.dirichlet(np.ones(d), size=n)
+        on_chain = rng.random(n) < 0.3
+        guides[on_chain] = xs[on_chain]
+        t = float(rng.uniform(0.0, model.horizon))
+        surface = models.control_surface(model, t, xs, xs - guides)
+        worst, best = surface.max(axis=2), surface.min(axis=1)
+        own, reply = extremal_indices(model, t, xs, guides)
+        assert np.array_equal(own, np.argmin(worst, axis=1))
+        assert np.array_equal(reply, np.argmax(best, axis=1))
+        tied_own += np.sum(np.sum(worst == worst.min(axis=1, keepdims=True), axis=1) > 1)
+        tied_reply += np.sum(np.sum(best == best.max(axis=1, keepdims=True), axis=1) > 1)
+    assert tied_own > 0 and tied_reply > 0
+
+
 def test_extremal_selection_scale_invariant():
     model = TwoTypeModel()
     rng = np.random.default_rng(3)
@@ -114,11 +140,11 @@ def test_strategy_role_enforced(two_type_setup):
     # player 2 on the model itself, and player 1 on the mirror, are both refused
     with pytest.raises(ValueError, match="player 2"):
         run_episodes(model, y, partition, 1.0, ControlWithGuideStrategy(field, model),
-                     [np.random.default_rng(0)])
+                     np.random.default_rng(0))
     with pytest.raises(ValueError, match="player 1"):
         run_episodes(model, y, partition,
                      ControlWithGuideStrategy(field.negated(), mirrored(model)), 1.0,
-                     [np.random.default_rng(0)])
+                     np.random.default_rng(0))
 
 
 def test_zero_model_episode_is_static():
@@ -126,7 +152,7 @@ def test_zero_model_episode_is_static():
     field = solve_value(model, 10, build_simplex_grid(2, 10))
     strat = ControlWithGuideStrategy(field, model)
     record = run_episodes(model, [3, 1], Partition.uniform(0, 1, 10),
-                          strat, 0.0, [np.random.default_rng(1)], record=True).records[0]
+                          strat, 0.0, np.random.default_rng(1), record=True).records[0]
     assert np.all(record.counts == [3, 1])
     assert np.allclose(record.guide1, [0.75, 0.25])
     assert record.payoff == 0.75
@@ -137,7 +163,7 @@ def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
     record = run_episodes(model, [20, 0], Partition.uniform(0, 1, 50),
-                          strat, ConstantPolicy(1.0), [np.random.default_rng(5)],
+                          strat, ConstantPolicy(1.0), np.random.default_rng(5),
                           record_jumps=True).records[0]
     assert np.all(record.counts.sum(axis=1) == 20)
     assert record.payoff == pytest.approx(record.counts[-1, 0] / 20, abs=1e-12)
@@ -155,16 +181,20 @@ def test_batched_episodes_match_sequential_runs(two_type_setup):
     y = [16, 4]
     partition = Partition.uniform(0.0, 1.0, 25)
 
-    def seeded(n):
-        return [np.random.default_rng([77, i]) for i in range(n)]
-
-    batch = run_episodes(model, y, partition, strat1, strat2, seeded(6))
-    singles = []
-    for i in range(6):
-        one = run_episodes(model, y, partition, strat1, strat2,
-                           [np.random.default_rng([77, i])])
-        singles.append(one.payoffs[0])
-    assert np.array_equal(batch.payoffs, np.array(singles))
+    # extremal against extremal draws only in the chain: each trial of the
+    # batch matches a one-row chain step by step with the batch's kernel
+    batch = run_episodes(model, np.tile(y, (6, 1)), partition, strat1, strat2,
+                         np.random.default_rng(77), record=True)
+    assert len(batch.records) == 6
+    replay = np.random.default_rng(77)
+    counts = np.tile(y, (6, 1))
+    for k in range(partition.steps):
+        u = np.array([rec.controls_u[k] for rec in batch.records])
+        v = np.array([rec.controls_v[k] for rec in batch.records])
+        simulate_chain(model, partition.times[k], partition.times[k + 1], counts, u, v, replay,
+                       record_events=False)
+        assert np.array_equal(counts, [rec.counts[k + 1] for rec in batch.records])
+    assert np.array_equal(batch.payoffs, counts[:, 0] / 20)
 
 
 def test_both_guides_private_and_recorded(two_type_setup):
@@ -172,7 +202,7 @@ def test_both_guides_private_and_recorded(two_type_setup):
     strat1 = ControlWithGuideStrategy(field, model)
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
     record = run_episodes(model, [10, 10], Partition.uniform(0, 1, 20),
-                          strat1, strat2, [np.random.default_rng(9)], record=True).records[0]
+                          strat1, strat2, np.random.default_rng(9), record=True).records[0]
     assert record.guide1 is not None and record.guide2 is not None
     assert record.guide1.shape == record.guide2.shape == (21, 2)
     # both start on the chain
@@ -187,22 +217,40 @@ def test_random_policy_reproducible(two_type_setup):
     y = [10, 10]
     partition = Partition.uniform(0.0, 1.0, 10)
     pol = RandomPolicy(model.v_grid)
-    a = run_episodes(model, y, partition, 1.0, pol, [np.random.default_rng([4, 0])])
-    b = run_episodes(model, y, partition, 1.0, pol, [np.random.default_rng([4, 0])])
+    starts = np.tile(y, (5, 1))
+    a = run_episodes(model, starts, partition, 1.0, pol, np.random.default_rng([4, 0]),
+                     record=True)
+    b = run_episodes(model, starts, partition, 1.0, pol, np.random.default_rng([4, 0]))
     assert np.array_equal(a.payoffs, b.payoffs)
+    # each step draws one grid-index vector over the batch, before the chain's draws
+    rng = np.random.default_rng([4, 0])
+    first = model.v_grid.values()[rng.integers(len(model.v_grid), size=5)]
+    assert np.array_equal([rec.controls_v[0] for rec in a.records], first)
 
 
 def test_greedy_policy_pushes_payoff(two_type_setup):
     model, field = two_type_setup
     pol = GreedyPolicy(mirrored(model))
     counts = np.array([[10, 10], [20, 0]])
-    vals = pol.step_values(0.0, counts, 0.05, [None, None])
+    vals = pol.step_values(0.0, counts, 20, None)
     # raising x1 raises the payoff, so greedy picks the top v where v can act;
     # with no type-2 mass the v-row ties and the lowest grid index wins
     assert list(vals) == [1.0, 0.0]
     pol1 = GreedyPolicy(model)
-    vals = pol1.step_values(0.0, counts, 0.05, [None, None])
+    vals = pol1.step_values(0.0, counts, 20, None)
     assert np.all(vals == 1.0)  # u = 1 drains x1 fastest
+
+
+def test_greedy_reads_the_chain_state_as_counts_over_total():
+    # a near tie: the worst-case gains of v = 0 and v = 0.25 differ in the
+    # last bit, and counts * 0.1 gives x0 = 0.6000000000000001, which flips
+    # the pick to v = 0
+    model = ThreeTypeRotorModel(u_levels=(0, 0.25), v_levels=(0, 0.25))
+    counts = np.array([[6, 4, 0]])
+    assert not np.array_equal(counts / 10, counts * 0.1)
+    pol = GreedyPolicy(mirrored(model))
+    assert list(pol.step_values(0.0, counts, 10, None)) == [0.25]
+    assert list(pol.step_values(0.0, counts, np.array([[10]]), None)) == [0.25]
 
 
 LEVELS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -221,9 +269,9 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
     grid = build_simplex_grid(d, 10)
     times = np.linspace(0.0, base.horizon, 6)
     field = ValueField(grid, times, rng.uniform(size=(times.size, grid.node_count)))
-    n, h = 4, 0.1
-    counts = rng.multinomial(10, rng.dirichlet(np.ones(d)), size=n)
-    xs = counts * h  # the chain state as the episode runner forms it
+    n, total = 4, 10
+    counts = rng.multinomial(total, rng.dirichlet(np.ones(d)), size=n)
+    xs = counts / total  # the chain state as the episode runner forms it
     guides = rng.dirichlet(np.ones(d), size=n)
     t = float(rng.uniform(0.0, 0.9))
 
@@ -245,7 +293,7 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
     probes = xs[:, None, None, :] + GREEDY_PROBE * drifts
     project_rows(probes)
     gains = base.terminal_payoff(probes) - base.terminal_payoff(xs)[:, None, None]
-    greedy = GreedyPolicy(mirror).step_values(t, counts, h, [None] * n)
+    greedy = GreedyPolicy(mirror).step_values(t, counts, total, None)
     assert np.array_equal(greedy, base.v_grid.values()[np.argmax(gains.min(axis=1), axis=1)])
 
     # player 2's guide reads the negated field: every reading is the
@@ -260,14 +308,16 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
     assert np.array_equal(end, -base_end)
     assert np.array_equal(flags, base_end < base_start - slack)
 
-    # player 2 in the base game is player 1 in the mirrored game
-    y = counts[0]
+    # player 2 in the base game is player 1 in the mirrored game: the random
+    # player 1 of the base game and the random player 2 of the mirror draw
+    # the same vector from the same shared stream each step
+    y = counts[:3]
     partition = Partition.uniform(0.0, base.horizon, 5)
     guided = ControlWithGuideStrategy(field.negated(), mirror)
     batch = run_episodes(base, y, partition, RandomPolicy(base.u_grid), guided,
-                         [np.random.default_rng([seed, i]) for i in range(3)], record=True)
+                         np.random.default_rng([seed, 0]), record=True)
     m_batch = run_episodes(mirror, y, partition, guided, RandomPolicy(mirror.v_grid),
-                           [np.random.default_rng([seed, i]) for i in range(3)], record=True)
+                           np.random.default_rng([seed, 0]), record=True)
     assert np.array_equal(batch.payoffs, -m_batch.payoffs)
     assert np.array_equal(batch.violation_fraction2, m_batch.violation_fraction1)
     assert np.array_equal(batch.violation_fraction1, m_batch.violation_fraction2)
@@ -286,10 +336,10 @@ def test_mean_payoff_tracks_value(two_type_setup):
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
     y = [40, 0]
     partition = Partition.uniform(0.0, 1.0, 50)
-    rngs = [np.random.default_rng([101, i]) for i in range(200)]
-    batch = run_episodes(model, y, partition, strat1, strat2, rngs)
+    batch = run_episodes(model, np.tile(y, (200, 1)), partition, strat1, strat2,
+                         np.random.default_rng(101))
     target = 0.5 + 0.5 * np.exp(-2.0)
-    sem = batch.payoffs.std(ddof=1) / np.sqrt(len(rngs))
+    sem = batch.payoffs.std(ddof=1) / np.sqrt(batch.payoffs.size)
     assert abs(batch.payoffs.mean() - target) <= 0.06 + 3 * sem
     assert batch.violation_fraction1.mean() <= 0.05
     assert batch.violation_fraction2.mean() <= 0.05
@@ -299,7 +349,7 @@ def test_trajectory_record_serialization(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
     record = run_episodes(model, [8, 2], Partition.uniform(0, 1, 5),
-                          strat, 0.5, [np.random.default_rng(13)],
+                          strat, 0.5, np.random.default_rng(13),
                           record_jumps=True).records[0]
     payload = record.to_dict()
     assert payload["total"] == 10
@@ -326,31 +376,31 @@ def test_rate_bound_resolved_once_per_run(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(models, "estimate_constants", counting)
-    rngs = [np.random.default_rng([2, i]) for i in range(5)]
-    run_episodes(SampledKTwoType(), [3, 2], Partition.uniform(0.0, 1.0, 20),
-                 1.0, 0.5, rngs)
+    run_episodes(SampledKTwoType(), np.tile([3, 2], (5, 1)), Partition.uniform(0.0, 1.0, 20),
+                 1.0, 0.5, np.random.default_rng(2))
     assert len(calls) <= 1
 
 
 def test_run_episodes_rate_bound_error():
     model = TwoTypeModel()
     model.declared_k = 0.5  # lie: actual rates reach 1.0
-    rngs = [np.random.default_rng([1, i]) for i in range(10)]
     with pytest.raises(RateBoundError):
-        run_episodes(model, [5, 5], Partition.uniform(0.0, 1.0, 10),
-                     1.0, 1.0, rngs)
+        run_episodes(model, np.tile([5, 5], (10, 1)), Partition.uniform(0.0, 1.0, 10),
+                     1.0, 1.0, np.random.default_rng(1))
 
 
 def test_episode_batch_thinning_tallies():
     model = TwoTypeModel()
     partition = Partition.uniform(0.0, 1.0, 10)
-    rngs = [np.random.default_rng([6, i]) for i in range(8)]
-    batch = run_episodes(model, [6, 2], partition, 1.0, 0.5, rngs)
+    starts = np.tile([6, 2], (8, 1))
+    batch = run_episodes(model, starts, partition, 1.0, 0.5, np.random.default_rng(6))
     # candidates arrive at rate (d-1) K M = 8 over unit time, per trial
     assert 0 < batch.accepted <= batch.candidates
     assert batch.candidates == pytest.approx(8 * 8, rel=0.5)
     assert batch.max_rate_ratio == 1.0
-    singles = [run_episodes(model, [6, 2], partition, 1.0, 0.5,
-                            [np.random.default_rng([6, i])]) for i in range(8)]
-    assert batch.candidates == sum(s.candidates for s in singles)
-    assert batch.accepted == sum(s.accepted for s in singles)
+    # the tallies sum the kernel's tallies over the steps
+    rng, counts = np.random.default_rng(6), starts.copy()
+    steps = [simulate_chain(model, partition.times[k], partition.times[k + 1], counts, 1.0, 0.5,
+                            rng, record_events=False) for k in range(partition.steps)]
+    assert batch.candidates == sum(s.candidates for s in steps)
+    assert batch.accepted == sum(s.accepted for s in steps)

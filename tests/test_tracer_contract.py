@@ -33,9 +33,9 @@ def tracer():
 
 
 def _episodes():
-    rngs = [np.random.default_rng([1, i]) for i in range(4)]
-    strategy.run_episodes(TwoTypeModel(), [6, 2],
-                          strategy.Partition.uniform(0.0, 1.0, 5), 1.0, 0.5, rngs)
+    strategy.run_episodes(TwoTypeModel(), np.tile([6, 2], (4, 1)),
+                          strategy.Partition.uniform(0.0, 1.0, 5), 1.0, 0.5,
+                          np.random.default_rng(1))
 
 
 def _terminal_law():
