@@ -431,7 +431,7 @@ def _worker_entry(args):
     return _run_trial_block(_worker_setup, *args)
 
 
-def _collect_trials(setup, configs, seat, pool):
+def _collect_trials(setup, configs, seat, workers):
     """Per-configuration (payoffs, viol1, viol2) arrays, each (configurations, trials).
 
     ``configs`` lists (partition steps, particle count, adversary index) in
@@ -439,7 +439,9 @@ def _collect_trials(setup, configs, seat, pool):
     shares (partition steps, adversary) are pooled and cut into blocks of
     SOLVE_BLOCK_POINTS // (hull candidates) trials, the last block taking
     the remainder. The cut depends on the scenario alone, never on the
-    worker count; each block is one task on its own keyed generator.
+    worker count; each block is one task on its own keyed generator. The
+    tasks go to a pool of min(workers, tasks) forked processes, or run in
+    this process when that is one.
     """
     scenario, model, _, _, _ = setup
     trials = scenario.trials
@@ -454,10 +456,18 @@ def _collect_trials(setup, configs, seat, pool):
         size = min(SOLVE_BLOCK_POINTS // family.count, len(units))
         tasks.extend((m_steps, adv_index, seat, lo, units[lo:lo + size])
                      for lo in range(0, len(units), size))
-    if pool is None:
-        results = [_run_trial_block(setup, *task) for task in tasks]
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        # forked workers inherit the setup instead of rebuilding or unpickling it
+        pool = multiprocessing.get_context("fork").Pool(
+            processes, initializer=_init_worker, initargs=(setup,))
+        try:
+            results = pool.map(_worker_entry, tasks)
+        finally:
+            pool.close()
+            pool.join()
     else:
-        results = pool.map(_worker_entry, tasks)
+        results = [_run_trial_block(setup, *task) for task in tasks]
     outcomes = np.empty((3, len(configs), trials))
     for task, block_outcomes in zip(tasks, results):
         config_index, _, trial = np.array(task[-1]).T
@@ -515,18 +525,7 @@ def _run_bound_experiment(scenario, seat, workers):
                for m_steps in scenario.partition_steps
                for particle_count in scenario.particle_counts
                for adv_index in range(len(scenario.adversaries))]
-    pool = None
-    processes = max(1, min(workers, scenario.trials))
-    if processes > 1:
-        # forked workers inherit the setup instead of rebuilding or unpickling it
-        pool = multiprocessing.get_context("fork").Pool(
-            processes, initializer=_init_worker, initargs=(setup,))
-    try:
-        outcomes = _collect_trials(setup, configs, seat, pool)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    outcomes = _collect_trials(setup, configs, seat, workers)
 
     rows = []
     gap_groups = {}

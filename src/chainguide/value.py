@@ -38,15 +38,19 @@ to the index. A vertex whose raised coordinate already sat at n lies off
 the simplex; it always has barycentric weight exactly 0, and step[k, n] = 0
 keeps its index on a valid node, so no vertex needs masking.
 
-The stencil works on (d - 1, m) arrays, one contiguous row per cumulative
-coordinate, and writes its (m, d) outputs column by column, so a point
-batch in either memory layout gives the same bytes at unit stride. The walk
-order needs no sort. Pairwise comparisons of the fractional parts
-give each coordinate the walk step that raises it: of columns a < b, b goes
-first when f_b >= f_a, so an exact tie raises the larger column first and
-keeps every vertex on the lattice. Vertex j is the base index plus the step
-of every column raised before j. The weights need only the descending
-fractional parts, which a network of exact max/min yields whatever the ties.
+Interpolation for d >= 3 works on (d - 1, m) arrays only, one contiguous
+row per cumulative coordinate, so a point batch in either memory layout
+gives the same bytes at unit stride; no (m, d) vertex or weight array is
+formed. The rows hold the coordinates in reverse order, and an odd-even
+transposition network of exact max/min sorts their fractional parts into
+descending order, swapping two rows only on a strict rise. That sort is
+stable, so an exact tie raises the larger coordinate first and keeps every
+vertex on the lattice. Each row's walk step travels through the network
+with its fractional part, so vertex j is vertex j - 1 plus the j-th sorted
+step. The terms w_j * values[vertex_j] are added in two lanes, even j and
+odd j, and the result is even + odd + 0.0. That is the order in which
+numpy's einsum adds 3 to 7 terms, and its sums start at +0.0, so a sum of
+zeros is +0.0 rather than -0.0; the seeded table digests pin these bytes.
 Scaled coordinates within SNAP_ULPS ulps of the resolution of a lattice
 value are snapped onto it. That absorbs the round-off of n times a
 cumulative sum at a node and is small enough that a genuine point next to a
@@ -151,6 +155,7 @@ class SimplexGrid:
         coordinate raises ValueError.
         """
         x = np.asarray(points, dtype=float)
+        values = np.asarray(values, dtype=float)  # the terms below are formed in place
         m, d = x.shape
         n = self.resolution
         if d != self.dimension:
@@ -169,76 +174,71 @@ class SimplexGrid:
             lo = values[g]
             hi = values[g + 1]
             return lo * (1.0 - f) + hi * f
-        idx, lam = self._kuhn_stencil(x)
-        return np.einsum("mk,mk->m", lam, values[idx])
+        vertex, f, steps = self._kuhn_walk(x)
+        # sum_j w_j * values[vertex_j] in two lanes, even j and odd j, then
+        # even + odd + 0.0: numpy's einsum order for 3 to 7 terms, from +0.0
+        lanes = []
+        for j in range(d):
+            if j:
+                vertex += steps[j - 1]
+            term = values.take(vertex)
+            term *= 1.0 - f[0] if j == 0 else f[j - 1] - f[j] if j < d - 1 else f[j - 1]
+            if j < 2:
+                lanes.append(term)
+            else:
+                lanes[j % 2] += term
+        lanes[0] += lanes[1]
+        lanes[0] += 0.0
+        return lanes[0]
 
-    def _kuhn_stencil(self, x):
-        """Vertex indices and barycentric weights, both (m, d), of points x for d >= 3.
+    def _kuhn_walk(self, x):
+        """The Kuhn simplex of each of the points x (m, d), d >= 3, as (k, m) rows.
 
-        The work arrays are (k, m), one contiguous row per cumulative
-        coordinate, so every pass runs over unit-stride memory whatever the
-        layout of ``x``; the outputs are written column by column.
+        Returns the base vertex's index (m,), the descending fractional parts
+        f (k, m) and the walk steps (k, m): vertex j is vertex j - 1 plus
+        steps[j - 1], and its weight is f[j - 1] - f[j] (1 - f[0] at j = 0,
+        f[k - 1] at j = k).
         """
         m, d = x.shape
         n = self.resolution
         k = d - 1
+        # row r holds cumulative coordinate k - 1 - r, so that a stable sort
+        # puts the larger coordinate first on an exact tie
         cum = np.empty((k, m))
-        cum[0] = x[:, 0]
-        for c in range(1, k):
-            np.add(cum[c - 1], x[:, c], out=cum[c])
-        s = _snap(np.clip(n * cum, 0.0, float(n)), n)
-        g = np.floor(s).astype(np.int64)
-        f = s - g
-        # the walk raises cumulative coordinates in descending order of their
-        # fractional parts; turn[c] is the walk step that raises column c.
-        # An exact tie raises the larger column first, so that vertex prefixes
-        # stay monotone in cumulative coordinates
-        turn = np.zeros((k, m), dtype=np.int64)
-        for a in range(k):
-            for b in range(a + 1, k):
-                b_first = f[b] >= f[a]
-                turn[a] += b_first
-                turn[b] += ~b_first
-        # the descending fractional parts themselves do not depend on how ties
-        # are broken: an odd-even transposition network of exact max/min
-        f_sorted = f.copy()
+        cum[k - 1] = x[:, 0]
+        for r in range(k - 2, -1, -1):
+            np.add(cum[r + 1], x[:, k - 1 - r], out=cum[r])
+        cum *= n
+        np.clip(cum, 0.0, float(n), out=cum)
+        _snap(cum, n)
+        at = np.floor(cum)
+        cum -= at
+        at += (np.arange(k - 1, -1, -1) * (n + 1.0))[:, None]
+        at = at.astype(np.int64)
+        ranks = self._rank.take(at)
+        vertex = ranks[0]
+        for r in range(1, k):
+            vertex += ranks[r]
+        steps = self._step.take(at)
+        # descending order by an odd-even transposition network that swaps only
+        # on a strict rise, so it is stable; each step travels with its part
         for r in range(k):
             for a in range(r % 2, k - 1, 2):
-                hi = np.maximum(f_sorted[a], f_sorted[a + 1])
-                np.minimum(f_sorted[a], f_sorted[a + 1], out=f_sorted[a + 1])
-                f_sorted[a] = hi
-        lam = np.empty((m, d))
-        np.subtract(1.0, f_sorted[0], out=lam[:, 0])
-        for j in range(1, k):
-            np.subtract(f_sorted[j - 1], f_sorted[j], out=lam[:, j])
-        lam[:, k] = f_sorted[k - 1]
-
-        # flat positions of (c, g_c) in the rank and step tables; vertex 0 is
-        # the base node, vertex j has raised every column with turn < j, and
-        # the last vertex has raised them all
-        at = g + (np.arange(k) * (n + 1))[:, None]
-        ranks = self._rank.take(at)
-        steps = self._step.take(at)
-        base = ranks[0]
-        for c in range(1, k):
-            base += ranks[c]
-        idx = np.empty((m, d), dtype=np.int64)
-        idx[:, 0] = base
-        for j in range(1, k):
-            vertex = base.copy()
-            for c in range(k):
-                vertex += steps[c] * (turn[c] < j)
-            idx[:, j] = vertex
-        for c in range(k):
-            base += steps[c]
-        idx[:, k] = base
-        return idx, lam
+                first = np.where(cum[a + 1] > cum[a], steps[a + 1], steps[a])
+                steps[a + 1] += steps[a]
+                steps[a + 1] -= first
+                steps[a] = first
+                hi = np.maximum(cum[a], cum[a + 1])
+                np.minimum(cum[a], cum[a + 1], out=cum[a + 1])
+                cum[a] = hi
+        return vertex, cum, steps
 
 
 def _snap(s, n):
-    """Round scaled coordinates in [0, n] sitting within round-off of a lattice value."""
+    """Round, in place, scaled coordinates in [0, n] within round-off of a lattice value."""
     nearest = np.rint(s)
-    return np.where(np.abs(s - nearest) <= SNAP_ULPS * np.spacing(float(n)), nearest, s)
+    np.copyto(s, nearest, where=np.abs(s - nearest) <= SNAP_ULPS * np.spacing(float(n)))
+    return s
 
 
 def build_simplex_grid(d, n_x):

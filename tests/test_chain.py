@@ -15,6 +15,7 @@ from chainguide.chain import (
     _evolve_laws,
     _LatticeGenerator,
     _source_types,
+    default_ode_step,
     dynkin_residual,
     master_evolve,
     sample_final_distribution,
@@ -185,6 +186,39 @@ def test_batched_laws_equal_per_reply_master_evolve(model, total):
         laws = _evolve_laws(gen, t0, t0 + delta, starts[replies], u, vs[replies], step)
         for row, b in enumerate(replies):
             assert laws[row].tobytes() == want[b].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_law_batch_rows_equal_each_law_evolved_alone(data):
+    # random small models and control levels; laws of a batch share nothing
+    # but the lattice, so each row must be the law evolved on its own
+    level = st.floats(0.0, 1.0, allow_subnormal=False)
+    make = data.draw(st.sampled_from([TwoTypeModel, ThreeTypeRotorModel]))
+    model = make(u_levels=data.draw(st.lists(level, min_size=1, max_size=3, unique=True)),
+                 v_levels=data.draw(st.lists(level, min_size=1, max_size=3, unique=True)))
+    total = data.draw(st.integers(1, 6))
+    batch = data.draw(st.integers(1, 5))
+    t0 = data.draw(st.floats(0.0, 0.9))
+    t1 = t0 + data.draw(st.floats(1e-3, 0.1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    step = default_ode_step(model, total)
+    laws = rng.dirichlet(np.ones(grid.node_count), size=batch)
+    node = int(rng.integers(grid.node_count))
+    laws[0] = 0.0
+    laws[0, node] = 1.0
+    us = rng.choice(model.u_grid.values(), size=(batch, 1))
+    vs = rng.choice(model.v_grid.values(), size=(batch, 1))
+    got = _evolve_laws(gen, t0, t1, laws, us, vs, step)
+    for b in range(batch):
+        alone = _evolve_laws(gen, t0, t1, laws[b], us[b, 0], vs[b, 0], step)
+        assert got[b].tobytes() == alone.tobytes()
+        one = _evolve_laws(gen, t0, t1, laws[b:b + 1], us[b:b + 1], vs[b:b + 1], step)
+        assert got[b].tobytes() == one[0].tobytes()
+    want = master_evolve(model, t0, t1, grid.counts[node], us[0, 0], vs[0, 0], ode_step=step)
+    assert want.probs.tobytes() == got[0].tobytes()
 
 
 _BLOCK_SCENARIO = {"model": "two-type", "particle_counts": [6, 9], "partition_steps": [3],

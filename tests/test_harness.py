@@ -415,16 +415,49 @@ def test_collect_trials_same_with_and_without_a_pool(seat):
     configs = [(4, count, 0) for count in scen.particle_counts]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "SOLVE_BLOCK_POINTS", 17 * 10)
-        alone = harness._collect_trials(setup, configs, seat, None)
-        pool = multiprocessing.get_context("fork").Pool(
-            2, initializer=harness._init_worker, initargs=(setup,))
-        try:
-            pooled = harness._collect_trials(setup, configs, seat, pool)
-        finally:
-            pool.close()
-            pool.join()
+        alone = harness._collect_trials(setup, configs, seat, 1)
+        pooled = harness._collect_trials(setup, configs, seat, 2)
     assert alone.shape == (3, 3, 5)
     assert alone.tobytes() == pooled.tobytes()
+
+
+def _spy_on_fork_pools(monkeypatch):
+    """Record the process count of every pool the fork context starts."""
+    pools = []
+    fork = multiprocessing.get_context("fork")
+    start_pool = fork.Pool
+    monkeypatch.setattr(type(fork), "Pool", lambda self, processes, **kwargs:
+                        pools.append(processes) or start_pool(processes, **kwargs))
+    return pools
+
+
+def test_one_block_experiment_forks_no_pool(monkeypatch):
+    # 2 configurations x 50 trials fit one block of 481: one task, run inline
+    pools = _spy_on_fork_pools(monkeypatch)
+    blocks = []
+    run_block = harness._run_trial_block
+    monkeypatch.setattr(harness, "_run_trial_block",
+                        lambda setup, *task: blocks.append(task) or run_block(setup, *task))
+    rows = run_theorem1_experiment(small_scenario(trials=50), workers=2).rows
+    assert pools == []
+    assert [(lo, len(block)) for _, _, _, lo, block in blocks] == [(0, 100)]
+    assert len(rows) == 2
+
+
+def test_experiment_split_over_blocks_same_on_one_and_two_workers(tmp_path, monkeypatch):
+    # blocks of 10 trials cut 2 configurations x 12 trials into 3 tasks for 2 workers
+    scen = small_scenario(trials=12, value_grid={"n_x": 20, "n_t": 20})
+    pools = _spy_on_fork_pools(monkeypatch)
+    monkeypatch.setattr(harness, "SOLVE_BLOCK_POINTS", 17 * 10)
+    one = run_theorem1_experiment(scen, workers=1)
+    assert pools == []
+    two = run_theorem1_experiment(scen, workers=2)
+    assert pools == [2]
+    emit_results(one, tmp_path / "one")
+    emit_results(two, tmp_path / "two")
+    for suffix in (".csv", ".json"):
+        assert ((tmp_path / f"one{suffix}").read_bytes()
+                == (tmp_path / f"two{suffix}").read_bytes())
 
 
 def test_corollary_bounds_hold():

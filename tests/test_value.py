@@ -119,6 +119,19 @@ def _reference_stencil(grid, points):
     return idx, lam, off
 
 
+def _kernel_stencil(grid, points):
+    """The (m, d) vertex indices and weights of ``grid._kuhn_walk``'s rows, for d >= 3."""
+    vertex, f, steps = grid._kuhn_walk(points)
+    k = f.shape[0]
+    idx = np.cumsum(np.vstack([vertex, steps]), axis=0).T
+    lam = np.empty((f.shape[1], k + 1))
+    lam[:, 0] = 1.0 - f[0]
+    for j in range(1, k):
+        lam[:, j] = f[j - 1] - f[j]
+    lam[:, k] = f[k - 1]
+    return idx, lam
+
+
 def _reference_interpolate(grid, values, points):
     x = np.asarray(points, dtype=float)
     n = grid.resolution
@@ -188,10 +201,34 @@ def test_interpolation_matches_reference_stencil_bit_for_bit(case, seed):
     if grid.dimension > 2:
         # the vertex walk itself, which the values cannot show where a tie
         # leaves a vertex with weight 0: every on-simplex vertex must agree
-        idx, lam = grid._kuhn_stencil(points)
+        idx, lam = _kernel_stencil(grid, points)
         ref_idx, ref_lam, off = _reference_stencil(grid, points)
         assert lam.tobytes() == ref_lam.tobytes()
         assert np.array_equal(idx[~off], ref_idx[~off])
+
+
+@pytest.mark.parametrize("d,n", [(3, 6), (4, 5), (5, 4)])
+def test_interpolated_sum_of_zeros_is_positive_zero(d, n):
+    # node values <= 0 with exact zeros of both signs: at a node or on an edge
+    # between zero nodes every term is a zero, and einsum's sum of zeros is +0.0
+    grid = SimplexGrid(d, n)
+    rng = np.random.default_rng(d)
+    values = -np.abs(rng.standard_normal(grid.node_count))
+    zero = rng.random(grid.node_count) < 0.5
+    values[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    points = [grid.nodes]
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                step = np.zeros(d)
+                step[i], step[j] = -1.0, 1.0
+                counts = grid.counts[grid.counts[:, i] > 0]
+                points.extend((counts + t * step) / n for t in (0.25, 0.5))
+    points = np.vstack(points)
+    got = grid.interpolate(values, points)
+    assert got.tobytes() == _reference_interpolate(grid, values, points).tobytes()
+    assert np.count_nonzero(got == 0.0) > grid.node_count // 4
+    assert not np.signbit(got[got == 0.0]).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,8 +241,8 @@ def test_interpolation_does_not_depend_on_the_point_layout(case, seed):
     want = grid.interpolate(values, points)
     assert grid.interpolate(values, columns).tobytes() == want.tobytes()
     if grid.dimension > 2:
-        idx, lam = grid._kuhn_stencil(points)
-        col_idx, col_lam = grid._kuhn_stencil(columns)
+        idx, lam = _kernel_stencil(grid, points)
+        col_idx, col_lam = _kernel_stencil(grid, columns)
         assert col_idx.tobytes() == idx.tobytes()
         assert col_lam.tobytes() == lam.tobytes()
 
@@ -234,6 +271,9 @@ def test_interpolation_exact_at_nodes(d, n):
     values = rng.standard_normal(grid.node_count)
     got = grid.interpolate(values, grid.nodes)
     assert np.allclose(got, values, atol=1e-12)
+    # integer node values are read as floats
+    assert np.array_equal(grid.interpolate(np.arange(grid.node_count), grid.nodes),
+                          np.arange(grid.node_count))
 
 
 @pytest.mark.parametrize("d,n", [(2, 9), (3, 6), (4, 4)])
