@@ -29,8 +29,12 @@ rows the scenario fixes, so results do not depend on the worker count.
 tile of trials from one generator in the same way.
 
 The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
-which advances a batch of laws on one lattice generator at once;
-``master_evolve`` is that loop for one law.
+which advances a batch of laws on one lattice generator at once, each
+law with its own start time, end time and control pair; ``master_evolve``
+is that loop for one law. Lemma 2's check evolves every pair's replies at
+one step length in one call. The generator applies L with one fancy add
+per move type, since a move i -> j sends distinct sources to distinct
+targets.
 """
 
 from __future__ import annotations
@@ -144,7 +148,12 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     u_rows = np.broadcast_to(np.asarray(u, dtype=float), (n,))
     v_rows = np.broadcast_to(np.asarray(v, dtype=float), (n,))
     for rows, times, src, offset, accept_u in _shared_rounds(rng, t0, t1, scales, d):
-        xs = counts[rows] / totals[rows, None]
+        # the mix as (d, k) rows, one divide per type, read through its (k, d) view
+        row_total = totals[rows]
+        mix = np.empty((d, rows.size))
+        for c in range(d):
+            np.divide(counts[rows, c], row_total, out=mix[c])
+        xs = mix.T
         # source type from the current mix, target uniform among the rest
         i_sel = _source_types(xs, src)
         j_sel = offset + (offset >= i_sel)
@@ -243,15 +252,17 @@ class _LatticeGenerator:
         for valid, to_idx, rate in self._jumps(t, u, v):
             flux = rate * p
             out -= flux
-            np.add.at(out, (..., to_idx), flux[..., valid])
+            # a jump i -> j moves each source to its own target, so the targets
+            # are distinct and one fancy add gives each the single add of np.add.at
+            out[..., to_idx] += flux[..., valid]
         return out
 
     def backward(self, t, f, u, v):
-        """(L f)(z) at every node z for the node values f."""
+        """(L f)(z) at every node z for the node values f (N,) or value rows f (..., N)."""
         out = np.zeros_like(f)
         for valid, to_idx, rate in self._jumps(t, u, v):
             diff = np.zeros_like(f)
-            diff[valid] = f[to_idx] - f[valid]
+            diff[..., valid] = f[..., to_idx] - f[..., valid]
             out += rate * diff
         return out
 
@@ -280,21 +291,31 @@ def _check_ode_step(ode_step):
 def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
     """RK4 of the forward equations on ``gen``'s lattice: the laws at t1 of the laws ``p`` at t0.
 
-    ``p`` is one law (N,) or a batch (B, N); ``u`` and ``v`` are numbers
-    or (B, 1) columns, one control pair per law. The span is cut into
-    equal steps of at most ``ode_step``. Each law's result is the one a
-    batch of one would give, bit for bit.
+    ``p`` is one law (N,) or a batch (B, N). ``t0``, ``t1``, ``u`` and ``v``
+    are numbers or (B, 1) columns: each law may have its own span and its
+    own control pair. A law's span is cut into max(1, ceil(span / ode_step))
+    equal steps, and a zero span leaves the law as it is; laws with
+    different step counts run in separate loops, one loop per count. Each
+    law's result is the one a batch of one would give, bit for bit.
     """
     _check_ode_step(ode_step)
-    span = t1 - t0
-    if span == 0.0:
+    span = np.subtract(t1, t0)
+    steps = np.where(span == 0.0, 0, np.maximum(1, np.ceil(span / ode_step)))
+    counts = np.unique(steps)
+    if counts.size > 1:
+        out = np.empty_like(p)
+        for count in counts:
+            rows = steps[:, 0] == count
+            t0_r, t1_r, u_r, v_r = (a[rows] if np.ndim(a) == 2 else a for a in (t0, t1, u, v))
+            out[rows] = _evolve_laws(gen, t0_r, t1_r, p[rows], u_r, v_r, ode_step)
+        return out
+    if counts[0] == 0:
         return p
-    steps = max(1, math.ceil(span / ode_step))
-    dt = span / steps
+    dt = span / counts[0]
     t = t0
-    for _ in range(steps):
+    for _ in range(int(counts[0])):
         p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
-        t += dt
+        t = t + dt  # not in place: t0 may be the caller's column
     if p.min() < -NEGATIVE_PROB_TOL:
         raise IntegrationError(
             f"negative probability {p.min():.3e}; reduce the integrator step")

@@ -67,6 +67,12 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 # the most work one command may imply, in expected thinning candidates plus
 # RK4 node-steps (steps times lattice nodes); checked before anything runs
 WORK_BUDGET = 10**8
+# a thinning round and an RK4 step each pay a fixed cost, so a narrow one
+# counts as this wide: the fixed cost over the cost per row or per node,
+# timed with timeit on a 2-core Xeon. A round took about 40-55 us plus
+# 66-100 ns per candidate, a step about 67-190 us plus 0.12-0.4 us per node
+THINNING_FLOOR_ROWS = 500
+RK4_FLOOR_NODES = 500
 
 
 class ScenarioError(ValueError):
@@ -296,13 +302,20 @@ def _result(kind, scenario, columns, rows, passed, **extra):
 
 
 def _thinning_work(model, k, trials, total, span):
-    """Expected thinning candidates of ``trials`` chains of ``total`` particles over ``span``."""
-    return trials * (model.dimension - 1) * k * total * span
+    """Expected thinning candidates of ``trials`` chains of ``total`` particles over ``span``.
+
+    Each candidate round is counted at least THINNING_FLOOR_ROWS wide.
+    """
+    return max(trials, THINNING_FLOOR_ROWS) * (model.dimension - 1) * k * total * span
 
 
-def _rk4_work(model, total, span, step):
-    """Node-steps of one RK4 run over ``span`` on the lattice of ``total`` particles."""
-    return math.ceil(span / step) * lattice_size(model.dimension, total)
+def _rk4_work(model, total, span, step, laws=1):
+    """Node-steps of RK4 over ``span`` for ``laws`` laws on the lattice of ``total`` particles.
+
+    Each step is counted at least RK4_FLOOR_NODES wide.
+    """
+    return math.ceil(span / step) * max(laws * lattice_size(model.dimension, total),
+                                        RK4_FLOOR_NODES)
 
 
 class _ExperimentSetup(NamedTuple):
@@ -742,15 +755,25 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     simulate_chain(model, t0, t0 + delta, counts, model.u_grid.values()[u_idx],
                    model.v_grid.values()[v_idx], rng, rate_bound=k_bound,
                    record_events=False)
-    gap = counts / int(np.sum(counts0)) - w_plus
-    # on rows shorter than 8 entries numpy's sum also adds left to right, so
-    # column adds round the same and skip the short-axis reduction
-    sq = gap[:, 0] ** 2
-    for c in range(1, gap.shape[1]):
-        sq += gap[:, c] ** 2
+    total = int(np.sum(counts0))
+    # one column at a time: on rows shorter than 8 entries numpy's sum also
+    # adds left to right, so column adds round the same and skip the
+    # short-axis broadcast and reduction
+    sq = (counts[:, 0] / total - w_plus[0]) ** 2
+    for c in range(1, counts.shape[1]):
+        sq += (counts[:, c] / total - w_plus[c]) ** 2
     mean = float(np.sum(sq) / trials)
     sem = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, sem
+
+
+class _Lemma2Pair(NamedTuple):
+    """What the rows of one sampled (t, chain state, guide state) triple need."""
+
+    start_gap_sq: float
+    u_idx: int       # the guided player's extremal control
+    replies: list    # each adversary's reply indices on the v grid
+    w_plus: dict     # delta -> the guide's endpoint at t + delta
 
 
 def run_lemma2_check(scenario):
@@ -761,6 +784,13 @@ def run_lemma2_check(scenario):
     + C*h*delta + allowance, with beta = 2L, C = 2 d^2 K, and the allowance
     the model-derived o(delta) coefficient plus three standard errors of
     the Monte Carlo mean. The exact oracle value accompanies every row.
+
+    The exact laws of every pair's needed replies are evolved first, each
+    delta in one ``_evolve_laws`` call over all pairs, with per-law start
+    times and controls. The call is cut into blocks of at most
+    max(one pair's laws, SOLVE_BLOCK_POINTS // lattice nodes) laws, so a
+    large lattice holds no more than one pair's batch at a time. The Monte
+    Carlo rows then run pair by pair, delta by delta, on their keyed streams.
     """
     cfg = scenario.lemma2
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
@@ -771,10 +801,10 @@ def run_lemma2_check(scenario):
     # of every reply on the v grid at most
     _, model, constants, field, _ = _setup(
         scenario, adversary_seat=2, lattices=(total,),
-        work=lambda model, k: pairs * sum(
-            len(scenario.adversaries) * _thinning_work(model, k, trials, total, delta)
-            + len(model.v_grid) * _rk4_work(model, total, delta,
-                                            _lemma_step(model, delta, total, k))
+        work=lambda model, k: sum(
+            pairs * len(scenario.adversaries) * _thinning_work(model, k, trials, total, delta)
+            + _rk4_work(model, total, delta, _lemma_step(model, delta, total, k),
+                        laws=pairs * len(model.v_grid))
             for delta in deltas))
     mirror = mirrored(model)
     beta, c_gain = coupling_constants(model, constants)
@@ -791,19 +821,14 @@ def run_lemma2_check(scenario):
 
     u_grid_vals = model.u_grid.values()
     v_grid_vals = model.v_grid.values()
-    gen = _LatticeGenerator(model, space)
-    rows = []
-    kappa_hat = {delta: 0.0 for delta in deltas}
-    violations = 0
+    sampled = []
     for p in range(pairs):
         t0 = float(t_stars[p])
         counts0 = space.counts[state_idx[p]]
         x_star = counts0 / total
         w_star = guides[p]
-        start_gap_sq = float(np.sum((x_star - w_star) ** 2))
         own_idx, reply_idx = extremal_indices(model, t0, x_star[None, :], w_star[None, :])
-        u_idx = int(own_idx[0])
-        v_star_idx = int(reply_idx[0])
+        v_star = np.array([int(reply_idx[0])])
         # each adversary's reply indices, the same at every delta; the random
         # reply's exact mean averages the whole v grid
         replies = []
@@ -819,34 +844,57 @@ def run_lemma2_check(scenario):
             else:  # extremal: player 2's guide starts on the chain state
                 replies.append([int(extremal_indices(mirror, t0, x_star[None, :],
                                                      x_star[None, :])[0][0])])
-        needed = sorted(set().union(*replies))
-        point_masses = np.zeros((len(needed), space.node_count))
-        point_masses[:, state_idx[p]] = 1.0
-        for delta in deltas:
-            endpoints, _, _, _, _ = advance_guides(
-                field, model, t0, t0 + delta, w_star[None, :],
-                np.array([v_star_idx]), slack=np.inf)
-            w_plus = endpoints[0]
-            rhs_base = (1.0 + beta * delta) * start_gap_sq + c_gain * h * delta
+        w_plus = {delta: advance_guides(field, model, t0, t0 + delta, w_star[None, :], v_star,
+                                        slack=np.inf)[0][0]
+                  for delta in deltas}
+        sampled.append(_Lemma2Pair(float(np.sum((x_star - w_star) ** 2)), int(own_idx[0]),
+                                   replies, w_plus))
+
+    # the exact law of every reply a pair needs: law b belongs to pair
+    # law_pair[b] and plays reply law_v[b]
+    needed = [sorted(set().union(*pair.replies)) for pair in sampled]
+    law_pair = np.repeat(np.arange(pairs), [len(n) for n in needed])
+    law_v = np.array([v_idx for n in needed for v_idx in n], dtype=np.int64)
+    law_t0 = t_stars[law_pair, None]
+    law_u = u_grid_vals[[pair.u_idx for pair in sampled]][law_pair, None]
+    law_node = state_idx[law_pair]
+    block = max(max(len(n) for n in needed), SOLVE_BLOCK_POINTS // space.node_count)
+    gen = _LatticeGenerator(model, space)
+    exact_by_v = {}  # (pair, delta index) -> reply index -> exact mean
+    for di, delta in enumerate(deltas):
+        step = _lemma_step(model, delta, total, constants.k)
+        for lo in range(0, law_v.size, block):
+            part = slice(lo, lo + block)
+            starts = np.zeros((law_v[part].size, space.node_count))
+            starts[np.arange(starts.shape[0]), law_node[part]] = 1.0
+            laws = _evolve_laws(gen, law_t0[part], law_t0[part] + delta, starts, law_u[part],
+                                v_grid_vals[law_v[part]][:, None], step)
+            for b, (p, v_idx) in enumerate(zip(law_pair[part].tolist(), law_v[part].tolist())):
+                sq = np.sum((space.nodes - sampled[p].w_plus[delta]) ** 2, axis=1)
+                # row by row: a (B, N) @ (N,) product may add in another order
+                exact_by_v.setdefault((p, di), {})[v_idx] = float(laws[b] @ sq)
+
+    rows = []
+    kappa_hat = {delta: 0.0 for delta in deltas}
+    violations = 0
+    for p, pair in enumerate(sampled):
+        t0 = float(t_stars[p])
+        counts0 = space.counts[state_idx[p]]
+        for di, delta in enumerate(deltas):
+            w_plus = pair.w_plus[delta]
+            rhs_base = (1.0 + beta * delta) * pair.start_gap_sq + c_gain * h * delta
             allowance_coeff = float(coupling_allowance(model, constants, h, delta))
-            # the exact laws of every needed reply, evolved as one batch
-            laws = _evolve_laws(gen, t0, t0 + delta, point_masses, u_grid_vals[u_idx],
-                                v_grid_vals[needed][:, None],
-                                _lemma_step(model, delta, total, constants.k))
-            sq = np.sum((space.nodes - w_plus) ** 2, axis=1)
-            # row by row: a (B, N) @ (N,) product may add in another order
-            exact_by_v = {v_idx: float(laws[b] @ sq) for b, v_idx in enumerate(needed)}
+            exact_v = exact_by_v[p, di]
             for adv_idx, adv in enumerate(scenario.adversaries):
-                rng = np.random.default_rng([scenario.seed, 90002, p,
-                                             deltas.index(delta), adv_idx])
+                rng = np.random.default_rng([scenario.seed, 90002, p, di, adv_idx])
                 if adv["kind"] == "random":
                     v_trial_idx = rng.integers(0, v_grid_vals.size, size=trials)
                 else:
-                    v_trial_idx = np.full(trials, replies[adv_idx][0], dtype=np.int64)
+                    v_trial_idx = np.full(trials, pair.replies[adv_idx][0], dtype=np.int64)
                 mc_mean, mc_sem = _one_step_squared_distance(
-                    model, constants.k, t0, delta, counts0, u_idx, v_trial_idx,
+                    model, constants.k, t0, delta, counts0, pair.u_idx, v_trial_idx,
                     w_plus, trials, rng)
-                exact = float(np.mean([exact_by_v[v_idx] for v_idx in replies[adv_idx]]))
+                exact = float(np.mean([exact_v[v_idx] for v_idx in pair.replies[adv_idx]]))
                 allowance = allowance_coeff * delta + 3.0 * mc_sem
                 violated = mc_mean > rhs_base + allowance
                 violations += int(violated)
@@ -857,7 +905,7 @@ def run_lemma2_check(scenario):
                     "delta": delta,
                     "adversary": adversary_label(adv),
                     "pair": p,
-                    "start_gap_sq": start_gap_sq,
+                    "start_gap_sq": pair.start_gap_sq,
                     "mc_mean": mc_mean,
                     "mc_sem": mc_sem,
                     "exact_mean": exact,

@@ -219,6 +219,20 @@ def test_law_batch_rows_equal_each_law_evolved_alone(data):
         assert got[b].tobytes() == one[0].tobytes()
     want = master_evolve(model, t0, t1, grid.counts[node], us[0, 0], vs[0, 0], ode_step=step)
     assert want.probs.tobytes() == got[0].tobytes()
+    # per-law start times, spans just under and just over n steps: the laws
+    # take n or n + 1 steps, and a mixed batch runs one loop per step count
+    n = data.draw(st.integers(1, 12))
+    t0s = rng.uniform(0.0, 0.9, size=(batch, 1))
+    nudge = rng.choice([-1e-9, 1e-9], size=(batch, 1))
+    nudge[:2, 0] = [-1e-9, 1e-9][:batch]
+    t1s = t0s + n * step * (1.0 + nudge)
+    counts = np.ceil((t1s - t0s) / step)
+    assert set(counts[:2, 0].tolist()) == ({n, n + 1} if batch > 1 else {n})
+    got = _evolve_laws(gen, t0s, t1s, laws, us, vs, step)
+    for b in range(batch):
+        alone = _evolve_laws(gen, float(t0s[b, 0]), float(t1s[b, 0]), laws[b], us[b, 0],
+                             vs[b, 0], step)
+        assert got[b].tobytes() == alone.tobytes()
 
 
 _BLOCK_SCENARIO = {"model": "two-type", "particle_counts": [6, 9], "partition_steps": [3],
@@ -480,6 +494,37 @@ def test_lattice_generator_matches_per_control_operators(model, total):
             for uu, vv in ((u, v), (np.full(n, u), np.full(n, v))):
                 assert gen.forward(t, p, uu, vv).tobytes() == want_forward
                 assert gen.backward(t, f, uu, vv).tobytes() == want_backward
+
+
+@pytest.mark.parametrize("model", [TwoTypeModel(), ThreeTypeRotorModel()])
+@pytest.mark.parametrize("total", [1, 4])
+def test_backward_rows_equal_one_vector_calls(model, total):
+    rng = np.random.default_rng([model.dimension, total, 6])
+    grid = SimplexGrid(model.dimension, total)
+    gen = _LatticeGenerator(model, grid)
+    n = grid.node_count
+    t = float(rng.uniform(0.0, model.horizon))
+    f = rng.standard_normal((4, n))
+    # controls as numbers and as per-node arrays
+    for u, v in ((model.u_grid.points[-1], model.v_grid.points[1]),
+                 (rng.choice(model.u_grid.values(), size=n),
+                  rng.choice(model.v_grid.values(), size=n))):
+        rows = gen.backward(t, f, u, v)
+        assert rows.shape == f.shape
+        for b in range(f.shape[0]):
+            assert rows[b].tobytes() == gen.backward(t, f[b], u, v).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("total", range(1, 9))
+def test_neighbour_tables_have_distinct_targets(d, total):
+    # forward's scatter adds each flux once, as np.add.at would, only if no
+    # two sources of one move i -> j share a target
+    gen = _LatticeGenerator(ZeroModel(dimension=d), SimplexGrid(d, total))
+    assert len(gen.pairs) == d * (d - 1)
+    for i, j, valid, to_idx in gen.pairs:
+        assert to_idx.size == np.count_nonzero(valid)
+        assert np.unique(to_idx).size == to_idx.size
 
 
 @settings(max_examples=40, deadline=None)

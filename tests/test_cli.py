@@ -288,6 +288,13 @@ def test_cli_lemma1_at_a_large_rate_bound_fails_without_a_traceback(tmp_path):
     ("simulate", {"simulate": {"episodes": 10**8}}),
     ("check-lemma1", {"particle_counts": [4], "model_params": {"u_levels": [0, 1e9]}}),
     ("check-lemma2", {"lemma2": {"pairs": 1000, "trials_per_pair": 10**6}}),
+    # about 7e7 candidates and node-steps counted one for one, but 8e6 RK4
+    # steps on a 5-node lattice, each paying its set-up cost: minutes of work
+    ("oracle", {"particle_counts": [4],
+                "model_params": {"u_levels": [0, 2e5], "v_levels": [0, 1]},
+                "oracle": {"trials": 10, "u": 2e5, "v": 0}}),
+    # 1.4e7 RK4 steps on the 5-node lattice: 7e7 node-steps counted one for one
+    ("check-lemma1", {"particle_counts": [4], "model_params": {"u_levels": [0, 1e7]}}),
 ])
 def test_cli_work_over_budget_exits_2_before_running(tmp_path, capsys, no_value_solve,
                                                      command, overrides):

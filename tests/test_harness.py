@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainguide import harness
+from chainguide import chain, harness
 from chainguide.harness import (
     Scenario,
     ScenarioError,
@@ -24,6 +24,7 @@ from chainguide.harness import (
 )
 from chainguide.chain import RateBoundError, master_evolve, simulate_chain
 from chainguide.strategy import ControlWithGuideStrategy, Partition, run_episodes
+from chainguide.value import SimplexGrid
 from chainguide.models import (
     ControlGrid,
     RateModel,
@@ -275,6 +276,74 @@ def test_lemma2_check_small():
     # allowances decay linearly with delta (time-homogeneous model)
     allow = result.summary["model_allowance_per_delta"]
     assert allow["0.01"] < allow["0.02"]
+
+
+def _spy_on_law_batches(monkeypatch):
+    """Record every ``_evolve_laws`` call of the harness: its times, batch, step and RK4 steps."""
+    calls = []
+    rk4_calls = []
+    rk4 = chain.rk4_step
+    monkeypatch.setattr(chain, "rk4_step", lambda *args: rk4_calls.append(1) or rk4(*args))
+    evolve = harness._evolve_laws
+
+    def spy(gen, t0, t1, p, u, v, step):
+        before = len(rk4_calls)
+        laws = evolve(gen, t0, t1, p, u, v, step)
+        calls.append((t0, t1, p.shape, step, len(rk4_calls) - before))
+        return laws
+
+    monkeypatch.setattr(harness, "_evolve_laws", spy)
+    return calls
+
+
+def test_lemma2_evolves_each_delta_in_one_batch_and_one_loop_per_step_count(monkeypatch):
+    # the benchmark's lemma-2 shape, with fewer one-step draws
+    calls = _spy_on_law_batches(monkeypatch)
+    deltas = [0.02, 0.01, 0.005]
+    scen = small_scenario(
+        particle_counts=[20],
+        adversaries=[{"kind": "extremal"}, {"kind": "constant", "value": 1.0},
+                     {"kind": "random"}, {"kind": "greedy"}],
+        value_grid={"n_x": 200, "n_t": 200}, seed=1,
+        lemma2={"particle_count": 20, "pairs": 20, "deltas": deltas, "trials_per_pair": 200})
+    result = run_lemma2_check(scen)
+    assert len(result.rows) == 20 * 3 * 4
+    assert [step for _, _, _, step, _ in calls] == [
+        _lemma_step(TwoTypeModel(), delta, 20, result.summary["constants"]["k"])
+        for delta in deltas]
+    mixed = 0
+    for t0, t1, shape, step, rk4_steps in calls:
+        # every pair's laws: at least the random reply's whole v grid per pair
+        assert t0.shape == t1.shape == (shape[0], 1) and shape[0] >= 20 * 3
+        counts = np.unique(np.ceil((t1 - t0) / step))
+        assert rk4_steps == counts.sum()
+        mixed += counts.size > 1
+    # (t0 + delta) - t0 rounds to either side of delta: some pairs take a step more
+    assert mixed
+
+
+@pytest.mark.parametrize("adversaries", [
+    [{"kind": "extremal"}, {"kind": "constant", "value": 1.0}],
+    [{"kind": "random"}, {"kind": "extremal"}],
+])
+def test_lemma2_law_blocks_stay_within_the_solve_block(monkeypatch, adversaries):
+    calls = _spy_on_law_batches(monkeypatch)
+    total = 73
+    nodes = SimplexGrid(3, total).node_count
+    assert nodes > harness.SOLVE_BLOCK_POINTS / 3
+    pairs = 5
+    scen = small_scenario(
+        model="three-type", particle_counts=[total], initial_state=[0.4, 0.4, 0.2],
+        adversaries=adversaries, value_grid={"n_x": 8, "n_t": 8},
+        lemma2={"particle_count": total, "pairs": pairs, "deltas": [0.005],
+                "trials_per_pair": 20})
+    assert len(run_lemma2_check(scen).rows) == pairs * len(adversaries)
+    # one pair's laws: the whole v grid for a random reply, else one per adversary
+    one_pair = 3 if {"kind": "random"} in adversaries else len(adversaries)
+    assert len(calls) > 1
+    for _, _, (batch, n), _, _ in calls:
+        assert n == nodes
+        assert batch * n <= max(one_pair * n, harness.SOLVE_BLOCK_POINTS)
 
 
 def test_oracle_check_small():
