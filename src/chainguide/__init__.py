@@ -22,12 +22,7 @@ from .models import (
     register_model,
     validate_rate_model,
 )
-from .chain import (
-    Distribution,
-    dynkin_residual,
-    master_evolve,
-    simulate_chain,
-)
+from .chain import dynkin_residual, master_evolve, simulate_chain
 from .value import (
     SimplexGrid,
     ValueField,
@@ -58,8 +53,7 @@ __all__ = [
     "ControlGrid", "ModelConstants", "RateModel", "build_model",
     "estimate_constants", "hamiltonian", "isaacs_gap", "mirrored", "register_model",
     "validate_rate_model",
-    "Distribution", "dynkin_residual", "master_evolve",
-    "simulate_chain",
+    "dynkin_residual", "master_evolve", "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
     "verify_supersolution",
     "ControlWithGuideStrategy", "Partition", "TrajectoryRecord",

@@ -30,8 +30,10 @@ tile of trials from one generator in the same way.
 
 The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
 which advances a batch of laws on one lattice generator at once, each
-law with its own start time, end time and control pair; ``master_evolve``
-is that loop for one law. Lemma 2's check evolves every pair's replies at
+law with its own start time, end time and control pair, and checks the
+laws it returns; ``master_evolve`` is that loop for one law. A law is a
+float (N,) array in the node order of ``SimplexGrid(d, M)``, read at
+``node_index``. Lemma 2's check evolves every pair's replies at
 one step length in one call. The generator applies L with one fancy add
 per move type, since a move i -> j sends distinct sources to distinct
 targets.
@@ -58,7 +60,7 @@ class RateBoundError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The forward-equation integrator produced an invalid distribution."""
+    """The forward-equation integrator produced an invalid law."""
 
 
 @dataclass(frozen=True)
@@ -179,42 +181,6 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     return out
 
 
-@dataclass
-class Distribution:
-    """Probability weights over an enumerated lattice."""
-
-    space: SimplexGrid
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (self.space.node_count,):
-            raise ValueError("probability vector does not match the state space")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < -NEGATIVE_PROB_TOL:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum():.12f}")
-        self.probs = p
-
-    def prob_of(self, counts):
-        return float(self.probs[self.space.node_index(counts)])
-
-    @staticmethod
-    def point_mass(space, counts):
-        probs = np.zeros(space.node_count)
-        probs[space.node_index(counts)] = 1.0
-        return Distribution(space, probs)
-
-
-def tv_distance(a, b):
-    """Total-variation distance between two distributions on the same space."""
-    if a.space is not b.space and not np.array_equal(a.space.counts, b.space.counts):
-        raise ValueError("distributions live on different spaces")
-    return 0.5 * float(np.abs(a.probs - b.probs).sum())
-
-
 class _LatticeGenerator:
     """The chain's generator L on one count lattice, applied at any (t, u, v).
 
@@ -267,12 +233,15 @@ class _LatticeGenerator:
         return out
 
 
-def _start_row(y, dimension):
-    """An oracle's start state: one count row, checked; a batch of rows raises."""
-    y = check_counts(y, dimension)
+def _start(model, y):
+    """An oracle's start: one checked count row (a batch raises), its lattice and its point mass."""
+    y = check_counts(y, model.dimension)
     if y.ndim != 1:
         raise ValueError("an oracle starts from a single count row, not a batch")
-    return y
+    grid = SimplexGrid(model.dimension, int(y.sum()))
+    law = np.zeros(grid.node_count)
+    law[grid.node_index(y)] = 1.0
+    return y, grid, law
 
 
 def default_ode_step(model, total, rate_bound=None):
@@ -296,7 +265,9 @@ def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
     own control pair. A law's span is cut into max(1, ceil(span / ode_step))
     equal steps, and a zero span leaves the law as it is; laws with
     different step counts run in separate loops, one loop per count. Each
-    law's result is the one a batch of one would give, bit for bit.
+    law's result is the one a batch of one would give, bit for bit. Every
+    law is checked here: a non-finite or negative weight, or lost mass,
+    raises IntegrationError.
     """
     _check_ode_step(ode_step)
     span = np.subtract(t1, t0)
@@ -316,6 +287,8 @@ def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
     for _ in range(int(counts[0])):
         p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
         t = t + dt  # not in place: t0 may be the caller's column
+    if not np.isfinite(p).all():
+        raise IntegrationError("the integrated law is not finite")
     if p.min() < -NEGATIVE_PROB_TOL:
         raise IntegrationError(
             f"negative probability {p.min():.3e}; reduce the integrator step")
@@ -329,17 +302,15 @@ def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
 def master_evolve(model, t0, t1, y, u, v, ode_step=None):
     """Exact law at t1 of the chain started at the count row ``y`` at t0, under constant controls.
 
+    The law is a float (N,) array in the node order of ``SimplexGrid(d, M)``.
     Classic fourth-order fixed-step integration; the state spaces this
     oracle is meant for are tiny, so accuracy wins over speed.
     """
     if t1 < t0:
         raise ValueError("need t1 >= t0")
-    y = _start_row(y, model.dimension)
-    grid = SimplexGrid(model.dimension, int(y.sum()))
+    _, grid, start = _start(model, y)
     h = ode_step if ode_step is not None else default_ode_step(model, grid.resolution)
-    start = Distribution.point_mass(grid, y).probs
-    return Distribution(grid, _evolve_laws(_LatticeGenerator(model, grid), t0, t1, start,
-                                           u, v, h))
+    return _evolve_laws(_LatticeGenerator(model, grid), t0, t1, start, u, v, h)
 
 
 def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
@@ -352,9 +323,8 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     ``ode_step`` must be positive and finite.
     """
     _check_ode_step(ode_step)
-    y = _start_row(y, model.dimension)
-    total = int(y.sum())
-    grid = SimplexGrid(model.dimension, total)
+    y, grid, p = _start(model, y)
+    total = grid.resolution
     gen = _LatticeGenerator(model, grid)
     fvals = np.array([float(f(x)) for x in grid.nodes])
     span = t1 - t0
@@ -364,7 +334,6 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     if steps % 2:
         steps += 1
     dt = span / steps
-    p = Distribution.point_mass(grid, y).probs
     times = t0 + dt * np.arange(steps + 1)
     integrand = np.empty(steps + 1)
     integrand[0] = p @ gen.backward(times[0], fvals, u, v)
@@ -383,18 +352,17 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
 def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=None):
     """Empirical law of the chain state at t1 over independent trials.
 
+    The law is an array of hit fractions, in ``master_evolve``'s form.
     Every trial starts from the count row ``y``. All trials advance as one
     (trials, d) batch in one ``simulate_chain`` call on the shared generator
     ``np.random.default_rng(seed)``, so the law depends on the trial count
     as a whole: the first k trials of a larger run do not repeat a run of k
     trials. ``trials`` must be at least 1.
     """
-    y = _start_row(y, model.dimension)
+    y, grid, _ = _start(model, y)
     if trials < 1:
         raise ValueError("need at least one trial")
     finals = np.tile(y, (trials, 1))
     simulate_chain(model, t0, t1, finals, u, v, np.random.default_rng(seed),
                    rate_bound=rate_bound, record_events=False)
-    space = SimplexGrid(model.dimension, int(y.sum()))
-    hits = np.bincount(space.node_index(finals), minlength=space.node_count)
-    return Distribution(space, hits / trials)
+    return np.bincount(grid.node_index(finals), minlength=grid.node_count) / trials

@@ -28,7 +28,6 @@ from .chain import (
     master_evolve,
     sample_final_distribution,
     simulate_chain,
-    tv_distance,
 )
 from .guide import ODE_STEP, CandidateFamily, advance_guides
 from .models import (
@@ -64,10 +63,12 @@ from .value import (
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# the most work one command may imply, in expected thinning candidates plus
-# RK4 node-steps (steps times lattice nodes); checked before anything runs
+# the most work one command may imply, in expected thinning candidates,
+# partition steps times episode rows and RK4 node-steps (steps times lattice
+# nodes); checked before anything runs
 WORK_BUDGET = 10**8
-# a thinning round and an RK4 step each pay a fixed cost, so a narrow one
+# a thinning round, an episode block's partition step (guide advance and
+# control choice) and an RK4 step each pay a fixed cost, so a narrow one
 # counts as this wide: the fixed cost over the cost per row or per node,
 # timed with timeit on a 2-core Xeon. A round took about 40-55 us plus
 # 66-100 ns per candidate, a step about 67-190 us plus 0.12-0.4 us per node
@@ -309,6 +310,22 @@ def _thinning_work(model, k, trials, total, span):
     return max(trials, THINNING_FLOOR_ROWS) * (model.dimension - 1) * k * total * span
 
 
+def _step_work(steps, trials, block):
+    """Rows of ``steps`` partition steps of ``trials`` trials in blocks of ``block``.
+
+    Each step of each block is counted at least THINNING_FLOOR_ROWS wide.
+    """
+    full, rest = divmod(trials, block)
+    floor = THINNING_FLOOR_ROWS
+    return steps * (full * max(block, floor) + (rest and max(rest, floor)))
+
+
+def _sem(samples):
+    """Standard error of the mean of ``samples``: 0 for one sample, which shows no spread."""
+    n = samples.size
+    return float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def _rk4_work(model, total, span, step, laws=1):
     """Node-steps of RK4 over ``span`` for ``laws`` laws on the lattice of ``total`` particles.
 
@@ -364,9 +381,9 @@ def _setup(scenario, totals=(), adversary_seat=None, solve=True, lattices=(), wo
         raise ScenarioError(str(exc)) from None
     implied = work(model, constants.k) if work is not None else 0
     if implied > WORK_BUDGET:
-        raise ScenarioError(f"the scenario implies about {implied:.3g} thinning candidates and "
-                            f"RK4 node-steps at K = {constants.k:.6g}; the budget is "
-                            f"{WORK_BUDGET:.0e}")
+        raise ScenarioError(f"the scenario implies about {implied:.3g} thinning candidates, "
+                            f"partition-step rows and RK4 node-steps at K = "
+                            f"{constants.k:.6g}; the budget is {WORK_BUDGET:.0e}")
     field = None
     if solve:
         grid = build_simplex_grid(model.dimension, scenario.value_grid["n_x"])
@@ -444,13 +461,19 @@ def _worker_entry(args):
     return _run_trial_block(_worker_setup, *args)
 
 
+def _block_trials(model, seat):
+    """Trials per episode block: SOLVE_BLOCK_POINTS over the guided player's hull candidates."""
+    grid = (model.u_grid, model.v_grid)[seat - 1]
+    return SOLVE_BLOCK_POINTS // CandidateFamily.build(len(grid)).count
+
+
 def _collect_trials(setup, configs, seat, workers):
     """Per-configuration (payoffs, viol1, viol2) arrays, each (configurations, trials).
 
     ``configs`` lists (partition steps, particle count, adversary index) in
     configuration-index order. The trials of every configuration that
     shares (partition steps, adversary) are pooled and cut into blocks of
-    SOLVE_BLOCK_POINTS // (hull candidates) trials, the last block taking
+    ``_block_trials`` trials, the last block taking
     the remainder. The cut depends on the scenario alone, never on the
     worker count; each block is one task on its own keyed generator. The
     tasks go to a pool of min(workers, tasks) forked processes, or run in
@@ -458,15 +481,13 @@ def _collect_trials(setup, configs, seat, workers):
     """
     scenario, model, _, _, _ = setup
     trials = scenario.trials
-    # the hull family of the guided player's own control grid
-    family = CandidateFamily.build((model.u_grid, model.v_grid)[seat - 1].values().size)
     groups = {}
     for config_index, (m_steps, particle_count, adv_index) in enumerate(configs):
         groups.setdefault((m_steps, adv_index), []).extend(
             (config_index, particle_count, trial) for trial in range(trials))
     tasks = []
     for (m_steps, adv_index), units in groups.items():
-        size = min(SOLVE_BLOCK_POINTS // family.count, len(units))
+        size = min(_block_trials(model, seat), len(units))
         tasks.extend((m_steps, adv_index, seat, lo, units[lo:lo + size])
                      for lo in range(0, len(units), size))
     processes = min(workers, len(tasks))
@@ -522,10 +543,14 @@ def run_corollary_experiment(scenario, workers=1):
 def _run_bound_experiment(scenario, seat, workers):
     """The guided player in ``seat`` against each adversary, its bounds on its signed payoff."""
     runs = len(scenario.partition_steps) * len(scenario.adversaries) * scenario.trials
+    # each (partition steps, adversary) pools the trials of every particle count
+    steps = len(scenario.adversaries) * sum(scenario.partition_steps)
+    pooled = len(scenario.particle_counts) * scenario.trials
     setup = _setup(scenario, scenario.particle_counts, adversary_seat=3 - seat,
                    work=lambda model, k: sum(
                        _thinning_work(model, k, runs, total, model.horizon - scenario.start_time)
-                       for total in scenario.particle_counts))
+                       for total in scenario.particle_counts)
+                   + _step_work(steps, pooled, _block_trials(model, seat)))
     _, model, constants, field, starts = setup
     _, c_gain = coupling_constants(model, constants)
     d_const = c_gain * model.horizon
@@ -550,7 +575,7 @@ def _run_bound_experiment(scenario, seat, workers):
         payoffs, viol1, viol2 = outcomes[:, config_index]
         n = payoffs.size
         mean = float(np.sum(payoffs) / n)
-        sem = float(np.std(payoffs, ddof=1) / math.sqrt(n))
+        sem = _sem(payoffs)
         spread = r_const * math.sqrt(d_const * h)
         tail = (d_const * h) ** (1.0 / 3.0)
         mean_bound = val0 + sign * spread
@@ -661,68 +686,52 @@ def run_lemma1_check(scenario):
     v = float(cfg.get("v", min(model.v_grid.points)))
     min_ratio = float(cfg.get("min_ratio", 3.0))
     t0 = scenario.start_time
+    d = model.dimension
     h = 1.0 / m
     rates = model.rate_matrix(t0, counts / m, u, v)
+    # the targets: the start state, each single-jump neighbour i -> j, and
+    # the rest of the lattice; a target's leading term is lead + delta * coeff
+    moves = [(i, j) for i in range(d) if counts[i] >= 1 for j in range(d) if j != i]
+    names = ["stay"] + [f"jump_{i}_to_{j}" for i, j in moves] + ["two_jump"]
+    states = np.tile(counts, (len(moves) + 1, 1))
+    for row, (i, j) in enumerate(moves, 1):
+        states[row, i] -= 1
+        states[row, j] += 1
+    nodes = SimplexGrid(d, m).node_index(states)
+    coeffs = np.array([float(np.sum(counts * np.diag(rates)))]
+                      + [counts[i] * rates[i, j] for i, j in moves] + [0.0])
 
-    neighbor_keys = []
-    leading = {}
-    for i in range(model.dimension):
-        if counts[i] < 1:
-            continue
-        for j in range(model.dimension):
-            if j != i:
-                neighbor_keys.append((i, j))
-                leading[(i, j)] = counts[i] * rates[i, j]
-    stay_coeff = float(np.sum(counts * np.diag(rates)))
-
-    per_delta = {}
-    for delta in deltas:
-        dist = master_evolve(model, t0, t0 + delta, counts, u, v,
-                             ode_step=_lemma_step(model, delta, m, constants.k))
-        single_mass = 0.0
-        residuals = {}
-        for (i, j) in neighbor_keys:
-            moved = counts.copy()
-            moved[i] -= 1
-            moved[j] += 1
-            p = dist.prob_of(moved)
-            single_mass += p
-            residuals[(i, j)] = (p, abs(p - delta * leading[(i, j)]))
-        p_stay = dist.prob_of(counts)
-        residuals["stay"] = (p_stay, abs(p_stay - (1.0 + delta * stay_coeff)))
-        other = max(0.0, 1.0 - p_stay - single_mass)
-        residuals["other"] = (other, other)
-        per_delta[delta] = residuals
+    # (deltas, targets) tables; the start state and its neighbours are read
+    # off each delta's exact law, the rest is what their mass leaves
+    probs = np.zeros((len(deltas), len(names)))
+    for idx, delta in enumerate(deltas):
+        probs[idx, :-1] = master_evolve(model, t0, t0 + delta, counts, u, v,
+                                        ode_step=_lemma_step(model, delta, m, constants.k))[nodes]
+    # cumsum adds left to right whatever the neighbour count; sum would not
+    single = np.cumsum(probs[:, 1:-1], axis=1)[:, -1]
+    probs[:, -1] = np.maximum(0.0, 1.0 - probs[:, 0] - single)
+    leads = np.array(deltas)[:, None] * coeffs
+    leads[:, 0] += 1.0
+    residuals = np.abs(probs - leads)
 
     rows = []
-    passed = True
-    targets = ["stay"] + neighbor_keys + ["other"]
-    for target in targets:
+    for col, name in enumerate(names):
         for idx, delta in enumerate(deltas):
-            p, residual = per_delta[delta][target]
+            p, residual = probs[idx, col].item(), residuals[idx, col].item()
             ratio = bound = None
-            ok = True
-            if target == "other":
-                name, lead = "two_jump", 0.0
-                bound = 10.0 * (delta * (model.dimension - 1) * constants.k / h) ** 2
+            if name == "two_jump":
+                bound = 10.0 * (delta * (d - 1) * constants.k / h) ** 2
                 ok = p <= bound
             else:
-                if idx + 1 < len(deltas):
-                    nxt = per_delta[deltas[idx + 1]][target][1]
-                    if nxt > 1e-13:
-                        ratio = residual / nxt
-                        ok = ratio >= min_ratio
-                name = "stay" if target == "stay" else f"jump_{target[0]}_to_{target[1]}"
-                lead = (1.0 + delta * stay_coeff if target == "stay"
-                        else delta * leading[target])
+                nxt = residuals[idx + 1, col] if idx + 1 < len(deltas) else 0.0
+                ratio = residual / nxt.item() if nxt > 1e-13 else None
+                ok = ratio is None or ratio >= min_ratio
             rows.append({
                 "delta": delta, "target": name, "probability": p,
-                "leading_term": lead, "residual": residual,
+                "leading_term": leads[idx, col].item(), "residual": residual,
                 "residual_ratio": ratio, "two_jump_bound": bound, "ok": bool(ok),
             })
-            passed = passed and ok
-
-    return _result("lemma1", scenario, LEMMA1_COLUMNS, rows, passed,
+    return _result("lemma1", scenario, LEMMA1_COLUMNS, rows, all(row["ok"] for row in rows),
                    state=counts.tolist(), controls={"u": u, "v": v}, min_ratio=min_ratio)
 
 
@@ -762,9 +771,7 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     sq = (counts[:, 0] / total - w_plus[0]) ** 2
     for c in range(1, counts.shape[1]):
         sq += (counts[:, c] / total - w_plus[c]) ** 2
-    mean = float(np.sum(sq) / trials)
-    sem = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, sem
+    return float(np.sum(sq) / trials), _sem(sq)
 
 
 class _Lemma2Pair(NamedTuple):
@@ -980,22 +987,16 @@ def run_oracle_check(scenario):
         return empirical, master_evolve(model, t0, t0 + elapsed, counts, u, v)
 
     empirical, oracle = laws(starts[total], scenario.seed)
-    tv = tv_distance(empirical, oracle)
+    tv = 0.5 * float(np.abs(empirical - oracle).sum())
     rows.append({"check": f"tv_distance(M={total})", "statistic": tv,
                  "tolerance": tv_tol, "ok": bool(tv <= tv_tol)})
 
     if cfg.get("unit_check", True):
         emp1, oracle1 = laws(starts[1], scenario.seed + 1)
-        worst = 0.0
-        ok = True
-        for idx in range(emp1.space.node_count):
-            p = oracle1.probs[idx]
-            se = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-            dev = abs(emp1.probs[idx] - p)
-            worst = max(worst, dev / se if se > 0 else 0.0)
-            ok = ok and dev <= 3.0 * se
-        rows.append({"check": "single_particle_within_3se", "statistic": worst,
-                     "tolerance": 3.0, "ok": bool(ok)})
+        se = np.sqrt(np.maximum(oracle1 * (1.0 - oracle1), 1e-12) / trials)
+        dev = np.abs(emp1 - oracle1)
+        rows.append({"check": "single_particle_within_3se", "statistic": float(np.max(dev / se)),
+                     "tolerance": 3.0, "ok": bool(np.all(dev <= 3.0 * se))})
 
     coord = int(dyn.get("coordinate", 0))
     dyn_elapsed = float(dyn.get("elapsed", min(0.5, model.horizon - t0)))
@@ -1049,12 +1050,13 @@ def run_simulate(scenario):
     adv = scenario.adversaries[int(cfg.get("adversary_index", 0))]
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
     episodes = int(cfg.get("episodes", 5))
+    steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
     _, model, constants, field, starts = _setup(
         scenario, (total,), adversary_seat=2,
-        work=lambda model, k: _thinning_work(model, k, episodes, total,
-                                             model.horizon - scenario.start_time))
+        work=lambda model, k: (_thinning_work(model, k, episodes, total,
+                                              model.horizon - scenario.start_time)
+                               + _step_work(steps, episodes, episodes)))
     record_jumps = bool(cfg.get("record_jumps", True))
-    steps = int(cfg.get("partition_step_count", scenario.partition_steps[0]))
     partition = Partition.uniform(scenario.start_time, model.horizon, steps)
     player1 = ControlWithGuideStrategy(field, model, constants)
     player2 = _build_adversary(adv, *_seat_view(2, field, model), constants)

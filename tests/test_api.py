@@ -20,6 +20,11 @@ def test_every_exported_name_resolves():
     assert not {"run_episode", "integrate_characteristic"} & set(dir(chainguide))
     # a chain state is a count row; the class is kept for the benchmark tracer only
     assert "LatticeState" not in chainguide.__all__
+    # an exact or empirical law is a plain probability array; its wrapper is gone
+    from chainguide import chain
+    for gone in ("Distribution", "tv_distance"):
+        assert gone not in chainguide.__all__
+        assert not hasattr(chainguide, gone) and not hasattr(chain, gone)
 
 
 def test_readme_library_example_runs(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from chainguide.chain import (
     ChainBatch,
-    Distribution,
     IntegrationError,
     JumpEvent,
     RateBoundError,
@@ -20,7 +19,6 @@ from chainguide.chain import (
     master_evolve,
     sample_final_distribution,
     simulate_chain,
-    tv_distance,
 )
 from chainguide.harness import Scenario, ScenarioError, _run_trial_block, _setup
 from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel
@@ -113,33 +111,27 @@ def test_kernel_takes_only_the_batch_form():
                        [np.random.default_rng(0), np.random.default_rng(1)])
 
 
-def test_distribution_validation():
-    space = SimplexGrid(2, 4)
-    with pytest.raises(ValueError):
-        Distribution(space, np.array([0.5, 0.5, 0.1, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        Distribution(space, np.array([1.1, -0.1, 0.0, 0.0, 0.0]))
-    d = Distribution.point_mass(space, [2, 2])
-    assert d.prob_of([2, 2]) == 1.0
-
-
 def test_master_evolve_zero_model_is_identity():
     out = master_evolve(ZeroModel(), 0.0, 1.0, [1, 3], 1.0, 0.0)
-    assert np.allclose(out.probs, Distribution.point_mass(out.space, [1, 3]).probs, atol=1e-15)
+    start = np.zeros(5)
+    start[SimplexGrid(2, 4).node_index([1, 3])] = 1.0
+    assert out.shape == (5,)
+    assert np.allclose(out, start, atol=1e-15)
 
 
 def test_master_evolve_two_state_closed_form():
     model = TwoTypeModel()
     out = master_evolve(model, 0.0, 1.0, [1, 0], 1.0, 0.0)
-    assert out.prob_of([0, 1]) == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
-    assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    absorbed = out[SimplexGrid(2, 1).node_index([0, 1])]
+    assert absorbed == pytest.approx(two_state_absorb_prob(1.0), abs=1e-9)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_master_evolve_conserves_mass():
     model = TwoTypeModel()
     out = master_evolve(model, 0.0, 1.0, [6, 0], 1.0, 0.5)
-    assert abs(out.probs.sum() - 1.0) <= 1e-10
-    assert out.probs.min() >= 0.0
+    assert abs(out.sum() - 1.0) <= 1e-10
+    assert out.min() >= 0.0
 
 
 def test_master_evolve_flags_bad_steps():
@@ -173,7 +165,7 @@ def test_batched_laws_equal_per_reply_master_evolve(model, total):
         node = int(rng.integers(grid.node_count))
         y = grid.counts[node]
         step = min(0.002, delta / 10.0)
-        want = [master_evolve(model, t0, t0 + delta, y, u, v, ode_step=step).probs
+        want = [master_evolve(model, t0, t0 + delta, y, u, v, ode_step=step)
                 for u, v in pairs]
         starts = np.zeros((len(pairs), grid.node_count))
         starts[:, node] = 1.0
@@ -218,7 +210,7 @@ def test_law_batch_rows_equal_each_law_evolved_alone(data):
         one = _evolve_laws(gen, t0, t1, laws[b:b + 1], us[b:b + 1], vs[b:b + 1], step)
         assert got[b].tobytes() == one[0].tobytes()
     want = master_evolve(model, t0, t1, grid.counts[node], us[0, 0], vs[0, 0], ode_step=step)
-    assert want.probs.tobytes() == got[0].tobytes()
+    assert want.tobytes() == got[0].tobytes()
     # per-law start times, spans just under and just over n steps: the laws
     # take n or n + 1 steps, and a mixed batch runs one loop per step count
     n = data.draw(st.integers(1, 12))
@@ -337,7 +329,7 @@ def test_sample_final_distribution_is_one_shared_stream_tile(model, y):
                    record_events=False)
     grid = SimplexGrid(model.dimension, sum(y))
     expect = np.bincount(grid.node_index(finals), minlength=grid.node_count) / trials
-    assert emp.probs.tobytes() == expect.tobytes()
+    assert emp.tobytes() == expect.tobytes()
 
 
 def test_sample_final_distribution_needs_a_trial():
@@ -347,9 +339,23 @@ def test_sample_final_distribution_needs_a_trial():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_distribution_rejects_non_finite_weights(bad):
-    with pytest.raises(ValueError, match="finite"):
-        Distribution(SimplexGrid(2, 2), np.array([bad, 0.5, 0.5]))
+def test_evolve_laws_rejects_a_non_finite_law(bad):
+    # a NaN law used to pass the mass and sign checks, which compare false
+    class BrokenRates(TwoTypeModel):
+        def rate_matrix(self, t, x, u, v):
+            return np.full_like(super().rate_matrix(t, x, u, v), bad)
+
+    model = BrokenRates()
+    grid = SimplexGrid(2, 3)
+    starts = np.zeros((2, grid.node_count))
+    starts[:, 0] = 1.0
+    # an infinite rate times an empty source is NaN, which numpy warns about
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(IntegrationError, match="not finite"):
+            _evolve_laws(_LatticeGenerator(model, grid), 0.0, 0.01, starts, 1.0,
+                         np.array([[0.0], [1.0]]), 0.002)
+        with pytest.raises(IntegrationError, match="not finite"):
+            master_evolve(model, 0.0, 0.01, [3, 0], 1.0, 0.0, ode_step=0.002)
 
 
 def test_simulator_matches_master_equation_tv():
@@ -357,7 +363,7 @@ def test_simulator_matches_master_equation_tv():
     y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 0.0)
-    assert tv_distance(emp, oracle) <= 0.02
+    assert 0.5 * np.abs(emp - oracle).sum() <= 0.02
 
 
 class DoubledTwoType(TwoTypeModel):
@@ -388,7 +394,7 @@ def test_rate_matrix_override_reaches_every_form():
     y = [4, 0]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.0, trials=20000, seed=42)
     oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 0.0)
-    assert tv_distance(emp, oracle) <= 0.02
+    assert 0.5 * np.abs(emp - oracle).sum() <= 0.02
 
 
 def test_simulator_matches_oracle_time_dependent_model():
@@ -398,7 +404,7 @@ def test_simulator_matches_oracle_time_dependent_model():
     y = [2, 1, 1]
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
     oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 1.0)
-    assert tv_distance(emp, oracle) <= 0.02
+    assert 0.5 * np.abs(emp - oracle).sum() <= 0.02
 
 
 def test_dynkin_residual_zero_rates():
@@ -747,8 +753,6 @@ STATE_ENTRY_POINTS = {
     "dynkin_residual": lambda model, y: dynkin_residual(
         model, lambda x: x[0], 0.0, 0.1, y, 1.0, 0.5),
     "master_evolve": lambda model, y: master_evolve(model, 0.0, 0.1, y, 1.0, 0.5),
-    "Distribution.point_mass": lambda model, y: Distribution.point_mass(
-        SimplexGrid(model.dimension, 4), y),
     "node_index": lambda model, y: SimplexGrid(model.dimension, 4).node_index(y),
     # the kernel advances its batch in place, so it takes an integer array only
     "simulate_chain": lambda model, y: simulate_chain(
@@ -792,6 +796,6 @@ def test_one_state_form_checked_at_every_entry_point(model, data):
                             np.random.default_rng(5)).payoffs.tobytes()
                for y in forms]
     probs = [sample_final_distribution(model, 0.0, 1.0, y, 1.0, 0.5, trials=20,
-                                       seed=5).probs.tobytes() for y in forms]
+                                       seed=5).tobytes() for y in forms]
     assert payoffs[0] == payoffs[1] == payoffs[2]
     assert probs[0] == probs[1] == probs[2]

@@ -307,6 +307,22 @@ def test_cli_work_over_budget_exits_2_before_running(tmp_path, capsys, no_value_
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("experiment", {}),
+    ("corollary", {}),
+    ("simulate", {"simulate": {"episodes": 1}}),
+])
+def test_cli_partition_steps_count_against_the_budget(tmp_path, capsys, no_value_solve,
+                                                      command, overrides):
+    # one trial implies almost no thinning, but each of a million partition
+    # steps pays the fixed cost of a step: about 8 minutes of work
+    scen = write_scenario(tmp_path, trials=1, partition_steps=[10**6], **overrides)
+    start = time.monotonic()
+    assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert time.monotonic() - start < 1.0
+
+
 @st.composite
 def fuzzed_scenarios(draw):
     """Small scenarios over every model, with horizons, controls and grids near their limits."""

@@ -130,9 +130,11 @@ def test_lemma1_zero_model_is_exact():
 
 def _exact_squared_distance(model, t0, delta, counts, u, v, w_plus):
     """Exact E||X(t0 + delta) - w_plus||^2 from the law master_evolve gives at lemma 2's step."""
-    dist = master_evolve(model, t0, t0 + delta, counts, u, v,
-                         ode_step=_lemma_step(model, delta, int(np.sum(counts))))
-    return float(dist.probs @ np.sum((dist.space.nodes - w_plus) ** 2, axis=1))
+    total = int(np.sum(counts))
+    law = master_evolve(model, t0, t0 + delta, counts, u, v,
+                        ode_step=_lemma_step(model, delta, total))
+    nodes = SimplexGrid(model.dimension, total).nodes
+    return float(law @ np.sum((nodes - w_plus) ** 2, axis=1))
 
 
 def test_one_step_kernel_matches_exact_oracle():
@@ -387,6 +389,18 @@ def test_experiment_rows_and_bounds():
         assert row["d_const"] == pytest.approx(8.0)  # 2 d^2 K T
         assert row["mean_bound"] == pytest.approx(
             row["value_start"] + row["r"] * np.sqrt(row["d_const"] * row["h"]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [run_theorem1_experiment, run_corollary_experiment])
+def test_one_trial_experiment_has_no_spread_to_fail_on(run):
+    # one trial used to give a NaN SEM with two RuntimeWarnings, so mean_ok
+    # was False however far the mean sat inside its bound
+    scen = small_scenario(particle_counts=[20], partition_steps=[20], trials=1, seed=1)
+    result = run(scen)
+    assert [row["sem"] for row in result.rows] == [0.0]
+    assert all(row["mean_ok"] for row in result.rows)
+    assert result.passed
 
 
 def test_experiment_single_and_multi_worker_identical(tmp_path):

@@ -11,7 +11,9 @@ generators to one shared generator per call, which changes the draws on
 purpose. The
 ``check-lemma2`` digests were taken when the guide flow stopped adding an
 RK4 substep for round-off in a span that is a whole number of steps,
-which changes the guide endpoints lemma 2 compares against.
+which changes the guide endpoints lemma 2 compares against. The
+``check-lemma1`` digests were taken before the exact oracle's laws became
+plain probability arrays, a change that must not move a byte.
 
 Each value case compares the sha256 of ``solve_value(...).table.tobytes()``
 with the digest the same solve gave before the solve moved to column-major
@@ -33,6 +35,7 @@ import pytest
 from chainguide.harness import (
     Scenario,
     emit_results,
+    run_lemma1_check,
     run_lemma2_check,
     run_oracle_check,
     run_simulate,
@@ -63,7 +66,8 @@ SCENARIOS = {
     },
 }
 
-COMMANDS = {"experiment": run_theorem1_experiment, "oracle": run_oracle_check, "check-lemma2": run_lemma2_check,
+COMMANDS = {"experiment": run_theorem1_experiment, "oracle": run_oracle_check,
+            "check-lemma1": run_lemma1_check, "check-lemma2": run_lemma2_check,
             "simulate": run_simulate}
 
 DIGESTS = {
@@ -71,6 +75,8 @@ DIGESTS = {
         "944fae69d71dc49c20846a50cf8d670978fb724a9f25152e3e567f78fde6a1d2",
     ("two-type", "oracle"):
         "261d80c23dbedce3baeaebd996b0c3f12701304766c9c92fe6b8da877df78eb6",
+    ("two-type", "check-lemma1"):
+        "6f473e86c15c310503a21b90015cf3a976e46ac20ade2ecf116310631cb12467",
     ("two-type", "check-lemma2"):
         "5e353ec24619e7f354816f06438c8dc4b62868980b65ea1040d2c6685f94778e",
     ("two-type", "simulate"):
@@ -79,6 +85,8 @@ DIGESTS = {
         "2892ea240f896291940c4f5ba01e82da5d6d4927eb867c55465764f791d9310d",
     ("three-type", "oracle"):
         "aaea77cd3cf00d9717bcc563b7923c8158b077c606739abc42589131c5690bb5",
+    ("three-type", "check-lemma1"):
+        "a6ba92648bb31074111506503e0b6793d911808ca0f8094e76db86d626e0c579",
     ("three-type", "check-lemma2"):
         "7bfb432e74caff4775d5c53f6be48d7e3aa0f6c3f926f296b50a008eb2caedbf",
     ("three-type", "simulate"):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chainguide import value
-from chainguide.chain import Distribution
 from chainguide.guide import advance_guides
 from chainguide.models import ControlGrid, RateModel, ThreeTypeRotorModel, TwoTypeModel
 from chainguide.simplex import ProjectionError, project_rows, random_simplex_points
@@ -69,9 +68,10 @@ def test_node_index_rejects_off_lattice_counts(counts):
     space = SimplexGrid(2, 4)
     with pytest.raises(ValueError):
         space.node_index(np.array([counts]))
-    # an off-lattice state used to read the probability of another node
+    # an off-lattice state used to read the probability of another node; a
+    # law is read at node_index, so one row must be refused as a batch is
     with pytest.raises(ValueError):
-        Distribution.point_mass(space, [1, 3]).prob_of(counts)
+        space.node_index(counts)
 
 
 def _reference_snap(s, n):
