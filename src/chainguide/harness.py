@@ -71,9 +71,12 @@ WORK_BUDGET = 10**8
 # control choice) and an RK4 step each pay a fixed cost, so a narrow one
 # counts as this wide: the fixed cost over the cost per row or per node,
 # timed with timeit on a 2-core Xeon. A round took about 40-55 us plus
-# 66-100 ns per candidate, a step about 67-190 us plus 0.12-0.4 us per node
+# 66-100 ns per candidate, an RK4 step about 67-190 us plus 0.12-0.4 us per
+# node. A partition step of a one-trial two-type block at M = 20 took about
+# 450 us, some 4000 candidates' time
 THINNING_FLOOR_ROWS = 500
 RK4_FLOOR_NODES = 500
+STEP_FLOOR_ROWS = 4000
 
 
 class ScenarioError(ValueError):
@@ -313,10 +316,10 @@ def _thinning_work(model, k, trials, total, span):
 def _step_work(steps, trials, block):
     """Rows of ``steps`` partition steps of ``trials`` trials in blocks of ``block``.
 
-    Each step of each block is counted at least THINNING_FLOOR_ROWS wide.
+    Each step of each block is counted at least STEP_FLOOR_ROWS wide.
     """
     full, rest = divmod(trials, block)
-    floor = THINNING_FLOOR_ROWS
+    floor = STEP_FLOOR_ROWS
     return steps * (full * max(block, floor) + (rest and max(rest, floor)))
 
 

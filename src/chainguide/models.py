@@ -142,7 +142,12 @@ class RateModel:
 
     Optional exact-constant declarations (``declared_k`` etc.) take
     precedence over sampled estimates; ``gamma_rate`` declares
-    |Q(t') - Q(t)| <= gamma_rate * |t' - t|.
+    |Q(t') - Q(t)| <= gamma_rate * |t' - t|. A declared ``gamma_rate = 0``
+    also lets ``value.solve_value`` keep each node block's interpolation
+    stencil from slice to slice; each slice still evaluates the block's
+    drift and reuses the stencil only when that drift is bit for bit the
+    one it was formed from, so a wrong declaration costs memory, not
+    accuracy.
     """
 
     name = "custom"

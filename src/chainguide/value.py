@@ -14,6 +14,9 @@ at unit stride, and the projection and interpolation read the (points, d)
 transpose view. Every node's value is computed from its own shifted
 points alone, so the table is byte-identical whatever the block size, and
 the simplex-exit check takes the largest displacement over the whole slice.
+A model that declares rates constant in t keeps each block's interpolation
+stencil from slice to slice and reads only the node values through it
+while the block's drift stays bit for bit the same (``solve_value``).
 The scheme is monotone because interpolation only forms convex
 combinations of node values; that property is what the guide-monotonicity
 machinery leans on, so the interpolation here is exact barycentric
@@ -155,9 +158,7 @@ class SimplexGrid:
         coordinate raises ValueError.
         """
         x = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)  # the terms below are formed in place
-        m, d = x.shape
-        n = self.resolution
+        _, d = x.shape
         if d != self.dimension:
             raise ValueError("point dimension does not match the grid")
         finite = np.isfinite(x)
@@ -165,30 +166,48 @@ class SimplexGrid:
             # a NaN would reach the integer cast below and index out of range
             bad = int(np.flatnonzero(~finite.all(axis=1))[0])
             raise ValueError(f"cannot interpolate at the non-finite point {x[bad]} (row {bad})")
-        if d == 2:
+        return self._apply(values, self._stencil(x))
+
+    def _stencil(self, x):
+        """The simplex of each of the finite simplex points x (m, d) that ``_apply`` reads.
+
+        Returns its d vertex indices, one (m,) row each, and the descending
+        fractional parts f (d - 1, m) that weigh them: vertex j has weight
+        f[j - 1] - f[j], 1 - f[0] at j = 0 and f[d - 2] at j = d - 1.
+        """
+        n = self.resolution
+        if self.dimension == 2:
             s = _snap(np.clip(n * x[:, 0], 0.0, float(n)), n)
             g = np.minimum(np.floor(s).astype(np.int64), n - 1)
-            f = s - g
             # enumeration is lexicographic in counts = (n - s_cum..., ...); for d=2
             # node (c0, c1) has index c0
-            lo = values[g]
-            hi = values[g + 1]
-            return lo * (1.0 - f) + hi * f
-        vertex, f, steps = self._kuhn_walk(x)
-        # sum_j w_j * values[vertex_j] in two lanes, even j and odd j, then
-        # even + odd + 0.0: numpy's einsum order for 3 to 7 terms, from +0.0
+            return (g, g + 1), (s - g)[None, :]
+        base, f, steps = self._kuhn_walk(x)
+        # vertex j is vertex j - 1 plus steps[j - 1], formed in place
+        steps[0] += base
+        for j in range(1, len(steps)):
+            steps[j] += steps[j - 1]
+        return (base, *steps), f
+
+    @staticmethod
+    def _apply(values, stencil):
+        """The weighted sums of node ``values`` over the vertices of a ``_stencil``: (m,)."""
+        values = np.asarray(values, dtype=float)
+        vertices, f = stencil
+        k = len(f)
+        # the terms in two lanes, even j and odd j, then even + odd, and for
+        # d >= 3 + 0.0: numpy's einsum order for 3 to 7 terms, from +0.0
         lanes = []
-        for j in range(d):
-            if j:
-                vertex += steps[j - 1]
+        for j, vertex in enumerate(vertices):
             term = values.take(vertex)
-            term *= 1.0 - f[0] if j == 0 else f[j - 1] - f[j] if j < d - 1 else f[j - 1]
+            term *= 1.0 - f[0] if j == 0 else f[j - 1] - f[j] if j < k else f[k - 1]
             if j < 2:
                 lanes.append(term)
             else:
                 lanes[j % 2] += term
         lanes[0] += lanes[1]
-        lanes[0] += 0.0
+        if k > 1:
+            lanes[0] += 0.0
         return lanes[0]
 
     def _kuhn_walk(self, x):
@@ -372,6 +391,15 @@ def solve_value(model, n_t, grid, constants=None):
     points leave the simplex by more than PROJECTION_LIMIT raises
     ``ProjectionError`` once all its blocks are done; a NaN drift raises
     at once, before its points are interpolated.
+
+    When the model declares ``gamma_rate == 0`` (rates constant in t), each
+    block keeps its point columns, drift, displacement and interpolation
+    stencil, about 4d numbers per point (d of them vertex indices)
+    beside the (n_t + 1) x nodes table. A later slice evaluates the block's
+    drift again and, when it equals the kept one (``np.array_equal``),
+    applies the kept stencil to the next slice's values, which gives the
+    bytes a fresh stencil would; otherwise it redoes the block and keeps
+    the new stencil. Other models interpolate every slice afresh.
     """
     if n_t < 1:
         raise ValueError("need at least one time slice")
@@ -392,20 +420,37 @@ def solve_value(model, n_t, grid, constants=None):
     # (u_grid[p // nv % nu], v_grid[p % nv]): the order of drift_grid_multi
     u_cols = np.tile(np.repeat(model.u_grid.values(), nv), block)
     v_cols = np.tile(model.v_grid.values(), nu * block)
+    # a block of a model that declares rates constant in t keeps its columns,
+    # drift, displacement and stencil for the next slice whose drift matches
+    invariant = model.gamma_rate == 0
+    kept = {}
     for k in range(n_t - 1, -1, -1):
         worst = 0.0
         for lo in range(0, grid.node_count, block):
-            x = nodes[lo:lo + block]
-            # (d, points): one contiguous row per coordinate
-            cols = np.repeat(x.T, nu * nv, axis=1)
+            cols, last, moved, stencil = kept.get(lo, (None,) * 4)
+            if cols is None:
+                # (d, points): one contiguous row per coordinate
+                cols = np.repeat(nodes[lo:lo + block].T, nu * nv, axis=1)
             p = cols.shape[1]
             drift = model.drift(times[k], cols.T, u_cols[:p], v_cols[:p])
-            shifted = np.multiply(delta, drift.T, order="C")
-            np.add(cols, shifted, out=shifted)
-            worst = max(worst, project_rows(shifted.T))
+            # node coordinates are never -0.0, so drifts of equal values shift
+            # the points to the same bits whatever the signs of their zeros
+            if last is None or not np.array_equal(drift, last):
+                shifted = np.multiply(delta, drift.T, order="C")
+                np.add(cols, shifted, out=shifted)
+                moved = project_rows(shifted.T)
+                stencil = None
+            worst = max(worst, moved)
             if worst == math.inf:
                 break  # a NaN drift; its points must not reach the interpolation
-            vals = grid.interpolate(table[k + 1], shifted.T).reshape(-1, nu, nv)
+            if not invariant:
+                vals = grid.interpolate(table[k + 1], shifted.T)
+            else:
+                if stencil is None:
+                    stencil = grid._stencil(shifted.T)
+                    kept[lo] = cols, drift, moved, stencil
+                vals = grid._apply(table[k + 1], stencil)
+            vals = vals.reshape(-1, nu, nv)
             # min over u of max over v, one control column at a time
             top = vals[:, :, 0]
             for b in range(1, nv):

@@ -323,6 +323,19 @@ def test_cli_partition_steps_count_against_the_budget(tmp_path, capsys, no_value
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("steps", [2 * 10**5, 10**5])
+def test_cli_partition_steps_are_priced_at_their_fixed_cost(tmp_path, capsys, no_value_solve,
+                                                            steps):
+    # a partition step of a one-trial block costs about 0.4 ms, some 4000
+    # thinning candidates' time: 10^5 steps ran for about 40 s while each
+    # step counted only 500 rows
+    scen = write_scenario(tmp_path, trials=1, particle_counts=[20], partition_steps=[steps])
+    start = time.monotonic()
+    assert main(["experiment", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert time.monotonic() - start < 1.0
+
+
 @st.composite
 def fuzzed_scenarios(draw):
     """Small scenarios over every model, with horizons, controls and grids near their limits."""

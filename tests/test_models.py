@@ -20,6 +20,7 @@ from chainguide.models import (
     mirrored,
     validate_rate_model,
 )
+from chainguide.simplex import random_simplex_points
 
 
 def brute_force_minimax(surface):
@@ -294,6 +295,33 @@ def test_derived_drift_is_the_broadcast_einsum_byte_for_byte(data):
             assert got.tobytes() == want.tobytes()
     want = np.broadcast_to(reference(*grid_args), grid_shape + (d,))
     assert m.drift_grid_multi(ts, xs).tobytes() == want.tobytes()
+
+
+# the bundled models and their mirrors that declare rates constant in t;
+# the value solve keeps a block's stencils across slices for these
+TIME_INVARIANT = tuple(m for base in BUNDLED_MODELS for m in (base, mirrored(base))
+                       if m.gamma_rate == 0)
+
+
+def test_time_invariant_declarations_cover_two_type_zero_and_mirrors():
+    names = {(m.name, m.dimension) for m in TIME_INVARIANT}
+    assert names == {("two-type", 2), ("mirrored(two-type)", 2), ("zero", 2),
+                     ("mirrored(zero)", 2), ("zero", 3), ("mirrored(zero)", 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_declared_time_invariant_rates_do_not_change_with_t(data):
+    m = data.draw(st.sampled_from(TIME_INVARIANT))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    xs = random_simplex_points(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                               n, m.dimension)
+    uu, vv = m.u_grid.values(), m.v_grid.values()
+    us = uu[data.draw(st.lists(st.integers(0, uu.size - 1), min_size=n, max_size=n))]
+    vs = vv[data.draw(st.lists(st.integers(0, vv.size - 1), min_size=n, max_size=n))]
+    t0, t1 = (data.draw(st.floats(min_value=0.0, max_value=m.horizon)) for _ in range(2))
+    for hook in (m.drift, m.rate_matrix):
+        assert hook(t0, xs, us, vs).tobytes() == hook(t1, xs, us, vs).tobytes()
 
 
 def test_estimate_constants_two_type():

@@ -22,7 +22,10 @@ stencil). That change keeps every float operation and its order, so the
 bytes must not move: on three-type, on its mirror, on two-type, and on a
 three-type model that declares only its rates, whose derived
 ``RateModel.drift`` contracts the column-major points. The experiment
-digests pin the whole guarantee path that reads those tables.
+digests pin the whole guarantee path that reads those tables. The
+two-type digest at n_x = n_t = 400 was taken before the solve began to
+keep a block's interpolation stencils across the slices of a model that
+declares rates constant in t, which must not move a byte either.
 
 A change that moves seeded draws on purpose replaces the constants below
 and records the old and new digests in CHANGES.md.
@@ -118,6 +121,8 @@ VALUE_TABLES = {
                              "e554ba3e0883171b8ab96c4391d4e23dbd2e46150ba3d47d97f1223d1824c266"),
     "two-type": (TwoTypeModel(), 200, 200,
                  "951c796167b6b85536b5823cb024dc7a1a1635044953d71b9d11affb168eecea"),
+    "two-type-400": (TwoTypeModel(), 400, 400,
+                     "693dfe5998f1b36bfa6546c4b8a69d7e359d63c9f25d4c73c72cc78f4b034f96"),
     "rates-only three-type": (RatesOnlyRotor(), 30, 30,
                               "7a52e3abcd4403877d1625e8819e5cca30c38c8a9051e39a9d912791f3f87ead"),
 }

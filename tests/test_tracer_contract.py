@@ -6,6 +6,11 @@ binds it and sums each result's ``candidates``; it wraps
 ``chain.master_evolve``, whose calls and self time ``perfbench/bench.py``
 reports. A chain path, a value reader or an exact-law path that stopped
 going through those names would leave the traced per-layer figures empty.
+The value solve of a model that declares rates constant in t (two-type,
+zero and their mirrors) keeps its stencils across slices through private
+``SimplexGrid`` steps, so the ``value.interpolate`` span no longer sees
+its slices and that time reads as ``value.solve_value`` self time; the
+three-type solve below still interpolates every slice through the span.
 The tracer module is only imported here; the benchmark is not run.
 """
 

@@ -1,3 +1,4 @@
+import copy
 import json
 from unittest import mock
 
@@ -7,7 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from chainguide import value
 from chainguide.guide import advance_guides
-from chainguide.models import ControlGrid, RateModel, ThreeTypeRotorModel, TwoTypeModel
+from chainguide.models import (
+    ControlGrid,
+    RateModel,
+    ThreeTypeRotorModel,
+    TwoTypeModel,
+    mirrored,
+)
 from chainguide.simplex import ProjectionError, project_rows, random_simplex_points
 from chainguide.value import (
     SNAP_ULPS,
@@ -233,6 +240,26 @@ def test_interpolated_sum_of_zeros_is_positive_zero(d, n):
 
 @settings(max_examples=100, deadline=None)
 @given(grid_points(), st.integers(0, 2**32 - 1))
+def test_a_stencil_applied_to_many_value_rows_equals_interpolation(case, seed):
+    # the value solve of a model with rates constant in t forms a block's
+    # stencil once and applies it to every later slice's node values
+    grid, points = case
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal(grid.node_count) for _ in range(2)]
+    # zeros of both signs, so that some points add up only zeros
+    signed = -np.abs(rng.standard_normal(grid.node_count))
+    zero = rng.random(grid.node_count) < 0.5
+    signed[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    rows.append(signed)
+    stencil = grid._stencil(np.asarray(points, dtype=float))
+    for values in rows + rows[:1]:
+        got = grid._apply(values, stencil)
+        assert got.tobytes() == grid.interpolate(values, points).tobytes()
+        assert got.tobytes() == _reference_interpolate(grid, values, points).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_points(), st.integers(0, 2**32 - 1))
 def test_interpolation_does_not_depend_on_the_point_layout(case, seed):
     # the value solve hands over column-major (Fortran-order) points
     grid, points = case
@@ -427,6 +454,80 @@ def _solve_in_blocks(model, n_x, n_t, points):
 def test_solve_is_byte_identical_in_any_node_block(case, points):
     whole = _solve_in_blocks(*case, WHOLE)
     assert _solve_in_blocks(*case, points).table.tobytes() == whole.table.tobytes()
+
+
+class SteadyRotor(ThreeTypeRotorModel):
+    """Three-type with its pulses held at their t = 1/4 levels, so its rates are constant in t."""
+
+    name = "steady-rotor"
+    gamma_rate = 0.0
+
+    @staticmethod
+    def _pulse(t):
+        return 0.8
+
+    @staticmethod
+    def _counter_pulse(t):
+        return 0.75
+
+
+class MisdeclaredRotor(ThreeTypeRotorModel):
+    """Three-type declaring rates constant in t, which its pulses break at every slice."""
+
+    name = "misdeclared-rotor"
+    gamma_rate = 0.0
+
+
+class SwitchingTwoType(TwoTypeModel):
+    """Two-type declaring rates constant in t (as it inherits), whose u rates halve before t = 0.45."""
+
+    name = "switching-two-type"
+
+    @staticmethod
+    def _scale(t):
+        return np.where(np.asarray(t) < 0.45, 0.5, 1.0)
+
+    def rate_matrix(self, t, x, u, v):
+        return super().rate_matrix(t, x, u * self._scale(t), v)
+
+    def drift(self, t, x, u, v):
+        return super().drift(t, x, u * self._scale(t), v)
+
+
+# name: (model, n_x, n_t, stencils of the whole lattice); a model declaring
+# gamma_rate = 0 forms a block's stencil again only on a slice whose drift
+# differs from the one it was formed at
+KEPT_CASES = {
+    "two-type-200": (TwoTypeModel(), 200, 200, 1),
+    "two-type-400": (TwoTypeModel(), 400, 400, 1),
+    "mirrored(two-type)": (mirrored(TwoTypeModel()), 200, 200, 1),
+    "steady-rotor": (SteadyRotor(), 16, 16, 1),
+    # n_t = 20: the rates switch once, between slices 9 and 8
+    "switching-two-type": (SwitchingTwoType(), 30, 20, 2),
+    "misdeclared-rotor": (MisdeclaredRotor(), 12, 10, 10),
+}
+
+
+@pytest.mark.parametrize("points", [1, WHOLE], ids=["one-node", "whole"])
+@pytest.mark.parametrize("name", sorted(KEPT_CASES))
+def test_kept_stencil_solve_is_byte_identical_to_the_per_slice_solve(name, points):
+    model, n_x, n_t, per_block = KEPT_CASES[name]
+    assert model.gamma_rate == 0
+    undeclared = copy.copy(model)
+    undeclared.gamma_rate = None
+    # the per-slice solve gives the same bytes in any block (the test above)
+    want = _solve_in_blocks(undeclared, n_x, n_t, WHOLE).table.tobytes()
+    with mock.patch.object(SimplexGrid, "_stencil", autospec=True,
+                           side_effect=SimplexGrid._stencil) as stencil:
+        got = _solve_in_blocks(model, n_x, n_t, points).table.tobytes()
+    assert got == want
+    if points == WHOLE:
+        assert stencil.call_count == per_block
+    else:
+        # a node whose zero coordinates hide the t-dependent rates (the
+        # all-type-2 node of the rotor) keeps its stencil even so
+        blocks = n_x + 1 if model.dimension == 2 else (n_x + 1) * (n_x + 2) // 2
+        assert blocks + (per_block > 1) <= stencil.call_count <= per_block * blocks
 
 
 @pytest.mark.parametrize("d", [2, 3])
