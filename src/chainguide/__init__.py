@@ -33,7 +33,6 @@ from .value import (
 from .strategy import (
     ControlWithGuideStrategy,
     Partition,
-    TrajectoryRecord,
     run_episodes,
 )
 from .harness import (
@@ -56,8 +55,7 @@ __all__ = [
     "dynkin_residual", "master_evolve", "simulate_chain",
     "SimplexGrid", "ValueField", "build_simplex_grid", "solve_value",
     "verify_supersolution",
-    "ControlWithGuideStrategy", "Partition", "TrajectoryRecord",
-    "run_episodes",
+    "ControlWithGuideStrategy", "Partition", "run_episodes",
     "ExperimentResult", "Scenario", "emit_results", "run_corollary_experiment",
     "run_lemma1_check", "run_lemma2_check", "run_oracle_check",
     "run_theorem1_experiment",

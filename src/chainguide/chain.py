@@ -63,26 +63,25 @@ class IntegrationError(RuntimeError):
     """The forward-equation integrator produced an invalid law."""
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    from_type: int
-    to_type: int
-
-    def __post_init__(self):
-        if self.from_type == self.to_type:
-            raise ValueError("jump must move between distinct types")
-
-
 @dataclass
 class ChainBatch:
-    """A batch of chains advanced over one interval, with its thinning tallies."""
+    """A batch of chains advanced over one interval, with its thinning tallies.
+
+    With ``record_events``, ``jumps`` holds the batch's accepted jumps as
+    four (accepted,) arrays in draw order: the row (int64), the time
+    (float), the from type and the to type (int64). A row's jumps are in
+    time order, and from type and to type always differ.
+    """
 
     counts: np.ndarray             # (n, d) counts at the interval end: the caller's array
     candidates: int = 0            # thinning candidates drawn
     accepted: int = 0              # candidates accepted as jumps
     max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
-    events: Optional[list] = None  # per-row JumpEvent lists, when recorded
+    jumps: Optional[tuple] = None  # (rows, times, from types, to types), when recorded
+
+
+# the jumps of a batch that draws no candidate
+_NO_JUMPS = tuple(np.empty(0, dtype=dtype) for dtype in (np.int64, float, np.int64, np.int64))
 
 
 def _shared_rounds(rng, t0, t1, scales, d):
@@ -117,14 +116,16 @@ def _source_types(xs, src):
     return picked
 
 
-def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_events=True):
+def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_events=False):
     """Simulate a batch of chains over [t0, t1] by thinning; returns a ChainBatch.
 
     ``counts`` is an (n, d) integer array of nonnegative counts, advanced
     in place; each row has its own positive particle total. ``u`` and ``v``
     are the controls, constant over the interval: a number for every row or
     an array of n per-row values. Every row draws from the one shared
-    Generator ``rng`` (see the module docstring).
+    Generator ``rng`` (see the module docstring). With ``record_events``
+    the result's ``jumps`` holds the accepted jumps as four arrays in draw
+    order: row, time, from type and to type; recording draws nothing.
 
     Raises RateBoundError if the model ever produces an off-diagonal rate
     above the bound K used for thinning (``rate_bound``, else the model's
@@ -141,9 +142,10 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
     if not isinstance(rng, np.random.Generator):
         raise ValueError("a batch of chains draws from one shared Generator")
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
-    out = ChainBatch(counts, events=[[] for _ in range(n)] if record_events else None)
+    out = ChainBatch(counts, jumps=_NO_JUMPS if record_events else None)
     if not (n and (d - 1) * k_bound > 0.0):
         return out
+    rounds = [_NO_JUMPS] if record_events else None
     totals = row_totals(counts)
     # candidates of row r arrive at the dominating rate (d - 1) K totals[r]
     scales = 1.0 / ((d - 1) * k_bound * totals)
@@ -172,12 +174,12 @@ def simulate_chain(model, t0, t1, counts, u, v, rng, rate_bound=None, record_eve
         counts[r_acc, i_acc] -= 1
         counts[r_acc, j_acc] += 1
         if record_events:
-            for r, t, i, j in zip(r_acc.tolist(), times[hit].tolist(),
-                                  i_acc.tolist(), j_acc.tolist()):
-                out.events[r].append(JumpEvent(t, i, j))
+            rounds.append((r_acc, times[hit], i_acc, j_acc))
         out.candidates += rows.size
         out.accepted += hit.size
         out.max_rate_ratio = max(out.max_rate_ratio, float(q.max()) / k_bound)
+    if record_events:
+        out.jumps = tuple(map(np.concatenate, zip(*rounds)))
     return out
 
 
@@ -364,5 +366,5 @@ def sample_final_distribution(model, t0, t1, y, u, v, trials, seed, rate_bound=N
         raise ValueError("need at least one trial")
     finals = np.tile(y, (trials, 1))
     simulate_chain(model, t0, t1, finals, u, v, np.random.default_rng(seed),
-                   rate_bound=rate_bound, record_events=False)
+                   rate_bound=rate_bound)
     return np.bincount(grid.node_index(finals), minlength=grid.node_count) / trials

@@ -765,8 +765,7 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     """
     counts = np.tile(np.asarray(counts0, dtype=np.int64), (trials, 1))
     simulate_chain(model, t0, t0 + delta, counts, model.u_grid.values()[u_idx],
-                   model.v_grid.values()[v_idx], rng, rate_bound=k_bound,
-                   record_events=False)
+                   model.v_grid.values()[v_idx], rng, rate_bound=k_bound)
     total = int(np.sum(counts0))
     # one column at a time: on rows shorter than 8 entries numpy's sum also
     # adds left to right, so column adds round the same and skip the
@@ -1065,20 +1064,38 @@ def run_simulate(scenario):
     player2 = _build_adversary(adv, *_seat_view(2, field, model), constants)
     batch = run_episodes(model, np.tile(starts[total], (episodes, 1)), partition, player1,
                          player2, np.random.default_rng([scenario.seed, 0]),
-                         rate_bound=constants.k, record=True,
-                         record_jumps=record_jumps)
-    rows = []
-    for i, record in enumerate(batch.records):
+                         rate_bound=constants.k, record=True)
+    trace = batch.trace
+    times = partition.times.tolist()
+    rows, records = [], []
+    for i in range(episodes):
+        payoff = float(batch.payoffs[i])
+        record = {
+            "times": times,
+            "total": int(trace["counts"][i, 0].sum()),
+            "counts": trace["counts"][i].tolist(),
+            "controls_u": trace["controls_u"][i].tolist(),
+            "controls_v": trace["controls_v"][i].tolist(),
+            "payoff": payoff,
+        }
+        for key in ("guide1", "guide2", "guide1_values", "guide2_values",
+                    "violations1", "violations2"):
+            if key in trace:
+                record[key] = trace[key][i].tolist()
+        if record_jumps:
+            mine = trace["jump_rows"] == i
+            record["jumps"] = list(zip(*(trace[key][mine].tolist()
+                                         for key in ("jump_times", "jump_from", "jump_to"))))
         rows.append({
             "episode": i,
-            "payoff": record.payoff,
+            "payoff": payoff,
             "guide_violation_fraction": float(batch.violation_fraction1[i]),
             "opp_guide_violation_fraction": float(batch.violation_fraction2[i]),
-            "jump_count": len(record.jumps) if record.jumps is not None else None,
+            "jump_count": len(record["jumps"]) if record_jumps else None,
         })
+        records.append(record)
     return _result("simulate", scenario, SIMULATE_COLUMNS, rows, True,
-                   adversary=adversary_label(adv),
-                   records=[record.to_dict() for record in batch.records])
+                   adversary=adversary_label(adv), records=records)
 
 
 # -- emission ----------------------------------------------------------------------

@@ -206,57 +206,39 @@ def as_side(side):
 # -- episodes --------------------------------------------------------------------
 
 
-@dataclass
-class TrajectoryRecord:
-    """One coupled realization of the chain, guides, controls and payoff."""
-
-    partition: Partition
-    counts: np.ndarray                     # (steps+1, d) count rows
-    controls_u: np.ndarray                 # (steps,)
-    controls_v: np.ndarray                 # (steps,)
-    payoff: float
-    guide1: Optional[np.ndarray] = None    # (steps+1, d) simplex coords
-    guide2: Optional[np.ndarray] = None
-    guide1_values: Optional[np.ndarray] = None   # (steps,) field reading at updates
-    guide2_values: Optional[np.ndarray] = None
-    violations1: Optional[np.ndarray] = None     # (steps,) bool
-    violations2: Optional[np.ndarray] = None
-    jumps: Optional[list] = None
-
-    def to_dict(self):
-        payload = {
-            "times": self.partition.times.tolist(),
-            "total": int(self.counts[0].sum()),
-            "counts": self.counts.tolist(),
-            "controls_u": self.controls_u.tolist(),
-            "controls_v": self.controls_v.tolist(),
-            "payoff": self.payoff,
-        }
-        for name in ("guide1", "guide2", "guide1_values", "guide2_values",
-                     "violations1", "violations2"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = np.asarray(value).tolist()
-        if self.jumps is not None:
-            payload["jumps"] = [(e.time, e.from_type, e.to_type) for e in self.jumps]
-        return payload
+# the trace keys of the jump arrays, in ``ChainBatch.jumps`` order
+JUMP_KEYS = ("jump_rows", "jump_times", "jump_from", "jump_to")
 
 
 @dataclass
 class EpisodeBatch:
-    """Per-trial episode outcomes plus aggregate guide and thinning diagnostics."""
+    """Per-trial episode outcomes plus aggregate guide and thinning diagnostics.
+
+    ``trace`` is None unless the batch was run with ``record``. Then it
+    maps names to arrays whose leading axis is the trial, n trials of
+    ``steps`` partition steps in d types:
+
+    - ``counts``: (n, steps + 1, d) int64 count rows at every partition time;
+    - ``controls_u``, ``controls_v``: (n, steps) control values of each step;
+    - for each guided player p (1 or 2): ``guide<p>``, (n, steps + 1, d)
+      simplex coordinates at every partition time; ``guide<p>_values``,
+      (n, steps) field readings at the updates, player 2's negated back
+      as readings of the model's field; ``violations<p>``, (n, steps) bool;
+    - ``jump_rows``, ``jump_times``, ``jump_from``, ``jump_to``: (J,)
+      arrays of every accepted jump in draw order, the trial row, time,
+      from type and to type; a row's jumps are in time order.
+    """
 
     payoffs: np.ndarray
     violation_fraction1: np.ndarray
     violation_fraction2: np.ndarray
-    records: Optional[list] = None
+    trace: Optional[dict] = None
     candidates: int = 0            # thinning candidates over all trials and steps
     accepted: int = 0              # of which accepted as jumps
     max_rate_ratio: float = 0.0    # largest candidate rate over the bound K
 
 
-def run_episodes(model, y, partition, player1, player2, rng,
-                 rate_bound=None, record=False, record_jumps=False):
+def run_episodes(model, y, partition, player1, player2, rng, rate_bound=None, record=False):
     """Run one coupled episode per count row of ``y`` on the shared generator ``rng``.
 
     Each side is a ControlWithGuideStrategy, a ControlPolicy, or a plain
@@ -273,7 +255,9 @@ def run_episodes(model, y, partition, player1, player2, rng,
     random draw of the batch comes from ``rng``: per step, player 1's
     policy draws first, then player 2's, then the chain. So a trial's
     result depends on the whole batch and the generator, not on the trial
-    alone. With ``record`` the batch carries one TrajectoryRecord per trial.
+    alone. With ``record`` the batch's ``trace`` holds the episodes'
+    counts, controls, guides and jumps as arrays (see ``EpisodeBatch``);
+    recording draws nothing, so it changes no result.
     """
     y = check_counts(y, model.dimension)
     times = partition.times
@@ -296,22 +280,18 @@ def run_episodes(model, y, partition, player1, player2, rng,
     viol = [np.zeros(n, dtype=np.int64) for _ in strats]
     replies = [None, None]
 
-    recording = record or record_jumps
-    if recording:
-        rec_counts = np.empty((n, steps + 1, d), dtype=np.int64)
-        rec_counts[:, 0] = counts
-        rec_u = np.empty((n, steps))
-        rec_v = np.empty((n, steps))
-        rec_guides = [None, None]
-        rec_values = [None, None]
-        rec_flags = [None, None]
-        for p, strat in enumerate(strats):
+    trace = None
+    if record:
+        trace = {"counts": np.empty((n, steps + 1, d), dtype=np.int64),
+                 "controls_u": np.empty((n, steps)), "controls_v": np.empty((n, steps))}
+        trace["counts"][:, 0] = counts
+        for p, strat in enumerate(strats, start=1):
             if strat is not None:
-                rec_guides[p] = np.empty((n, steps + 1, d))
-                rec_guides[p][:, 0] = guides[p]
-                rec_values[p] = np.empty((n, steps))
-                rec_flags[p] = np.zeros((n, steps), dtype=bool)
-        rec_jumps = [[] for _ in range(n)] if record_jumps else None
+                trace[f"guide{p}"] = np.empty((n, steps + 1, d))
+                trace[f"guide{p}"][:, 0] = guides[p - 1]
+                trace[f"guide{p}_values"] = np.empty((n, steps))
+                trace[f"violations{p}"] = np.zeros((n, steps), dtype=bool)
+        step_jumps = []
 
     k_bound = resolve_k(model) if rate_bound is None else rate_bound
     candidates = accepted = 0
@@ -332,13 +312,10 @@ def run_episodes(model, y, partition, player1, player2, rng,
 
         # the chain advances under the step controls
         chains = simulate_chain(model, t0, t1, counts, u_vals, v_vals, rng,
-                                rate_bound=k_bound, record_events=record_jumps)
+                                rate_bound=k_bound, record_events=record)
         candidates += chains.candidates
         accepted += chains.accepted
         max_rate_ratio = max(max_rate_ratio, chains.max_rate_ratio)
-        if record_jumps:
-            for jumps, events in zip(rec_jumps, chains.events):
-                jumps.extend(events)
 
         # guide updates read the pre-step chain state
         for p, strat in enumerate(strats):
@@ -346,43 +323,27 @@ def run_episodes(model, y, partition, player1, player2, rng,
                 guides[p], _, guide_values, flags, _ = strat.advance_batch(
                     t1, t0, guides[p], replies[p])
                 viol[p] += flags
-                if recording:
-                    rec_guides[p][:, k + 1] = guides[p]
+                if record:
+                    trace[f"guide{p + 1}"][:, k + 1] = guides[p]
                     # player 2 reads the negated field of the mirror
-                    rec_values[p][:, k] = guide_values if p == 0 else -guide_values
-                    rec_flags[p][:, k] = flags
+                    trace[f"guide{p + 1}_values"][:, k] = (guide_values if p == 0
+                                                           else -guide_values)
+                    trace[f"violations{p + 1}"][:, k] = flags
 
-        if recording:
-            rec_counts[:, k + 1] = counts
-            rec_u[:, k] = u_vals
-            rec_v[:, k] = v_vals
+        if record:
+            trace["counts"][:, k + 1] = counts
+            trace["controls_u"][:, k] = u_vals
+            trace["controls_v"][:, k] = v_vals
+            step_jumps.append(chains.jumps)
 
-    payoffs = model.terminal_payoff(counts / totals)
-    batch = EpisodeBatch(
-        payoffs=payoffs,
+    if record:
+        trace.update(zip(JUMP_KEYS, map(np.concatenate, zip(*step_jumps))))
+    return EpisodeBatch(
+        payoffs=model.terminal_payoff(counts / totals),
         violation_fraction1=viol[0] / steps,
         violation_fraction2=viol[1] / steps,
+        trace=trace,
         candidates=candidates,
         accepted=accepted,
         max_rate_ratio=max_rate_ratio,
     )
-    if recording:
-        batch.records = []
-        for i in range(n):
-            guide, values, flags = ([None if a is None else a[i] for a in arrays]
-                                    for arrays in (rec_guides, rec_values, rec_flags))
-            batch.records.append(TrajectoryRecord(
-                partition=partition,
-                counts=rec_counts[i],
-                controls_u=rec_u[i],
-                controls_v=rec_v[i],
-                payoff=float(payoffs[i]),
-                guide1=guide[0],
-                guide2=guide[1],
-                guide1_values=values[0],
-                guide2_values=values[1],
-                violations1=flags[0],
-                violations2=flags[1],
-                jumps=rec_jumps[i] if record_jumps else None,
-            ))
-    return batch

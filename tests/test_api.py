@@ -21,10 +21,14 @@ def test_every_exported_name_resolves():
     # a chain state is a count row; the class is kept for the benchmark tracer only
     assert "LatticeState" not in chainguide.__all__
     # an exact or empirical law is a plain probability array; its wrapper is gone
-    from chainguide import chain
+    from chainguide import chain, strategy
     for gone in ("Distribution", "tv_distance"):
         assert gone not in chainguide.__all__
         assert not hasattr(chainguide, gone) and not hasattr(chain, gone)
+    # an episode and its jumps are recorded as arrays; their per-trial objects are gone
+    assert "TrajectoryRecord" not in chainguide.__all__
+    assert not hasattr(chainguide, "TrajectoryRecord") and not hasattr(strategy, "TrajectoryRecord")
+    assert not hasattr(chain, "JumpEvent")
 
 
 def test_readme_library_example_runs(capsys):

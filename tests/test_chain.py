@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from chainguide.chain import (
     ChainBatch,
     IntegrationError,
-    JumpEvent,
     RateBoundError,
     _evolve_laws,
     _LatticeGenerator,
@@ -33,35 +32,47 @@ def two_state_absorb_prob(elapsed):
     return 1.0 - math.exp(-elapsed)
 
 
-def _replay(start, events):
-    """Counts after each recorded jump of one row, starting from ``start``."""
+def _replay(start, jumps, row):
+    """Counts after each recorded jump of batch row ``row``, starting from ``start``."""
+    rows, _, from_types, to_types = jumps
+    mine = rows == row
     counts = np.array(start)
     states = []
-    for e in events:
-        counts[e.from_type] -= 1
-        counts[e.to_type] += 1
+    for i, j in zip(from_types[mine], to_types[mine]):
+        counts[i] -= 1
+        counts[j] += 1
         states.append(counts.copy())
     return states
 
 
 def test_jump_event_validation():
-    with pytest.raises(ValueError):
-        JumpEvent(0.1, 1, 1)
+    # no recorded jump has from == to, and every type is on the model
+    model = ThreeTypeRotorModel()
+    batch = simulate_chain(model, 0.0, 1.0, np.tile([4, 3, 3], (20, 1)), 1.0, 0.0,
+                           np.random.default_rng(3), record_events=True)
+    rows, times, from_types, to_types = batch.jumps
+    assert rows.size == times.size == from_types.size == to_types.size == batch.accepted > 0
+    assert np.all(from_types != to_types)
+    assert set(from_types.tolist()) | set(to_types.tolist()) <= {0, 1, 2}
 
 
 def test_zero_model_never_jumps():
     counts = np.array([[3, 1]])
     batch = simulate_chain(ZeroModel(), 0.0, 1.0, counts, 1.0, 0.0,
-                           np.random.default_rng(0))
-    assert batch.events == [[]]
+                           np.random.default_rng(0), record_events=True)
+    assert all(a.size == 0 for a in batch.jumps)
     assert counts.tolist() == [[3, 1]]
+    # without recording the batch carries no jumps
+    assert simulate_chain(ZeroModel(), 0.0, 1.0, counts, 1.0, 0.0,
+                          np.random.default_rng(0)).jumps is None
 
 
 def test_counts_conserved_along_path():
     model = TwoTypeModel()
     counts = np.array([[5, 5]])
-    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(7))
-    states = _replay([5, 5], batch.events[0])
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(7),
+                           record_events=True)
+    states = _replay([5, 5], batch.jumps, 0)
     assert states
     for state in states:
         assert state.sum() == 10
@@ -73,8 +84,7 @@ def test_single_particle_conversion_matches_closed_form():
     model = TwoTypeModel()
     trials = 20000
     counts = np.tile([1, 0], (trials, 1))
-    simulate_chain(model, 0.0, 1.0, counts, 1.0, 0.0, np.random.default_rng(123),
-                   record_events=False)
+    simulate_chain(model, 0.0, 1.0, counts, 1.0, 0.0, np.random.default_rng(123))
     p_hat = np.count_nonzero(counts[:, 1] == 1) / trials
     p_true = two_state_absorb_prob(1.0)
     se = math.sqrt(p_true * (1 - p_true) / trials)
@@ -86,7 +96,7 @@ def test_candidate_count_bounded_by_dominating_rate():
     lam = (model.dimension - 1) * model.declared_k * 20  # = 20
     trials = 2000
     batch = simulate_chain(model, 0.0, 0.5, np.tile([10, 10], (trials, 1)), 1.0, 1.0,
-                           np.random.default_rng(9), record_events=False)
+                           np.random.default_rng(9))
     mean = batch.candidates / trials
     # candidates are Poisson(lam * 0.5); accepted jumps are a subset
     assert mean == pytest.approx(lam * 0.5, rel=0.05)
@@ -325,8 +335,7 @@ def test_sample_final_distribution_is_one_shared_stream_tile(model, y):
     trials = 700
     emp = sample_final_distribution(model, 0.1, 0.9, y, 1.0, 0.5, trials=trials, seed=8)
     finals = np.tile(np.array(y, dtype=np.int64), (trials, 1))
-    simulate_chain(model, 0.1, 0.9, finals, 1.0, 0.5, np.random.default_rng(8),
-                   record_events=False)
+    simulate_chain(model, 0.1, 0.9, finals, 1.0, 0.5, np.random.default_rng(8))
     grid = SimplexGrid(model.dimension, sum(y))
     expect = np.bincount(grid.node_index(finals), minlength=grid.node_count) / trials
     assert emp.tobytes() == expect.tobytes()
@@ -581,8 +590,7 @@ def _one_row_runs(model, t0, t1, starts, us, vs, seeds):
     finals, candidates = [], 0
     for start, u, v, seed in zip(starts, us, vs, seeds):
         counts = start[None, :].copy()
-        run = simulate_chain(model, t0, t1, counts, u, v, np.random.default_rng(seed),
-                             record_events=False)
+        run = simulate_chain(model, t0, t1, counts, u, v, np.random.default_rng(seed))
         finals.append(counts[0])
         candidates += run.candidates
     return np.array(finals), candidates
@@ -652,8 +660,7 @@ def test_batch_composition_never_changes_results(data):
     assert expect_candidates == sum(c for _, c in reference)
 
     counts = starts.copy()
-    batch = simulate_chain(model, t0, t1, counts, us, vs, np.random.default_rng(seeds[0]),
-                           record_events=False)
+    batch = simulate_chain(model, t0, t1, counts, us, vs, np.random.default_rng(seeds[0]))
     assert isinstance(batch, ChainBatch)
     want, want_candidates = _reference_shared_rounds(model, t0, t1, starts, us, vs,
                                                      np.random.default_rng(seeds[0]))
@@ -667,7 +674,7 @@ def test_batch_composition_never_changes_results(data):
     counts = starts.copy()
     for part, hi in enumerate(cuts):
         simulate_chain(model, t0, t1, counts[lo:hi], us[lo:hi], vs[lo:hi],
-                       np.random.default_rng([part, *seeds]), record_events=False)
+                       np.random.default_rng([part, *seeds]))
         want, _ = _reference_shared_rounds(model, t0, t1, starts[lo:hi], us[lo:hi], vs[lo:hi],
                                            np.random.default_rng([part, *seeds]))
         assert np.array_equal(counts[lo:hi], want)
@@ -677,16 +684,18 @@ def test_batch_composition_never_changes_results(data):
 def test_batch_tallies_and_events():
     model = TwoTypeModel()
     counts = np.array([[3, 1], [0, 4], [2, 2]], dtype=np.int64)
-    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(4))
+    batch = simulate_chain(model, 0.0, 1.0, counts, 1.0, 1.0, np.random.default_rng(4),
+                           record_events=True)
     # u = v = K = 1: every candidate has rate exactly K and is accepted
     assert batch.accepted == batch.candidates > 0
     assert batch.max_rate_ratio == 1.0
-    assert sum(len(events) for events in batch.events) == batch.accepted
+    rows, jump_times = batch.jumps[:2]
+    assert rows.size == batch.accepted
     for r, start in enumerate([[3, 1], [0, 4], [2, 2]]):
-        times = [e.time for e in batch.events[r]]
-        assert all(0.0 < t < 1.0 for t in times)
-        assert all(a < b for a, b in zip(times, times[1:]))
-        states = _replay(start, batch.events[r])
+        times = jump_times[rows == r]
+        assert np.all((0.0 < times) & (times < 1.0))
+        assert np.all(np.diff(times) > 0.0)
+        states = _replay(start, batch.jumps, r)
         assert np.array_equal(states[-1] if states else start, counts[r])
 
 
@@ -700,7 +709,8 @@ def test_batch_mixed_totals_run_row_by_row(model):
     # rows interleave their draws on the shared stream, each at its own
     # dominating rate, and keep their totals
     counts = starts.copy()
-    batch = simulate_chain(model, 0.1, 0.9, counts, 0.5, 0.25, np.random.default_rng(6))
+    batch = simulate_chain(model, 0.1, 0.9, counts, 0.5, 0.25, np.random.default_rng(6),
+                           record_events=True)
     n = len(starts)
     want, candidates = _reference_shared_rounds(model, 0.1, 0.9, starts, [0.5] * n,
                                                 [0.25] * n, np.random.default_rng(6))
@@ -709,7 +719,7 @@ def test_batch_mixed_totals_run_row_by_row(model):
     assert np.array_equal(counts.sum(axis=1), totals)
     assert counts.min() >= 0
     for r in range(n):
-        states = _replay(starts[r], batch.events[r])
+        states = _replay(starts[r], batch.jumps, r)
         assert np.array_equal(states[-1] if states else starts[r], counts[r])
 
 

@@ -338,14 +338,19 @@ def test_cli_partition_steps_are_priced_at_their_fixed_cost(tmp_path, capsys, no
 
 @st.composite
 def fuzzed_scenarios(draw):
-    """Small scenarios over every model, with horizons, controls and grids near their limits."""
+    """Small scenarios over every model, with horizons, controls and grids near their limits.
+
+    Control levels reach 1e6, a rate bound at which every command should
+    refuse the scenario at load. The oracle and lemma sections are small
+    and fixed, so a scenario either runs in a moment or is refused.
+    """
     model = draw(st.sampled_from(["two-type", "three-type", "zero"]))
     params = {}
     if draw(st.booleans()):
         params["horizon"] = draw(st.sampled_from([0.0, -1.0, float("inf")])
                                  | st.floats(0.05, 3.0))
     dimension = {"two-type": 2, "three-type": 3}.get(model, 2)
-    levels = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3, unique=True)
+    levels = st.lists(st.floats(0.0, 1e3) | st.just(1e6), min_size=1, max_size=3, unique=True)
     if model == "zero":
         if draw(st.booleans()):
             dimension = params["dimension"] = draw(st.integers(-1, 5))
@@ -369,7 +374,10 @@ def fuzzed_scenarios(draw):
             {"kind": "extremal"}, {"kind": "random"}, {"kind": "greedy"},
             {"kind": "constant", "value": 0.0}, {"kind": "constant", "value": 1.0}]))],
         "value_grid": {"n_x": draw(st.integers(2, 10)), "n_t": draw(st.integers(1, 10))},
-        "simulate": {"episodes": 1, "partition_step_count": 2, "particle_count": particles},
+        "simulate": {"episodes": 1, "partition_step_count": 2, "particle_count": particles,
+                     "record_jumps": draw(st.booleans())},
+        "oracle": {"trials": 20, "elapsed": 0.05, "dynkin": {"elapsed": 0.05}},
+        "lemma2": {"pairs": 1, "trials_per_pair": 20, "deltas": [0.01]},
     }
 
 
@@ -378,11 +386,13 @@ def fuzzed_scenarios(draw):
 @example({**THREE_TYPE, "value_grid": {"n_x": 8, "n_t": 1}})
 @example({"model": "two-type", "model_params": {"horizon": float("inf")}})
 @example({"model": "zero", "model_params": {"payoff_coordinate": 5}})
+@example({"model": "two-type", "model_params": {"u_levels": [0.0, 1e6]}, "particle_counts": [4],
+          "simulate": {"record_jumps": False}})
 def test_cli_fuzzed_scenarios_exit_0_1_or_2(payload):
     # main raises on a traceback; every other outcome is an exit code
     with tempfile.TemporaryDirectory() as tmp:
         scen = Path(tmp) / "scenario.json"
         scen.write_text(json.dumps(payload))
-        for command in ("value", "simulate"):
+        for command in ("value", "simulate", "oracle", "check-lemma1", "check-lemma2"):
             assert main([command, "--scenario", str(scen), "--out", str(Path(tmp) / "out")]) \
                 in (0, 1, 2)

@@ -210,7 +210,7 @@ def test_one_step_kernel_reproduces_shared_stream(model, counts0):
                                         v_idx, np.random.default_rng(9))
     counts = np.tile(counts0, (400, 1))
     simulate_chain(model, 0.3, 0.3 + 0.05, counts, model.u_grid[1], model.v_grid.values()[v_idx],
-                   np.random.default_rng(9), rate_bound=model.declared_k, record_events=False)
+                   np.random.default_rng(9), rate_bound=model.declared_k)
     assert np.array_equal(counts, expect)
 
 
@@ -247,7 +247,7 @@ def test_one_step_squared_distance_equals_the_row_sum_reference(d, data):
                                            trials, np.random.default_rng(d))
     counts = np.tile(counts0, (trials, 1))
     simulate_chain(model, 0.2, 0.5, counts, 1.0, 0.0, np.random.default_rng(d),
-                   rate_bound=1.0, record_events=False)
+                   rate_bound=1.0)
     sq = np.sum((counts / int(counts0.sum()) - w_plus) ** 2, axis=1)
     assert mean == float(np.sum(sq) / trials)
     assert sem == float(np.std(sq, ddof=1) / math.sqrt(trials))
@@ -634,7 +634,15 @@ def test_run_simulate_records():
                                                   *harness._seat_view(2, field, model),
                                                   constants),
                          np.random.default_rng([scen.seed, 0]), rate_bound=constants.k,
-                         record=True, record_jumps=True)
+                         record=True)
+    trace = batch.trace
     assert [row["payoff"] for row in result.rows] == batch.payoffs.tolist()
-    assert [r["counts"] for r in result.summary["records"]] == [
-        r.counts.tolist() for r in batch.records]
+    assert [r["counts"] for r in result.summary["records"]] == trace["counts"].tolist()
+    # each episode's jumps are the trace's jumps of its row, in time order
+    for i, (row, rec) in enumerate(zip(result.rows, result.summary["records"])):
+        mine = trace["jump_rows"] == i
+        assert rec["jumps"] == list(zip(trace["jump_times"][mine].tolist(),
+                                        trace["jump_from"][mine].tolist(),
+                                        trace["jump_to"][mine].tolist()))
+        assert row["jump_count"] == len(rec["jumps"])
+    assert sum(row["jump_count"] for row in result.rows) == batch.accepted

@@ -15,6 +15,14 @@ which changes the guide endpoints lemma 2 compares against. The
 ``check-lemma1`` digests were taken before the exact oracle's laws became
 plain probability arrays, a change that must not move a byte.
 
+The CSV of ``simulate`` holds only each episode's payoff, violation
+fractions and jump count, so each simulate case also compares the sha256
+of the emitted JSON summary, whose ``records`` hold every episode's
+counts, guides, guide values, violations, controls and jumps. Those
+digests were taken, with ``simulate.record_jumps`` on and off, before the
+episode runner began to record episodes as arrays with a leading trial
+axis in place of per-trial objects, a change that must not move a byte.
+
 Each value case compares the sha256 of ``solve_value(...).table.tobytes()``
 with the digest the same solve gave before the solve moved to column-major
 node blocks (one flat ``drift`` call per block and a column-major Kuhn
@@ -31,6 +39,7 @@ A change that moves seeded draws on purpose replaces the constants below
 and records the old and new digests in CHANGES.md.
 """
 
+import copy
 import hashlib
 
 import pytest
@@ -104,6 +113,29 @@ def test_seeded_table_digest(tmp_path, model, command):
     table, _ = emit_results(result, tmp_path / f"{model}-{command}")
     with open(table, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[(model, command)]
+
+
+# (model, simulate.record_jumps): sha256 of the emitted JSON summary
+SIMULATE_SUMMARY_DIGESTS = {
+    ("two-type", True):
+        "6755a03a0c58d5e93d4210f928954ecd92ebef14dafb07cce477f031cdca63ca",
+    ("two-type", False):
+        "952d3d8b718307c279cb154af8652ea9cae0eac76fa4ba0266ac7abeb8bd5aa5",
+    ("three-type", True):
+        "abd49fa7883c72da011a6efc773ae55e6570f2282346fa850eb025dfd0e72c70",
+    ("three-type", False):
+        "1a713633a9c1dd0f1f97bfd6e52b519f2402b2d10523294fbf3ab5a87de27c75",
+}
+
+
+@pytest.mark.parametrize("model, record_jumps", sorted(SIMULATE_SUMMARY_DIGESTS))
+def test_simulate_summary_digest(tmp_path, model, record_jumps):
+    spec = copy.deepcopy(SCENARIOS[model])
+    spec["simulate"]["record_jumps"] = record_jumps
+    _, summary = emit_results(run_simulate(Scenario.from_dict(spec)), tmp_path / model)
+    with open(summary, "rb") as fh:
+        assert (hashlib.sha256(fh.read()).hexdigest()
+                == SIMULATE_SUMMARY_DIGESTS[(model, record_jumps)])
 
 
 class RatesOnlyRotor(ThreeTypeRotorModel):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,12 @@ from chainguide.models import ThreeTypeRotorModel, TwoTypeModel, ZeroModel, isaa
 from chainguide.simplex import project_rows
 from chainguide.strategy import (
     GREEDY_PROBE,
+    JUMP_KEYS,
     ConstantPolicy,
     ControlWithGuideStrategy,
     GreedyPolicy,
     Partition,
     RandomPolicy,
-    TrajectoryRecord,
     extremal_indices,
     run_episodes,
 )
@@ -151,27 +153,35 @@ def test_zero_model_episode_is_static():
     model = ZeroModel()
     field = solve_value(model, 10, build_simplex_grid(2, 10))
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, [3, 1], Partition.uniform(0, 1, 10),
-                          strat, 0.0, np.random.default_rng(1), record=True).records[0]
-    assert np.all(record.counts == [3, 1])
-    assert np.allclose(record.guide1, [0.75, 0.25])
-    assert record.payoff == 0.75
-    assert not record.violations1.any()
+    batch = run_episodes(model, [3, 1], Partition.uniform(0, 1, 10),
+                         strat, 0.0, np.random.default_rng(1), record=True)
+    trace = batch.trace
+    assert trace["counts"].shape == (1, 11, 2)
+    assert np.all(trace["counts"] == [3, 1])
+    assert np.allclose(trace["guide1"], [0.75, 0.25])
+    assert batch.payoffs[0] == 0.75
+    assert not trace["violations1"].any()
+    assert trace["jump_rows"].size == 0
 
 
 def test_episode_counts_conserved_and_payoff_consistent(two_type_setup):
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, [20, 0], Partition.uniform(0, 1, 50),
-                          strat, ConstantPolicy(1.0), np.random.default_rng(5),
-                          record_jumps=True).records[0]
-    assert np.all(record.counts.sum(axis=1) == 20)
-    assert record.payoff == pytest.approx(record.counts[-1, 0] / 20, abs=1e-12)
+    batch = run_episodes(model, [20, 0], Partition.uniform(0, 1, 50),
+                         strat, ConstantPolicy(1.0), np.random.default_rng(5), record=True)
+    trace = batch.trace
+    counts = trace["counts"][0]
+    assert np.all(counts.sum(axis=1) == 20)
+    assert batch.payoffs[0] == pytest.approx(counts[-1, 0] / 20, abs=1e-12)
     # controls come from the grids
-    assert set(np.unique(record.controls_u)) <= set(model.u_grid.points)
-    assert np.all(record.controls_v == 1.0)
+    assert set(np.unique(trace["controls_u"])) <= set(model.u_grid.points)
+    assert np.all(trace["controls_v"] == 1.0)
     # jump log is consistent with the per-step counts
-    assert all(e.from_type != e.to_type for e in record.jumps)
+    assert trace["jump_rows"].size == batch.accepted > 0
+    assert np.all(trace["jump_from"] != trace["jump_to"])
+    final = counts[0] + np.bincount(trace["jump_to"], minlength=2) \
+        - np.bincount(trace["jump_from"], minlength=2)
+    assert np.array_equal(final, counts[-1])
 
 
 def test_batched_episodes_match_sequential_runs(two_type_setup):
@@ -185,15 +195,14 @@ def test_batched_episodes_match_sequential_runs(two_type_setup):
     # batch matches a one-row chain step by step with the batch's kernel
     batch = run_episodes(model, np.tile(y, (6, 1)), partition, strat1, strat2,
                          np.random.default_rng(77), record=True)
-    assert len(batch.records) == 6
+    trace = batch.trace
+    assert trace["counts"].shape == (6, partition.steps + 1, 2)
     replay = np.random.default_rng(77)
     counts = np.tile(y, (6, 1))
     for k in range(partition.steps):
-        u = np.array([rec.controls_u[k] for rec in batch.records])
-        v = np.array([rec.controls_v[k] for rec in batch.records])
-        simulate_chain(model, partition.times[k], partition.times[k + 1], counts, u, v, replay,
-                       record_events=False)
-        assert np.array_equal(counts, [rec.counts[k + 1] for rec in batch.records])
+        simulate_chain(model, partition.times[k], partition.times[k + 1], counts,
+                       trace["controls_u"][:, k], trace["controls_v"][:, k], replay)
+        assert np.array_equal(counts, trace["counts"][:, k + 1])
     assert np.array_equal(batch.payoffs, counts[:, 0] / 20)
 
 
@@ -201,15 +210,17 @@ def test_both_guides_private_and_recorded(two_type_setup):
     model, field = two_type_setup
     strat1 = ControlWithGuideStrategy(field, model)
     strat2 = ControlWithGuideStrategy(field.negated(), mirrored(model))
-    record = run_episodes(model, [10, 10], Partition.uniform(0, 1, 20),
-                          strat1, strat2, np.random.default_rng(9), record=True).records[0]
-    assert record.guide1 is not None and record.guide2 is not None
-    assert record.guide1.shape == record.guide2.shape == (21, 2)
+    trace = run_episodes(model, [10, 10], Partition.uniform(0, 1, 20),
+                         strat1, strat2, np.random.default_rng(9), record=True).trace
+    assert trace["guide1"].shape == trace["guide2"].shape == (1, 21, 2)
+    for p in (1, 2):
+        assert trace[f"guide{p}_values"].shape == trace[f"violations{p}"].shape == (1, 20)
+    guide1, guide2 = trace["guide1"][0], trace["guide2"][0]
     # both start on the chain
-    assert np.allclose(record.guide1[0], [0.5, 0.5])
-    assert np.allclose(record.guide2[0], [0.5, 0.5])
+    assert np.allclose(guide1[0], [0.5, 0.5])
+    assert np.allclose(guide2[0], [0.5, 0.5])
     # guides move on the full simplex, not the lattice
-    assert record.guide1[5] in record.guide1
+    assert guide1[5] in guide1
 
 
 def test_random_policy_reproducible(two_type_setup):
@@ -225,7 +236,7 @@ def test_random_policy_reproducible(two_type_setup):
     # each step draws one grid-index vector over the batch, before the chain's draws
     rng = np.random.default_rng([4, 0])
     first = model.v_grid.values()[rng.integers(len(model.v_grid), size=5)]
-    assert np.array_equal([rec.controls_v[0] for rec in a.records], first)
+    assert np.array_equal(a.trace["controls_v"][:, 0], first)
 
 
 def test_greedy_policy_pushes_payoff(two_type_setup):
@@ -321,11 +332,11 @@ def test_second_role_is_first_role_on_mirrored_model(model_cls, u_levels, v_leve
     assert np.array_equal(batch.payoffs, -m_batch.payoffs)
     assert np.array_equal(batch.violation_fraction2, m_batch.violation_fraction1)
     assert np.array_equal(batch.violation_fraction1, m_batch.violation_fraction2)
-    for rec, m_rec in zip(batch.records, m_batch.records):
-        assert np.array_equal(rec.controls_v, m_rec.controls_u)
-        assert np.array_equal(rec.guide2, m_rec.guide1)
-        # recorded as readings of the base field
-        assert np.array_equal(rec.guide2_values, -m_rec.guide1_values)
+    trace, m_trace = batch.trace, m_batch.trace
+    assert np.array_equal(trace["controls_v"], m_trace["controls_u"])
+    assert np.array_equal(trace["guide2"], m_trace["guide1"])
+    # recorded as readings of the base field
+    assert np.array_equal(trace["guide2_values"], -m_trace["guide1_values"])
 
 
 def test_mean_payoff_tracks_value(two_type_setup):
@@ -346,17 +357,20 @@ def test_mean_payoff_tracks_value(two_type_setup):
 
 
 def test_trajectory_record_serialization(two_type_setup):
+    # the trace is plain arrays, each of which turns into JSON through tolist
     model, field = two_type_setup
     strat = ControlWithGuideStrategy(field, model)
-    record = run_episodes(model, [8, 2], Partition.uniform(0, 1, 5),
-                          strat, 0.5, np.random.default_rng(13),
-                          record_jumps=True).records[0]
-    payload = record.to_dict()
-    assert payload["total"] == 10
-    assert len(payload["counts"]) == 6
-    assert len(payload["controls_u"]) == 5
-    assert "guide1" in payload and "guide2" not in payload
-    assert isinstance(payload["payoff"], float)
+    batch = run_episodes(model, [8, 2], Partition.uniform(0, 1, 5),
+                         strat, 0.5, np.random.default_rng(13), record=True)
+    payload = json.loads(json.dumps({key: a.tolist() for key, a in batch.trace.items()}))
+    assert set(payload) == {"counts", "controls_u", "controls_v",
+                            "guide1", "guide1_values", "violations1", *JUMP_KEYS}
+    assert sum(payload["counts"][0][0]) == 10
+    assert len(payload["counts"][0]) == 6
+    assert len(payload["controls_u"][0]) == 5
+    assert all(isinstance(t, float) for t in payload["jump_times"])
+    assert all(isinstance(r, int) for r in payload["jump_rows"])
+    assert isinstance(batch.payoffs.tolist()[0], float)
 
 
 class SampledKTwoType(TwoTypeModel):
@@ -401,6 +415,75 @@ def test_episode_batch_thinning_tallies():
     # the tallies sum the kernel's tallies over the steps
     rng, counts = np.random.default_rng(6), starts.copy()
     steps = [simulate_chain(model, partition.times[k], partition.times[k + 1], counts, 1.0, 0.5,
-                            rng, record_events=False) for k in range(partition.steps)]
+                            rng) for k in range(partition.steps)]
     assert batch.candidates == sum(s.candidates for s in steps)
     assert batch.accepted == sum(s.accepted for s in steps)
+
+
+@pytest.fixture(scope="module")
+def small_fields():
+    """Each bundled model with a coarse solved field, keyed by dimension."""
+    fields = {}
+    for model in (TwoTypeModel(), ThreeTypeRotorModel()):
+        fields[model.dimension] = (model, solve_value(model, 12, build_simplex_grid(
+            model.dimension, 12)))
+    return fields
+
+
+def _side(kind, player, model, field, value):
+    """Player ``player``'s side of ``kind``, built on its own seat's model."""
+    seat = model if player == 1 else mirrored(model)
+    if kind == "guided":
+        return ControlWithGuideStrategy(field if player == 1 else field.negated(), seat)
+    if kind == "random":
+        return RandomPolicy(seat.u_grid)
+    if kind == "greedy":
+        return GreedyPolicy(seat)
+    return value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_recorded_trace_replays_and_changes_nothing(small_fields, data):
+    d = data.draw(st.sampled_from([2, 3]))
+    model, field = small_fields[d]
+    kinds = ("guided", "random", "greedy", "constant")
+    sides = [_side(data.draw(st.sampled_from(kinds)), p, model, field,
+                   data.draw(st.sampled_from([0.0, 0.5, 1.0]))) for p in (1, 2)]
+    # mixed totals, each row positive
+    starts = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(lambda row: sum(row) > 0),
+        min_size=1, max_size=5)), dtype=np.int64)
+    n = len(starts)
+    partition = Partition.uniform(data.draw(st.sampled_from([0.0, 0.3])), model.horizon,
+                                  data.draw(st.integers(1, 6)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    batch = run_episodes(model, starts, partition, *sides, np.random.default_rng(seed),
+                         record=True)
+    plain = run_episodes(model, starts, partition, *sides, np.random.default_rng(seed))
+
+    # recording changes no result
+    for name in ("payoffs", "violation_fraction1", "violation_fraction2"):
+        assert np.array_equal(getattr(batch, name), getattr(plain, name))
+    for name in ("candidates", "accepted", "max_rate_ratio"):
+        assert getattr(batch, name) == getattr(plain, name)
+
+    trace = batch.trace
+    times = partition.times
+    assert trace["counts"].shape == (n, partition.steps + 1, d)
+    assert np.array_equal(trace["counts"][:, 0], starts)
+    assert trace["jump_rows"].size == batch.accepted
+    for r in range(n):
+        mine = trace["jump_rows"] == r
+        jump_times = trace["jump_times"][mine]
+        assert np.all(np.diff(jump_times) > 0.0)
+        assert np.all((jump_times > times[0]) & (jump_times <= times[-1]))
+        # replaying the row's jumps from its start gives its counts at every partition time
+        state = starts[r].copy()
+        ends = np.searchsorted(jump_times, times[1:], side="right")
+        done = 0
+        for k, end in enumerate(ends):
+            np.subtract.at(state, trace["jump_from"][mine][done:end], 1)
+            np.add.at(state, trace["jump_to"][mine][done:end], 1)
+            done = end
+            assert np.array_equal(state, trace["counts"][r, k + 1])
