@@ -72,10 +72,11 @@ WORK_BUDGET = 10**8
 # counts as this wide: the fixed cost over the cost per row or per node,
 # timed with timeit on a 2-core Xeon. A round took about 40-55 us plus
 # 66-100 ns per candidate, an RK4 step about 67-190 us plus 0.12-0.4 us per
-# node. A partition step of a one-trial two-type block at M = 20 took about
-# 450 us, some 4000 candidates' time
+# node. A lemma-1 run of 186 780 two-node RK4 steps took about 118 us per
+# step, some 1200 candidates' time. A partition step of a one-trial
+# two-type block at M = 20 took about 450 us, some 4000 candidates' time
 THINNING_FLOOR_ROWS = 500
-RK4_FLOOR_NODES = 500
+RK4_FLOOR_NODES = 1200
 STEP_FLOOR_ROWS = 4000
 
 
@@ -84,6 +85,14 @@ class ScenarioError(ValueError):
 
 
 _ADVERSARY_KEYS = {"kind", "value"}
+# every adversary kind, and how to build it as player 1 of its view (field, model)
+_ADVERSARIES = {
+    "extremal": lambda spec, field, model, constants: ControlWithGuideStrategy(
+        field, model, constants),
+    "constant": lambda spec, field, model, constants: ConstantPolicy(spec["value"]),
+    "random": lambda spec, field, model, constants: RandomPolicy(model.u_grid),
+    "greedy": lambda spec, field, model, constants: GreedyPolicy(model),
+}
 _TOP_KEYS = {
     "model", "model_params", "particle_counts", "partition_steps",
     "initial_state", "start_time", "trials", "adversaries", "value_grid",
@@ -220,7 +229,7 @@ class Scenario:
             raise ScenarioError("adversaries must be a non-empty list")
         for adv in self.adversaries:
             _check_keys(adv, _ADVERSARY_KEYS, "adversaries")
-            if adv.get("kind") not in ("extremal", "constant", "random", "greedy"):
+            if not (isinstance(adv.get("kind"), str) and adv["kind"] in _ADVERSARIES):
                 raise ScenarioError(f"unknown adversary kind {adv.get('kind')!r}")
             if adv["kind"] == "constant" and not _is_number(adv.get("value")):
                 raise ScenarioError("constant adversary needs a numeric 'value'")
@@ -413,16 +422,7 @@ def _seat_view(seat, field, model):
 
 def _build_adversary(spec, field, model, constants):
     """The adversary of ``spec`` as player 1 of its view ``(field, model)``."""
-    kind = spec["kind"]
-    if kind == "extremal":
-        return ControlWithGuideStrategy(field, model, constants)
-    if kind == "constant":
-        return ConstantPolicy(spec["value"])
-    if kind == "random":
-        return RandomPolicy(model.u_grid)
-    if kind == "greedy":
-        return GreedyPolicy(model)
-    raise ScenarioError(f"unknown adversary kind {kind!r}")
+    return _ADVERSARIES[spec["kind"]](spec, field, model, constants)
 
 
 # -- experiment trial fan-out -----------------------------------------------------
@@ -776,13 +776,19 @@ def _one_step_squared_distance(model, k_bound, t0, delta, counts0, u_idx, v_idx,
     return float(np.sum(sq) / trials), _sem(sq)
 
 
-class _Lemma2Pair(NamedTuple):
-    """What the rows of one sampled (t, chain state, guide state) triple need."""
+def _replies(adversary, t, counts, total, grid):
+    """``adversary``'s reply on ``grid`` at each (t, counts) row, or None if it plays every index.
 
-    start_gap_sq: float
-    u_idx: int       # the guided player's extremal control
-    replies: list    # each adversary's reply indices on the v grid
-    w_plus: dict     # delta -> the guide's endpoint at t + delta
+    An extremal adversary's guide starts on the chain state; any other
+    control policy is read at the rows' start.
+    """
+    if isinstance(adversary, RandomPolicy):
+        return None
+    if isinstance(adversary, ControlWithGuideStrategy):
+        xs = counts / total
+        return adversary.select_batch(t, xs, xs)[1]
+    return np.array([grid.index_of(value)
+                     for value in adversary.step_values(t, counts, total, None)])
 
 
 def run_lemma2_check(scenario):
@@ -794,12 +800,17 @@ def run_lemma2_check(scenario):
     the model-derived o(delta) coefficient plus three standard errors of
     the Monte Carlo mean. The exact oracle value accompanies every row.
 
-    The exact laws of every pair's needed replies are evolved first, each
-    delta in one ``_evolve_laws`` call over all pairs, with per-law start
-    times and controls. The call is cut into blocks of at most
-    max(one pair's laws, SOLVE_BLOCK_POINTS // lattice nodes) laws, so a
-    large lattice holds no more than one pair's batch at a time. The Monte
-    Carlo rows then run pair by pair, delta by delta, on their keyed streams.
+    The pairs are (pairs, ...) arrays: the guided player's extremal
+    controls come from one batched call at the pairs' own times, and each
+    adversary, built once as player 1 of the mirrored game, gives its
+    replies in one call. A random reply plays every v, so its exact mean
+    averages the v grid. The exact laws of every pair's needed replies are
+    evolved first, each delta in one ``_evolve_laws`` call over all pairs,
+    with per-law start times and controls. The call is cut into blocks of
+    at most max(one pair's laws, SOLVE_BLOCK_POINTS // lattice nodes) laws,
+    so a large lattice holds no more than one pair's batch at a time. The
+    Monte Carlo rows then run pair by pair, delta by delta, on their keyed
+    streams.
     """
     cfg = scenario.lemma2
     total = int(cfg.get("particle_count", scenario.particle_counts[0]))
@@ -815,61 +826,46 @@ def run_lemma2_check(scenario):
             + _rk4_work(model, total, delta, _lemma_step(model, delta, total, k),
                         laws=pairs * len(model.v_grid))
             for delta in deltas))
-    mirror = mirrored(model)
     beta, c_gain = coupling_constants(model, constants)
     h = 1.0 / total
     d = model.dimension
     space = SimplexGrid(d, total)
-    horizon = model.horizon
+    nv = len(model.v_grid)
+    allowances = [float(coupling_allowance(model, constants, h, delta)) for delta in deltas]
 
     pair_rng = np.random.default_rng([scenario.seed, 90001])
-    max_delta = max(deltas)
-    t_stars = pair_rng.uniform(0.0, horizon - max_delta, size=pairs)
+    t_stars = pair_rng.uniform(0.0, model.horizon - max(deltas), size=pairs)
     state_idx = pair_rng.integers(0, space.node_count, size=pairs)
     guides = pair_rng.dirichlet(np.ones(d), size=pairs)
-
-    u_grid_vals = model.u_grid.values()
-    v_grid_vals = model.v_grid.values()
-    sampled = []
-    for p in range(pairs):
-        t0 = float(t_stars[p])
-        counts0 = space.counts[state_idx[p]]
-        x_star = counts0 / total
-        w_star = guides[p]
-        own_idx, reply_idx = extremal_indices(model, t0, x_star[None, :], w_star[None, :])
-        v_star = np.array([int(reply_idx[0])])
-        # each adversary's reply indices, the same at every delta; the random
-        # reply's exact mean averages the whole v grid
-        replies = []
-        for adv in scenario.adversaries:
-            kind = adv["kind"]
-            if kind == "random":
-                replies.append(range(v_grid_vals.size))
-            elif kind == "constant":
-                replies.append([model.v_grid.index_of(adv["value"])])
-            elif kind == "greedy":
-                replies.append([model.v_grid.index_of(GreedyPolicy(mirror).step_values(
-                    t0, counts0[None, :], total, None)[0])])
-            else:  # extremal: player 2's guide starts on the chain state
-                replies.append([int(extremal_indices(mirror, t0, x_star[None, :],
-                                                     x_star[None, :])[0][0])])
-        w_plus = {delta: advance_guides(field, model, t0, t0 + delta, w_star[None, :], v_star,
-                                        slack=np.inf)[0][0]
-                  for delta in deltas}
-        sampled.append(_Lemma2Pair(float(np.sum((x_star - w_star) ** 2)), int(own_idx[0]),
-                                   replies, w_plus))
+    counts0 = space.counts[state_idx]
+    xs = counts0 / total
+    start_gap_sq = np.sum((xs - guides) ** 2, axis=1)
+    u_idx, v_star = extremal_indices(model, t_stars, xs, guides)
+    # the guide's endpoint at t + delta: (pairs, deltas, d)
+    w_plus = np.array([[advance_guides(field, model, t0, t0 + delta, guides[p:p + 1],
+                                       v_star[p:p + 1], slack=np.inf)[0][0]
+                        for delta in deltas] for p, t0 in enumerate(t_stars.tolist())])
+    # each adversary's replies, the same at every delta
+    view = _seat_view(2, field, model)
+    replies = [_replies(_build_adversary(adv, *view, constants), t_stars, counts0, total,
+                        model.v_grid)
+               for adv in scenario.adversaries]
 
     # the exact law of every reply a pair needs: law b belongs to pair
     # law_pair[b] and plays reply law_v[b]
-    needed = [sorted(set().union(*pair.replies)) for pair in sampled]
-    law_pair = np.repeat(np.arange(pairs), [len(n) for n in needed])
-    law_v = np.array([v_idx for n in needed for v_idx in n], dtype=np.int64)
+    needed = np.zeros((pairs, nv), dtype=bool)
+    for reply in replies:
+        if reply is None:
+            needed[:] = True
+        else:
+            needed[np.arange(pairs), reply] = True
+    law_pair, law_v = np.nonzero(needed)
     law_t0 = t_stars[law_pair, None]
-    law_u = u_grid_vals[[pair.u_idx for pair in sampled]][law_pair, None]
+    law_u = model.u_grid.values()[u_idx][law_pair, None]
     law_node = state_idx[law_pair]
-    block = max(max(len(n) for n in needed), SOLVE_BLOCK_POINTS // space.node_count)
+    block = max(int(needed.sum(axis=1).max()), SOLVE_BLOCK_POINTS // space.node_count)
     gen = _LatticeGenerator(model, space)
-    exact_by_v = {}  # (pair, delta index) -> reply index -> exact mean
+    exact = np.full((pairs, len(deltas), nv), np.nan)
     for di, delta in enumerate(deltas):
         step = _lemma_step(model, delta, total, constants.k)
         for lo in range(0, law_v.size, block):
@@ -877,34 +873,31 @@ def run_lemma2_check(scenario):
             starts = np.zeros((law_v[part].size, space.node_count))
             starts[np.arange(starts.shape[0]), law_node[part]] = 1.0
             laws = _evolve_laws(gen, law_t0[part], law_t0[part] + delta, starts, law_u[part],
-                                v_grid_vals[law_v[part]][:, None], step)
+                                model.v_grid.values()[law_v[part]][:, None], step)
             for b, (p, v_idx) in enumerate(zip(law_pair[part].tolist(), law_v[part].tolist())):
-                sq = np.sum((space.nodes - sampled[p].w_plus[delta]) ** 2, axis=1)
+                sq = np.sum((space.nodes - w_plus[p, di]) ** 2, axis=1)
                 # row by row: a (B, N) @ (N,) product may add in another order
-                exact_by_v.setdefault((p, di), {})[v_idx] = float(laws[b] @ sq)
+                exact[p, di, v_idx] = float(laws[b] @ sq)
 
     rows = []
     kappa_hat = {delta: 0.0 for delta in deltas}
     violations = 0
-    for p, pair in enumerate(sampled):
-        t0 = float(t_stars[p])
-        counts0 = space.counts[state_idx[p]]
+    for p in range(pairs):
+        gap_sq = float(start_gap_sq[p])
         for di, delta in enumerate(deltas):
-            w_plus = pair.w_plus[delta]
-            rhs_base = (1.0 + beta * delta) * pair.start_gap_sq + c_gain * h * delta
-            allowance_coeff = float(coupling_allowance(model, constants, h, delta))
-            exact_v = exact_by_v[p, di]
-            for adv_idx, adv in enumerate(scenario.adversaries):
+            rhs_base = (1.0 + beta * delta) * gap_sq + c_gain * h * delta
+            for adv_idx, (adv, reply) in enumerate(zip(scenario.adversaries, replies)):
                 rng = np.random.default_rng([scenario.seed, 90002, p, di, adv_idx])
-                if adv["kind"] == "random":
-                    v_trial_idx = rng.integers(0, v_grid_vals.size, size=trials)
+                if reply is None:
+                    v_trial_idx = rng.integers(0, nv, size=trials)
+                    exact_mean = float(np.mean(exact[p, di]))
                 else:
-                    v_trial_idx = np.full(trials, pair.replies[adv_idx][0], dtype=np.int64)
+                    v_trial_idx = np.full(trials, reply[p], dtype=np.int64)
+                    exact_mean = float(exact[p, di, reply[p]])
                 mc_mean, mc_sem = _one_step_squared_distance(
-                    model, constants.k, t0, delta, counts0, pair.u_idx, v_trial_idx,
-                    w_plus, trials, rng)
-                exact = float(np.mean([exact_v[v_idx] for v_idx in pair.replies[adv_idx]]))
-                allowance = allowance_coeff * delta + 3.0 * mc_sem
+                    model, constants.k, float(t_stars[p]), delta, counts0[p], u_idx[p],
+                    v_trial_idx, w_plus[p, di], trials, rng)
+                allowance = allowances[di] * delta + 3.0 * mc_sem
                 violated = mc_mean > rhs_base + allowance
                 violations += int(violated)
                 kappa_hat[delta] = max(
@@ -914,10 +907,10 @@ def run_lemma2_check(scenario):
                     "delta": delta,
                     "adversary": adversary_label(adv),
                     "pair": p,
-                    "start_gap_sq": pair.start_gap_sq,
+                    "start_gap_sq": gap_sq,
                     "mc_mean": mc_mean,
                     "mc_sem": mc_sem,
-                    "exact_mean": exact,
+                    "exact_mean": exact_mean,
                     "rhs_base": rhs_base,
                     "allowance": allowance,
                     "violation": bool(violated),
@@ -928,8 +921,7 @@ def run_lemma2_check(scenario):
         constants={"k": constants.k, "l": constants.l, "beta": beta, "c": c_gain},
         pairs=pairs, trials_per_pair=trials, deltas=deltas, violations=violations,
         empirical_kappa_per_delta={str(dl): kappa_hat[dl] for dl in deltas},
-        model_allowance_per_delta={
-            str(dl): float(coupling_allowance(model, constants, h, dl)) for dl in deltas},
+        model_allowance_per_delta={str(dl): a for dl, a in zip(deltas, allowances)},
         kappa_power_fit=_fit_power_law(kappa_hat))
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chainguide import harness
 from chainguide.cli import COMMANDS, main
+from chainguide.models import build_model
 
 
 def write_scenario(tmp_path, **overrides):
@@ -58,6 +59,7 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"start_time": 1.0},
     {"initial_state": [0.7, 0.7]},
     {"adversaries": [{"kind": "constant", "value": "x"}]},
+    {"adversaries": [{"kind": ["extremal"]}]},
     {"lemma1": {"state": [1, 2, 3]}},
     {"lemma2": {"deltas": "x"}},
     {"simulate": {"adversary_index": 5}},
@@ -80,7 +82,7 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"model": "zero", "model_params": {"dimension": 0}},
 ], ids=["unknown-model", "value-grid-without-n_t", "3d-state-on-two-type",
         "string-trials", "no-particle-counts", "bogus-model-param", "negative-seed",
-        "start-at-horizon", "state-not-a-mix", "string-constant-value",
+        "start-at-horizon", "state-not-a-mix", "string-constant-value", "list-adversary-kind",
         "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
         "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
         "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
@@ -295,6 +297,9 @@ def test_cli_lemma1_at_a_large_rate_bound_fails_without_a_traceback(tmp_path):
                 "oracle": {"trials": 10, "u": 2e5, "v": 0}}),
     # 1.4e7 RK4 steps on the 5-node lattice: 7e7 node-steps counted one for one
     ("check-lemma1", {"particle_counts": [4], "model_params": {"u_levels": [0, 1e7]}}),
+    # 186 780 RK4 steps on the 2-node lattice ran about 22 s, some 118 us a
+    # step, while each step counted 500 nodes wide: 9.3e7 units
+    ("check-lemma1", {"particle_counts": [1], "model_params": {"v_levels": [533654.29, 0.0]}}),
 ])
 def test_cli_work_over_budget_exits_2_before_running(tmp_path, capsys, no_value_solve,
                                                      command, overrides):
@@ -342,7 +347,8 @@ def fuzzed_scenarios(draw):
 
     Control levels reach 1e6, a rate bound at which every command should
     refuse the scenario at load. The oracle and lemma sections are small
-    and fixed, so a scenario either runs in a moment or is refused.
+    and fixed, and the episodes are one trial over two partition steps, so
+    a scenario either runs in a moment or is refused.
     """
     model = draw(st.sampled_from(["two-type", "three-type", "zero"]))
     params = {}
@@ -367,6 +373,7 @@ def fuzzed_scenarios(draw):
         "model": model,
         "model_params": params,
         "particle_counts": [particles],
+        "partition_steps": [2],
         "initial_state": state,
         "start_time": draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0)),
         "trials": 1,
@@ -388,11 +395,25 @@ def fuzzed_scenarios(draw):
 @example({"model": "zero", "model_params": {"payoff_coordinate": 5}})
 @example({"model": "two-type", "model_params": {"u_levels": [0.0, 1e6]}, "particle_counts": [4],
           "simulate": {"record_jumps": False}})
+@example({"model": "two-type", "model_params": {"u_levels": [0.25, 0.5]}, "particle_counts": [2],
+          "partition_steps": [2], "trials": 1, "value_grid": {"n_x": 4, "n_t": 4},
+          "adversaries": [{"kind": "constant", "value": 1.0}]})
 def test_cli_fuzzed_scenarios_exit_0_1_or_2(payload):
     # main raises on a traceback; every other outcome is an exit code
     with tempfile.TemporaryDirectory() as tmp:
         scen = Path(tmp) / "scenario.json"
         scen.write_text(json.dumps(payload))
-        for command in ("value", "simulate", "oracle", "check-lemma1", "check-lemma2"):
-            assert main([command, "--scenario", str(scen), "--out", str(Path(tmp) / "out")]) \
-                in (0, 1, 2)
+        codes = {command: main([command, "--scenario", str(scen), "--out", str(Path(tmp) / "out")])
+                 for command in ("value", "experiment", "corollary", "simulate", "oracle",
+                                 "check-lemma1", "check-lemma2")}
+    assert set(codes.values()) <= {0, 1, 2}
+    # a constant adversary must play a point of its seat's grid: v against
+    # the experiment's guided player 1, u against the corollary's player 2
+    spec = payload.get("adversaries", [{}])[0]
+    if spec.get("kind") == "constant":
+        for command, seat_grid in (("experiment", "v_grid"), ("corollary", "u_grid")):
+            try:
+                getattr(build_model(payload["model"], payload.get("model_params")),
+                        seat_grid).index_of(spec["value"])
+            except (TypeError, ValueError):
+                assert codes[command] == 2

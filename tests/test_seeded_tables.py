@@ -23,6 +23,13 @@ digests were taken, with ``simulate.record_jumps`` on and off, before the
 episode runner began to record episodes as arrays with a leading trial
 axis in place of per-trial objects, a change that must not move a byte.
 
+The CSV of ``check-lemma2`` leaves out the summary's
+``empirical_kappa_per_delta``, ``model_allowance_per_delta`` and
+``kappa_power_fit``, so each lemma 2 case also compares the sha256 of the
+emitted JSON summary. Those digests were taken before lemma 2 began to set
+up its pairs as arrays and to read each adversary's reply from the built
+adversary, a change that must not move a byte.
+
 Each value case compares the sha256 of ``solve_value(...).table.tobytes()``
 with the digest the same solve gave before the solve moved to column-major
 node blocks (one flat ``drift`` call per block and a column-major Kuhn
@@ -136,6 +143,21 @@ def test_simulate_summary_digest(tmp_path, model, record_jumps):
     with open(summary, "rb") as fh:
         assert (hashlib.sha256(fh.read()).hexdigest()
                 == SIMULATE_SUMMARY_DIGESTS[(model, record_jumps)])
+
+
+# model: sha256 of the emitted check-lemma2 JSON summary
+LEMMA2_SUMMARY_DIGESTS = {
+    "two-type": "d9ef370caa52d986729dd1dee3b55708e0ae29ac2001fe3e76df1b8b89ce770a",
+    "three-type": "b6f881c8bee5ceec51a0177fb7957dad823246a03dede03a8a080573aa3636ff",
+}
+
+
+@pytest.mark.parametrize("model", sorted(LEMMA2_SUMMARY_DIGESTS))
+def test_lemma2_summary_digest(tmp_path, model):
+    result = run_lemma2_check(Scenario.from_dict(SCENARIOS[model]))
+    _, summary = emit_results(result, tmp_path / model)
+    with open(summary, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == LEMMA2_SUMMARY_DIGESTS[model]
 
 
 class RatesOnlyRotor(ThreeTypeRotorModel):

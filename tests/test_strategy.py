@@ -101,6 +101,36 @@ def test_extremal_indices_match_the_short_axis_formula(model):
     assert tied_own > 0 and tied_reply > 0
 
 
+# two-type, three-type (whose rates depend on t), a 4-level two-type and their mirrors
+PER_ROW_MODELS = [TwoTypeModel(), ThreeTypeRotorModel(),
+                  TwoTypeModel(u_levels=(0.0, 0.25, 0.5, 1.0), v_levels=(0.0, 0.25, 0.5, 1.0))]
+PER_ROW_MODELS += [mirrored(model) for model in PER_ROW_MODELS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PER_ROW_MODELS), st.integers(1, 12), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_per_row_times_match_row_by_row_calls(model, n, total, seed):
+    # a batch whose rows each carry their own time picks, row for row, what
+    # a call at that row's scalar time picks
+    d = model.dimension
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(total, rng.dirichlet(np.ones(d)), size=n)
+    xs = counts / total
+    guides = rng.dirichlet(np.ones(d), size=n)
+    on_chain = rng.random(n) < 0.5
+    guides[on_chain] = xs[on_chain]
+    ts = rng.uniform(0.0, model.horizon, size=n)
+    own, reply = extremal_indices(model, ts, xs, guides)
+    greedy = GreedyPolicy(model)
+    values = greedy.step_values(ts, counts, total, None)
+    for i in range(n):
+        t = float(ts[i])
+        own_i, reply_i = extremal_indices(model, t, xs[i:i + 1], guides[i:i + 1])
+        assert (own[i], reply[i]) == (own_i[0], reply_i[0])
+        assert values[i] == greedy.step_values(t, counts[i:i + 1], total, None)[0]
+
+
 def test_extremal_selection_scale_invariant():
     model = TwoTypeModel()
     rng = np.random.default_rng(3)
