@@ -28,15 +28,15 @@ rows the scenario fixes, so results do not depend on the worker count.
 ``sample_final_distribution`` and lemma 2's one-step check draw one whole
 tile of trials from one generator in the same way.
 
-The oracle side evolves exact laws with one RK4 loop, ``_evolve_laws``,
-which advances a batch of laws on one lattice generator at once, each
-law with its own start time, end time and control pair, and checks the
-laws it returns; ``master_evolve`` is that loop for one law. A law is a
-float (N,) array in the node order of ``SimplexGrid(d, M)``, read at
-``node_index``. Lemma 2's check evolves every pair's replies at
-one step length in one call. The generator applies L with one fancy add
-per move type, since a move i -> j sends distinct sources to distinct
-targets.
+The oracle side has one RK4 loop, ``_law_steps``: it advances a batch of
+laws on one lattice generator over one span, each law with its own start
+time and control pair, and yields the laws after each step.
+``_evolve_laws`` runs it to the end and checks the laws, ``master_evolve``
+is that for one law, and ``dynkin_residual`` reads its quadrature off the
+steps. A law is a float (N,) array in the node order of
+``SimplexGrid(d, M)``, read at ``node_index``. The generator applies L
+with one fancy add per move type, since a move i -> j sends distinct
+sources to distinct targets.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .models import resolve_k
-from .simplex import check_counts, project_rows, rk4_step, row_totals
+from .simplex import check_counts, project_rows, rk4_step, rk4_step_count, row_totals
 from .value import SimplexGrid
 
 PROB_SUM_TOL = 1e-10
@@ -259,36 +259,32 @@ def _check_ode_step(ode_step):
         raise ValueError(f"the integrator step must be positive and finite, got {ode_step!r}")
 
 
-def _evolve_laws(gen, t0, t1, p, u, v, ode_step):
-    """RK4 of the forward equations on ``gen``'s lattice: the laws at t1 of the laws ``p`` at t0.
+def _law_steps(gen, t0, span, steps, p, u, v):
+    """RK4 of the laws ``p`` from t0 in ``steps`` equal steps over ``span``: (t, laws) each.
 
-    ``p`` is one law (N,) or a batch (B, N). ``t0``, ``t1``, ``u`` and ``v``
-    are numbers or (B, 1) columns: each law may have its own span and its
-    own control pair. A law's span is cut into max(1, ceil(span / ode_step))
-    equal steps, and a zero span leaves the law as it is; laws with
-    different step counts run in separate loops, one loop per count. Each
-    law's result is the one a batch of one would give, bit for bit. Every
-    law is checked here: a non-finite or negative weight, or lost mass,
-    raises IntegrationError.
+    The times accumulate from ``t0``, a number or a (B, 1) column, as ``u`` and ``v`` are.
     """
-    _check_ode_step(ode_step)
-    span = np.subtract(t1, t0)
-    steps = np.where(span == 0.0, 0, np.maximum(1, np.ceil(span / ode_step)))
-    counts = np.unique(steps)
-    if counts.size > 1:
-        out = np.empty_like(p)
-        for count in counts:
-            rows = steps[:, 0] == count
-            t0_r, t1_r, u_r, v_r = (a[rows] if np.ndim(a) == 2 else a for a in (t0, t1, u, v))
-            out[rows] = _evolve_laws(gen, t0_r, t1_r, p[rows], u_r, v_r, ode_step)
-        return out
-    if counts[0] == 0:
-        return p
-    dt = span / counts[0]
+    dt = span / steps
     t = t0
-    for _ in range(int(counts[0])):
+    for _ in range(steps):
         p = rk4_step(lambda s, q: gen.forward(s, q, u, v), t, p, dt)
         t = t + dt  # not in place: t0 may be the caller's column
+        yield t, p
+
+
+def _evolve_laws(gen, t0, span, p, u, v, ode_step):
+    """Forward equations on ``gen``'s lattice: the laws ``p`` at t0 evolved over ``span``.
+
+    ``p`` is one law (N,) or a batch (B, N) over one span; ``t0``, ``u`` and
+    ``v`` are numbers or (B, 1) columns, so each law may have its own start
+    time and control pair. Every law runs in one loop of
+    ``rk4_step_count(span, ode_step)`` steps, and its result is the one a
+    batch of one would give, bit for bit. Every law is checked here: a
+    non-finite or negative weight, or lost mass, raises IntegrationError.
+    """
+    _check_ode_step(ode_step)
+    for _, p in _law_steps(gen, t0, span, rk4_step_count(span, ode_step), p, u, v):
+        pass
     if not np.isfinite(p).all():
         raise IntegrationError("the integrated law is not finite")
     if p.min() < -NEGATIVE_PROB_TOL:
@@ -305,14 +301,14 @@ def master_evolve(model, t0, t1, y, u, v, ode_step=None):
     """Exact law at t1 of the chain started at the count row ``y`` at t0, under constant controls.
 
     The law is a float (N,) array in the node order of ``SimplexGrid(d, M)``.
-    Classic fourth-order fixed-step integration; the state spaces this
-    oracle is meant for are tiny, so accuracy wins over speed.
+    Classic fourth-order fixed-step integration over the span t1 - t0; the
+    state spaces this oracle is meant for are tiny, so accuracy wins.
     """
     if t1 < t0:
         raise ValueError("need t1 >= t0")
     _, grid, start = _start(model, y)
     h = ode_step if ode_step is not None else default_ode_step(model, grid.resolution)
-    return _evolve_laws(_LatticeGenerator(model, grid), t0, t1, start, u, v, h)
+    return _evolve_laws(_LatticeGenerator(model, grid), t0, t1 - t0, start, u, v, h)
 
 
 def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
@@ -320,9 +316,9 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
 
     Both sides come from the forward-equation oracle: the left from the
     integrated distribution, the right from composite Simpson quadrature of
-    the generator term along the stored trajectory, started from the count
-    row ``y``. The residual therefore measures integrator consistency only.
-    ``ode_step`` must be positive and finite.
+    the generator term at the steps (an even count) of the same RK4 loop,
+    started from the count row ``y``. The residual therefore measures
+    integrator consistency only. ``ode_step`` must be positive and finite.
     """
     _check_ode_step(ode_step)
     y, grid, p = _start(model, y)
@@ -332,20 +328,16 @@ def dynkin_residual(model, f, t0, t1, y, u, v, ode_step=0.002):
     span = t1 - t0
     if span <= 0.0:
         raise ValueError("need t1 > t0")
-    steps = max(2, math.ceil(span / min(ode_step, default_ode_step(model, total))))
-    if steps % 2:
-        steps += 1
-    dt = span / steps
-    times = t0 + dt * np.arange(steps + 1)
-    integrand = np.empty(steps + 1)
-    integrand[0] = p @ gen.backward(times[0], fvals, u, v)
-    for step in range(steps):
-        p = rk4_step(lambda s, q: gen.forward(s, q, u, v), times[step], p, dt)
-        integrand[step + 1] = p @ gen.backward(times[step + 1], fvals, u, v)
-    # composite Simpson over the stored (even) grid
-    integral = (dt / 3.0) * (integrand[0] + integrand[-1]
-                             + 4.0 * integrand[1:-1:2].sum()
-                             + 2.0 * integrand[2:-1:2].sum())
+    steps = rk4_step_count(span, min(ode_step, default_ode_step(model, total)))
+    steps += steps % 2
+    integrand = [p @ gen.backward(t0, fvals, u, v)]
+    for t, p in _law_steps(gen, t0, span, steps, p, u, v):
+        integrand.append(p @ gen.backward(t, fvals, u, v))
+    integrand = np.array(integrand)
+    # composite Simpson over the (even) step grid
+    integral = (span / steps / 3.0) * (integrand[0] + integrand[-1]
+                                       + 4.0 * integrand[1:-1:2].sum()
+                                       + 2.0 * integrand[2:-1:2].sum())
     expected_end = float(p @ fvals)
     start = float(f(y / total))
     return abs(expected_end - start - integral)

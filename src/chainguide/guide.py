@@ -15,13 +15,12 @@ grid error. The family depends only on the grid size and is built once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .simplex import PROJECTION_LIMIT, ProjectionError, project_rows, rk4_step
+from .simplex import PROJECTION_LIMIT, ProjectionError, project_rows, rk4_step, rk4_step_count
 
 ODE_STEP = 0.01   # RK4 step of the guide flow
 LAM_POINTS = 9    # even weight grid on [0, 1] of the hull family's adjacent-pair mixtures
@@ -30,9 +29,7 @@ LAM_POINTS = 9    # even weight grid on [0, 1] of the hull family's adjacent-pai
 def _flow(velocity, t0, t1, states, ode_step, what):
     """RK4 rows over [t0, t1], each step followed by a clip-and-renormalize projection."""
     span = float(t1) - float(t0)
-    # a span a few ulps over a whole number of steps, as the differences of
-    # a uniform 100-step partition of [0, 1] are, takes no extra step
-    steps = max(1, math.ceil(span / ode_step - 1e-9))
+    steps = rk4_step_count(span, ode_step)
     dt = span / steps
     t = float(t0)
     worst = 0.0

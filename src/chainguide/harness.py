@@ -39,7 +39,7 @@ from .models import (
     estimate_constants,
     mirrored,
 )
-from .simplex import round_to_lattice
+from .simplex import rk4_step_count, round_to_lattice
 from .strategy import (
     ConstantPolicy,
     ControlWithGuideStrategy,
@@ -263,8 +263,9 @@ class Scenario:
             raise ScenarioError(
                 f"simulate.adversary_index must be below {len(self.adversaries)}")
         for key, grid in (("u", model.u_grid), ("v", model.v_grid)):
-            if key in self.oracle:
-                _check_on_grid(self.oracle[key], grid, f"oracle.{key}")
+            for where, section in (("oracle", self.oracle), ("lemma1", self.lemma1)):
+                if key in section:
+                    _check_on_grid(section[key], grid, f"{where}.{key}")
         for key, section in (("oracle", self.oracle),
                              ("oracle.dynkin", self.oracle.get("dynkin", {}))):
             if self.start_time + section.get("elapsed", 0.0) > model.horizon + 1e-12:
@@ -343,8 +344,8 @@ def _rk4_work(model, total, span, step, laws=1):
 
     Each step is counted at least RK4_FLOOR_NODES wide.
     """
-    return math.ceil(span / step) * max(laws * lattice_size(model.dimension, total),
-                                        RK4_FLOOR_NODES)
+    return rk4_step_count(span, step) * max(laws * lattice_size(model.dimension, total),
+                                            RK4_FLOOR_NODES)
 
 
 class _ExperimentSetup(NamedTuple):
@@ -805,8 +806,8 @@ def run_lemma2_check(scenario):
     adversary, built once as player 1 of the mirrored game, gives its
     replies in one call. A random reply plays every v, so its exact mean
     averages the v grid. The exact laws of every pair's needed replies are
-    evolved first, each delta in one ``_evolve_laws`` call over all pairs,
-    with per-law start times and controls. The call is cut into blocks of
+    evolved first, each delta in one ``_evolve_laws`` call over the span
+    delta, with per-law start times and controls. The call is cut into blocks of
     at most max(one pair's laws, SOLVE_BLOCK_POINTS // lattice nodes) laws,
     so a large lattice holds no more than one pair's batch at a time. The
     Monte Carlo rows then run pair by pair, delta by delta, on their keyed
@@ -872,7 +873,7 @@ def run_lemma2_check(scenario):
             part = slice(lo, lo + block)
             starts = np.zeros((law_v[part].size, space.node_count))
             starts[np.arange(starts.shape[0]), law_node[part]] = 1.0
-            laws = _evolve_laws(gen, law_t0[part], law_t0[part] + delta, starts, law_u[part],
+            laws = _evolve_laws(gen, law_t0[part], delta, starts, law_u[part],
                                 model.v_grid.values()[law_v[part]][:, None], step)
             for b, (p, v_idx) in enumerate(zip(law_pair[part].tolist(), law_v[part].tolist())):
                 sq = np.sum((space.nodes - w_plus[p, di]) ** 2, axis=1)

@@ -54,6 +54,14 @@ def rk4_step(rate, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_step_count(span, step):
+    """Equal RK4 steps of at most ``step`` over ``span``, at least one.
+
+    A span within round-off of n steps, such as (t0 + n step) - t0, takes n.
+    """
+    return max(1, math.ceil(span / step - 1e-9))
+
+
 def as_coords(x, d=None):
     """Return an array-like point as a float ndarray of coordinates."""
     arr = np.asarray(x, dtype=float)

@@ -84,3 +84,21 @@ def test_lattice_state_named_only_in_simplex():
             if "LatticeState" in names:
                 naming.add(path.name)
     assert naming == {"simplex.py"}
+
+
+def test_rk4_step_named_only_by_the_law_loop_and_the_guide_flow():
+    # one RK4 loop for the exact laws, which the Dynkin residual reads, and
+    # one for the guides: no other function calls, aliases or passes rk4_step
+    naming = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if "rk4_step" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+            naming.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted((README.parent / "src" / "chainguide").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, None)
+    assert naming == {("chain.py", "_law_steps"), ("guide.py", "_flow")}

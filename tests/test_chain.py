@@ -179,13 +179,15 @@ def test_batched_laws_equal_per_reply_master_evolve(model, total):
                 for u, v in pairs]
         starts = np.zeros((len(pairs), grid.node_count))
         starts[:, node] = 1.0
+        # master_evolve's span is t1 - t0, here (t0 + delta) - t0
+        span = (t0 + delta) - t0
         # both controls as columns, and one u with a column of replies as lemma 2 uses
-        laws = _evolve_laws(gen, t0, t0 + delta, starts, us, vs, step)
+        laws = _evolve_laws(gen, t0, span, starts, us, vs, step)
         for b in range(len(pairs)):
             assert laws[b].tobytes() == want[b].tobytes()
         u = model.u_grid.points[-1]
         replies = [b for b, (pu, _) in enumerate(pairs) if pu == u]
-        laws = _evolve_laws(gen, t0, t0 + delta, starts[replies], u, vs[replies], step)
+        laws = _evolve_laws(gen, t0, span, starts[replies], u, vs[replies], step)
         for row, b in enumerate(replies):
             assert laws[row].tobytes() == want[b].tobytes()
 
@@ -203,6 +205,7 @@ def test_law_batch_rows_equal_each_law_evolved_alone(data):
     batch = data.draw(st.integers(1, 5))
     t0 = data.draw(st.floats(0.0, 0.9))
     t1 = t0 + data.draw(st.floats(1e-3, 0.1))
+    span = t1 - t0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = SimplexGrid(model.dimension, total)
     gen = _LatticeGenerator(model, grid)
@@ -213,27 +216,21 @@ def test_law_batch_rows_equal_each_law_evolved_alone(data):
     laws[0, node] = 1.0
     us = rng.choice(model.u_grid.values(), size=(batch, 1))
     vs = rng.choice(model.v_grid.values(), size=(batch, 1))
-    got = _evolve_laws(gen, t0, t1, laws, us, vs, step)
+    got = _evolve_laws(gen, t0, span, laws, us, vs, step)
     for b in range(batch):
-        alone = _evolve_laws(gen, t0, t1, laws[b], us[b, 0], vs[b, 0], step)
+        alone = _evolve_laws(gen, t0, span, laws[b], us[b, 0], vs[b, 0], step)
         assert got[b].tobytes() == alone.tobytes()
-        one = _evolve_laws(gen, t0, t1, laws[b:b + 1], us[b:b + 1], vs[b:b + 1], step)
+        one = _evolve_laws(gen, t0, span, laws[b:b + 1], us[b:b + 1], vs[b:b + 1], step)
         assert got[b].tobytes() == one[0].tobytes()
     want = master_evolve(model, t0, t1, grid.counts[node], us[0, 0], vs[0, 0], ode_step=step)
     assert want.tobytes() == got[0].tobytes()
-    # per-law start times, spans just under and just over n steps: the laws
-    # take n or n + 1 steps, and a mixed batch runs one loop per step count
+    # per-law start times under the call's one span, a few ulps off n steps
     n = data.draw(st.integers(1, 12))
     t0s = rng.uniform(0.0, 0.9, size=(batch, 1))
-    nudge = rng.choice([-1e-9, 1e-9], size=(batch, 1))
-    nudge[:2, 0] = [-1e-9, 1e-9][:batch]
-    t1s = t0s + n * step * (1.0 + nudge)
-    counts = np.ceil((t1s - t0s) / step)
-    assert set(counts[:2, 0].tolist()) == ({n, n + 1} if batch > 1 else {n})
-    got = _evolve_laws(gen, t0s, t1s, laws, us, vs, step)
+    span = float(t0s[0, 0] + n * step) - float(t0s[0, 0])
+    got = _evolve_laws(gen, t0s, span, laws, us, vs, step)
     for b in range(batch):
-        alone = _evolve_laws(gen, float(t0s[b, 0]), float(t1s[b, 0]), laws[b], us[b, 0],
-                             vs[b, 0], step)
+        alone = _evolve_laws(gen, float(t0s[b, 0]), span, laws[b], us[b, 0], vs[b, 0], step)
         assert got[b].tobytes() == alone.tobytes()
 
 
@@ -414,6 +411,42 @@ def test_simulator_matches_oracle_time_dependent_model():
     emp = sample_final_distribution(model, 0.0, 1.0, y, 1.0, 1.0, trials=20000, seed=11)
     oracle = master_evolve(model, 0.0, 1.0, y, 1.0, 1.0)
     assert 0.5 * np.abs(emp - oracle).sum() <= 0.02
+
+
+ONE_STEP_TRIALS = 4000
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_step_kernel_with_per_row_v_matches_master_evolve_in_tv(data):
+    # random small models; one count row tiled over the trials, each row with
+    # its own v, as lemma 2's one-step check runs them. Given the rows' v, the
+    # exact law of the tile is the mixture of each v's master_evolve law at
+    # the rows' shares. The tolerance is fixed from the trial count n and
+    # the node count N alone: the expected TV of n independent draws is at
+    # most sqrt(N / n) / 2, and one draw moves the TV by at most 1 / n, so by
+    # McDiarmid's inequality it exceeds that by sqrt(ln(1e6) / (2 n)) with
+    # probability at most 1e-6
+    level = st.floats(0.0, 1.0, allow_subnormal=False)
+    make = data.draw(st.sampled_from([TwoTypeModel, ThreeTypeRotorModel]))
+    model = make(u_levels=data.draw(st.lists(level, min_size=1, max_size=3, unique=True)),
+                 v_levels=data.draw(st.lists(level, min_size=1, max_size=3, unique=True)))
+    grid = SimplexGrid(model.dimension, data.draw(st.integers(1, 6)))
+    y = grid.counts[data.draw(st.integers(0, grid.node_count - 1))]
+    t0 = data.draw(st.floats(0.0, 0.9))
+    t1 = t0 + data.draw(st.floats(0.01, 0.1))
+    u = data.draw(st.sampled_from(model.u_grid.points))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = ONE_STEP_TRIALS
+    v_idx = rng.integers(0, len(model.v_grid), size=n)
+    finals = np.tile(y, (n, 1))
+    simulate_chain(model, t0, t1, finals, u, model.v_grid.values()[v_idx], rng)
+    empirical = np.bincount(grid.node_index(finals), minlength=grid.node_count) / n
+    shares = np.bincount(v_idx, minlength=len(model.v_grid)) / n
+    exact = sum(share * master_evolve(model, t0, t1, y, u, v)
+                for share, v in zip(shares, model.v_grid.values()))
+    tolerance = 0.5 * math.sqrt(grid.node_count / n) + math.sqrt(math.log(1e6) / (2 * n))
+    assert 0.5 * np.abs(empirical - exact).sum() <= tolerance
 
 
 def test_dynkin_residual_zero_rates():

@@ -68,6 +68,8 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
     {"lemma2": {"deltas": [2.0, 0.01]}},
     {"oracle": {"u": 5.0}},
     {"oracle": {"v": 0.25}},
+    {"lemma1": {"u": 5000.0}},
+    {"lemma1": {"v": 0.25}},
     {"lemma1": {"deltas": [0.02, 0.01, 0.02]}},
     {"lemma2": {"deltas": [0.01, 0.01]}},
     {"start_time": 0.5, "oracle": {"dynkin": {"elapsed": 0.8}}},
@@ -86,6 +88,7 @@ def test_cli_requires_known_scenario_keys(tmp_path, capsys):
         "3d-lemma1-state-on-two-type", "string-lemma2-deltas", "missing-adversary-index",
         "unread-lemma2-acceptance-delta", "oracle-elapsed-past-horizon",
         "lemma2-delta-past-horizon", "off-grid-oracle-u", "off-grid-oracle-v",
+        "off-grid-lemma1-u", "off-grid-lemma1-v",
         "duplicate-lemma1-deltas", "duplicate-lemma2-deltas", "dynkin-elapsed-past-horizon",
         "lemma1-particle-count-not-state-total", "over-cap-value-grid",
         "over-cap-oracle-total", "over-cap-dynkin-total", "over-cap-lemma1-total",
@@ -346,7 +349,9 @@ def fuzzed_scenarios(draw):
     """Small scenarios over every model, with horizons, controls and grids near their limits.
 
     Control levels reach 1e6, a rate bound at which every command should
-    refuse the scenario at load. The oracle and lemma sections are small
+    refuse the scenario at load. Lemma 1's controls, when drawn, are points
+    of the model's grids or any level up to 1e4, and a level off the grid
+    must be refused at load too. The oracle and lemma sections are small
     and fixed, and the episodes are one trial over two partition steps, so
     a scenario either runs in a moment or is refused.
     """
@@ -366,6 +371,12 @@ def fuzzed_scenarios(draw):
         for key in ("u_levels", "v_levels"):
             if draw(st.booleans()):
                 params[key] = draw(levels)
+    # lemma 1's controls on the model's grids or off them
+    lemma1 = {}
+    for key in ("u", "v"):
+        if draw(st.booleans()):
+            grid = params.get(f"{key}_levels") or getattr(build_model(model), f"{key}_grid").points
+            lemma1[key] = draw(st.sampled_from(list(grid)) | st.floats(0.0, 1e4))
     state = [0.0] * max(dimension, 2)
     state[draw(st.integers(0, len(state) - 1))] = 1.0
     particles = draw(st.integers(1, 6))
@@ -384,6 +395,7 @@ def fuzzed_scenarios(draw):
         "simulate": {"episodes": 1, "partition_step_count": 2, "particle_count": particles,
                      "record_jumps": draw(st.booleans())},
         "oracle": {"trials": 20, "elapsed": 0.05, "dynkin": {"elapsed": 0.05}},
+        "lemma1": lemma1,
         "lemma2": {"pairs": 1, "trials_per_pair": 20, "deltas": [0.01]},
     }
 
@@ -393,6 +405,8 @@ def fuzzed_scenarios(draw):
 @example({**THREE_TYPE, "value_grid": {"n_x": 8, "n_t": 1}})
 @example({"model": "two-type", "model_params": {"horizon": float("inf")}})
 @example({"model": "zero", "model_params": {"payoff_coordinate": 5}})
+# an off-grid lemma-1 control at 5000 blew up the forward equations in a traceback
+@example({"model": "two-type", "lemma1": {"u": 5000.0}})
 @example({"model": "two-type", "model_params": {"u_levels": [0.0, 1e6]}, "particle_counts": [4],
           "simulate": {"record_jumps": False}})
 @example({"model": "two-type", "model_params": {"u_levels": [0.25, 0.5]}, "particle_counts": [2],
@@ -417,3 +431,10 @@ def test_cli_fuzzed_scenarios_exit_0_1_or_2(payload):
                         seat_grid).index_of(spec["value"])
             except (TypeError, ValueError):
                 assert codes[command] == 2
+    # so must lemma 1's controls, which every command checks at load
+    for key, control in payload.get("lemma1", {}).items():
+        try:
+            getattr(build_model(payload["model"], payload.get("model_params")),
+                    f"{key}_grid").index_of(control)
+        except (TypeError, ValueError):
+            assert set(codes.values()) == {2}

@@ -280,27 +280,27 @@ def test_lemma2_check_small():
     assert allow["0.01"] < allow["0.02"]
 
 
-def _spy_on_law_batches(monkeypatch):
-    """Record every ``_evolve_laws`` call of the harness: its times, batch, step and RK4 steps."""
+def _spy_on_rk4_steps(monkeypatch, name):
+    """Record every call of the harness's ``name``: its arguments and the RK4 steps it ran."""
     calls = []
     rk4_calls = []
     rk4 = chain.rk4_step
     monkeypatch.setattr(chain, "rk4_step", lambda *args: rk4_calls.append(1) or rk4(*args))
-    evolve = harness._evolve_laws
+    evolve = getattr(harness, name)
 
-    def spy(gen, t0, t1, p, u, v, step):
+    def spy(*args, **kwargs):
         before = len(rk4_calls)
-        laws = evolve(gen, t0, t1, p, u, v, step)
-        calls.append((t0, t1, p.shape, step, len(rk4_calls) - before))
-        return laws
+        out = evolve(*args, **kwargs)
+        calls.append((args, kwargs, len(rk4_calls) - before))
+        return out
 
-    monkeypatch.setattr(harness, "_evolve_laws", spy)
+    monkeypatch.setattr(harness, name, spy)
     return calls
 
 
-def test_lemma2_evolves_each_delta_in_one_batch_and_one_loop_per_step_count(monkeypatch):
+def test_lemma2_evolves_each_delta_in_one_batch_of_delta_over_step_rk4_steps(monkeypatch):
     # the benchmark's lemma-2 shape, with fewer one-step draws
-    calls = _spy_on_law_batches(monkeypatch)
+    calls = _spy_on_rk4_steps(monkeypatch, "_evolve_laws")
     deltas = [0.02, 0.01, 0.005]
     scen = small_scenario(
         particle_counts=[20],
@@ -310,18 +310,27 @@ def test_lemma2_evolves_each_delta_in_one_batch_and_one_loop_per_step_count(monk
         lemma2={"particle_count": 20, "pairs": 20, "deltas": deltas, "trials_per_pair": 200})
     result = run_lemma2_check(scen)
     assert len(result.rows) == 20 * 3 * 4
-    assert [step for _, _, _, step, _ in calls] == [
-        _lemma_step(TwoTypeModel(), delta, 20, result.summary["constants"]["k"])
-        for delta in deltas]
-    mixed = 0
-    for t0, t1, shape, step, rk4_steps in calls:
+    model = TwoTypeModel()
+    steps = [_lemma_step(model, delta, 20, result.summary["constants"]["k"]) for delta in deltas]
+    assert [(args[2], args[6]) for args, _, _ in calls] == list(zip(deltas, steps))
+    for (_, t0, span, p, _, _, step), _, rk4_steps in calls:
         # every pair's laws: at least the random reply's whole v grid per pair
-        assert t0.shape == t1.shape == (shape[0], 1) and shape[0] >= 20 * 3
-        counts = np.unique(np.ceil((t1 - t0) / step))
-        assert rk4_steps == counts.sum()
-        mixed += counts.size > 1
-    # (t0 + delta) - t0 rounds to either side of delta: some pairs take a step more
-    assert mixed
+        assert t0.shape == (p.shape[0], 1) and p.shape[0] >= 20 * 3
+        # the span is delta itself, not (t0 + delta) - t0, which rounds to
+        # either side of delta and gave most laws an eleventh, shorter step
+        assert rk4_steps == 10 == span / step
+        assert rk4_steps * harness.RK4_FLOOR_NODES == harness._rk4_work(model, 20, span, step)
+
+
+def test_lemma1_takes_delta_over_step_rk4_steps_at_any_start_time(monkeypatch):
+    # (0.37 + delta) - 0.37 exceeds delta by an ulp; a plain ceil of the span
+    # over the step gave every delta an eleventh step
+    calls = _spy_on_rk4_steps(monkeypatch, "master_evolve")
+    deltas = [0.02, 0.01, 0.005]
+    run_lemma1_check(small_scenario(particle_counts=[10], start_time=0.37,
+                                    lemma1={"deltas": deltas}))
+    assert [kwargs["ode_step"] for _, kwargs, _ in calls] == [delta / 10.0 for delta in deltas]
+    assert [rk4_steps for _, _, rk4_steps in calls] == [10, 10, 10]
 
 
 @pytest.mark.parametrize("adversaries", [
@@ -329,7 +338,7 @@ def test_lemma2_evolves_each_delta_in_one_batch_and_one_loop_per_step_count(monk
     [{"kind": "random"}, {"kind": "extremal"}],
 ])
 def test_lemma2_law_blocks_stay_within_the_solve_block(monkeypatch, adversaries):
-    calls = _spy_on_law_batches(monkeypatch)
+    calls = _spy_on_rk4_steps(monkeypatch, "_evolve_laws")
     total = 73
     nodes = SimplexGrid(3, total).node_count
     assert nodes > harness.SOLVE_BLOCK_POINTS / 3
@@ -343,7 +352,8 @@ def test_lemma2_law_blocks_stay_within_the_solve_block(monkeypatch, adversaries)
     # one pair's laws: the whole v grid for a random reply, else one per adversary
     one_pair = 3 if {"kind": "random"} in adversaries else len(adversaries)
     assert len(calls) > 1
-    for _, _, (batch, n), _, _ in calls:
+    for (_, _, _, p, _, _, _), _, _ in calls:
+        batch, n = p.shape
         assert n == nodes
         assert batch * n <= max(one_pair * n, harness.SOLVE_BLOCK_POINTS)
 

@@ -5,15 +5,20 @@ Each command case runs one command on a small scenario through
 digest. The ``experiment`` and ``simulate`` digests were taken when the
 episode paths moved from keyed per-trial generators to one keyed shared
 generator per trial block and began to form the chain state as counts /
-total, both of which change the draws on purpose. The ``oracle`` digests
-were taken when ``sample_final_distribution`` moved from keyed per-trial
-generators to one shared generator per call, which changes the draws on
-purpose. The
-``check-lemma2`` digests were taken when the guide flow stopped adding an
-RK4 substep for round-off in a span that is a whole number of steps,
-which changes the guide endpoints lemma 2 compares against. The
-``check-lemma1`` digests were taken before the exact oracle's laws became
-plain probability arrays, a change that must not move a byte.
+total, both of which change the draws on purpose. The two-type
+``oracle`` digest was taken when ``sample_final_distribution`` moved from
+keyed per-trial generators to one shared generator per call, which changes
+the draws on purpose. The three-type ``oracle`` digest and the
+``check-lemma2`` digests were taken when the exact laws moved to one RK4
+loop with one step-count rule, ``simplex.rk4_step_count``. Lemma 2 now
+counts its steps from delta itself rather than from (t0 + delta) - t0,
+which exceeds delta by an ulp for most t0 and so gave most laws one short
+step more; its exact means moved by at most 3.4e-13. The Dynkin residual
+now reads its Simpson integrand at the loop's accumulated step times, not
+at t0 + k dt, which moved the three-type residual from 1.19972e-12 to
+1.19975e-12. The ``check-lemma1`` digests were taken before the exact
+oracle's laws became plain probability arrays, a change that must not
+move a byte, and the one-loop change kept them.
 
 The CSV of ``simulate`` holds only each episode's payoff, violation
 fractions and jump count, so each simulate case also compares the sha256
@@ -26,9 +31,10 @@ axis in place of per-trial objects, a change that must not move a byte.
 The CSV of ``check-lemma2`` leaves out the summary's
 ``empirical_kappa_per_delta``, ``model_allowance_per_delta`` and
 ``kappa_power_fit``, so each lemma 2 case also compares the sha256 of the
-emitted JSON summary. Those digests were taken before lemma 2 began to set
-up its pairs as arrays and to read each adversary's reply from the built
-adversary, a change that must not move a byte.
+emitted JSON summary. Those digests were re-pinned with the ``check-lemma2``
+tables, for the step count above; the change before it, which set up the
+pairs as arrays and read each adversary's reply from the built adversary,
+did not move a byte.
 
 Each value case compares the sha256 of ``solve_value(...).table.tobytes()``
 with the digest the same solve gave before the solve moved to column-major
@@ -97,17 +103,17 @@ DIGESTS = {
     ("two-type", "check-lemma1"):
         "6f473e86c15c310503a21b90015cf3a976e46ac20ade2ecf116310631cb12467",
     ("two-type", "check-lemma2"):
-        "5e353ec24619e7f354816f06438c8dc4b62868980b65ea1040d2c6685f94778e",
+        "8b94a9e21d9b2d75c2d526e044bff93a30207e03cd6e435f4ef382665551a472",
     ("two-type", "simulate"):
         "62c76957882e4e6501b0035ee80653ecda5261bf78dc675cdd6f1aa15b7a4346",
     ("three-type", "experiment"):
         "2892ea240f896291940c4f5ba01e82da5d6d4927eb867c55465764f791d9310d",
     ("three-type", "oracle"):
-        "aaea77cd3cf00d9717bcc563b7923c8158b077c606739abc42589131c5690bb5",
+        "3f5f5cb6c2375b2f6eae967998515d70ec938b410cbf91656a8ff99829daa060",
     ("three-type", "check-lemma1"):
         "a6ba92648bb31074111506503e0b6793d911808ca0f8094e76db86d626e0c579",
     ("three-type", "check-lemma2"):
-        "7bfb432e74caff4775d5c53f6be48d7e3aa0f6c3f926f296b50a008eb2caedbf",
+        "c83198833785276cdf99017d658e478a7c55251e3397f66a49bd65d5d2b814ae",
     ("three-type", "simulate"):
         "f69d3e9da26113f1c621095edb183d0a04ed32981a1d67132dee0feb2ef14687",
 }
@@ -147,8 +153,8 @@ def test_simulate_summary_digest(tmp_path, model, record_jumps):
 
 # model: sha256 of the emitted check-lemma2 JSON summary
 LEMMA2_SUMMARY_DIGESTS = {
-    "two-type": "d9ef370caa52d986729dd1dee3b55708e0ae29ac2001fe3e76df1b8b89ce770a",
-    "three-type": "b6f881c8bee5ceec51a0177fb7957dad823246a03dede03a8a080573aa3636ff",
+    "two-type": "f422e295e3500b0739d970ebb72c0e0d192fef29e259d0198247362f67b9bce2",
+    "three-type": "58c70260743cfa1ae51561fd0b9ea17656dbf98550ace26c0a55b30423a041d9",
 }
 
 

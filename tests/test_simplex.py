@@ -10,6 +10,7 @@ from chainguide.simplex import (
     PROJECTION_LIMIT,
     LatticeState,
     project_rows,
+    rk4_step_count,
     round_to_lattice,
 )
 from chainguide.value import LATTICE_CAP, LatticeCapError, SimplexGrid
@@ -113,6 +114,27 @@ def test_project_rows_sums_a_long_vector_as_numpy_does():
     want = p.copy()
     assert project_rows(p) == project_rows_by_np_sum(want)
     assert p.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**5), step=st.floats(1e-6, 1.0), t0=st.floats(0.0, 1.0),
+       ulps=st.integers(-4, 4))
+def test_rk4_step_count_takes_n_steps_for_a_span_within_round_off_of_n(n, step, t0, ulps):
+    # a span as the oracles and the guide flow form it, (t0 + n step) - t0,
+    # and n step moved by a few ulps, both within round-off of n steps
+    for span in (float(t0 + n * step) - float(t0),
+                 n * step * (1.0 + ulps * np.finfo(float).eps)):
+        assert rk4_step_count(span, step) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(span=st.floats(0.0, 10.0), step=st.floats(1e-6, 1.0))
+def test_rk4_step_count_never_takes_a_step_longer_than_step(span, step):
+    steps = rk4_step_count(span, step)
+    assert steps >= 1
+    assert span / steps <= step * (1.0 + 1e-9)
+    # and no more steps than that needs, up to round-off
+    assert steps == 1 or span / (steps - 1) > step * (1.0 - 1e-12)
 
 
 def test_lattice_state_basics():
